@@ -204,8 +204,10 @@ awk -v c="$host_cpus" -v w1="$fleet_wall_1" -v w2="$fleet_wall_2" -v w4="$fleet_
 
 # Load-engine smoke gate (docs/WORKLOADS.md): a fixed-seed 100k-event
 # heavy-traffic run must (a) report zero soundness violations — no
-# observed interrupt response above its static bound — and (b) render
-# byte-identical stdout at 1 worker and at 4 workers. Each invocation
+# observed interrupt response above its static bound — (b) render
+# byte-identical stdout at 1 worker and at 4 workers, and (c) match
+# tests/goldens/load_100k.txt, so a simulator change that shifts every
+# run alike is caught too. Each invocation
 # also self-checks identity across its own worker list; running two
 # invocations and diffing proves the property holds across *processes*,
 # not just across pools in one address space. JSON goes to a scratch
@@ -220,6 +222,10 @@ RT_BENCH_OUT="$load_json" cargo run --release -q -p rt-bench --bin repro -- \
     load --events 100000 --shards 16 --tenants 32 --seed 42 --workers 4 >"$load_out_4"
 diff -u "$load_out_1" "$load_out_4" || {
     echo "ci: load report differs between 1 and 4 workers" >&2
+    exit 1
+}
+diff -u tests/goldens/load_100k.txt "$load_out_1" || {
+    echo "ci: load report differs from tests/goldens/load_100k.txt" >&2
     exit 1
 }
 grep -q 'soundness oracle: PASS' "$load_out_1" || {

@@ -174,31 +174,48 @@ fn bench_opts(args: &[String]) -> sweep::BenchOpts {
     opts
 }
 
-fn bench_report(opts: &sweep::BenchOpts) -> String {
+/// Updates the bench record and returns the status line saying where.
+/// Only `--record` writes the committed `BENCH_sweep.json`;
+/// `RT_BENCH_OUT` sends the record to another file instead (CI smoke
+/// runs); with neither, nothing is written. `update` maps the record's
+/// current contents (an empty object when absent) to its new contents.
+fn record(args: &[String], update: impl FnOnce(&str) -> String) -> String {
+    let path = match std::env::var("RT_BENCH_OUT") {
+        Ok(path) => path,
+        Err(_) if args.iter().any(|a| a == "--record") => "BENCH_sweep.json".into(),
+        Err(_) => return "  not recorded (pass --record to update BENCH_sweep.json)".into(),
+    };
+    let old = std::fs::read_to_string(&path)
+        .ok()
+        .filter(|s| !s.trim().is_empty())
+        .unwrap_or_else(|| "{\n}\n".into());
+    std::fs::write(&path, update(&old)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    format!("  wrote {path}")
+}
+
+fn bench_report(args: &[String], opts: &sweep::BenchOpts) -> String {
     let result = sweep::run_bench_with(opts);
-    let mut json = result.to_json();
-    // RT_BENCH_OUT redirects the artifact (CI smoke runs measure without
-    // dirtying the committed BENCH_sweep.json).
-    let path = std::env::var("RT_BENCH_OUT").unwrap_or_else(|_| "BENCH_sweep.json".into());
-    // `repro bench` regenerates the sweep numbers but must not lose the
-    // `repro load` / `repro explore` blocks of previous runs — carry
-    // them forward.
-    if let Ok(old) = std::fs::read_to_string(&path) {
+    let status = record(args, |old| {
+        let mut json = result.to_json();
+        // `repro bench` regenerates the sweep numbers but must not lose
+        // the `repro load` / `repro explore` blocks of previous runs —
+        // carry them forward.
         for key in ["load", "explore", "explore_smp"] {
-            if let Some(block) = sweep::extract_json_block(&old, key) {
+            if let Some(block) = sweep::extract_json_block(old, key) {
                 json = sweep::upsert_json_block(&json, key, &block);
             }
         }
-    }
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        json
+    });
     let mut s = result.render();
-    s.push_str(&format!("  wrote {path}\n"));
+    s.push_str(&status);
+    s.push('\n');
     s
 }
 
 /// The `repro load` driver: runs the rt-load heavy-traffic engine once
 /// per requested worker count, asserts the rendered reports are
-/// byte-identical, upserts the `"load"` block into the bench artifact,
+/// byte-identical, records the `"load"` block (see [`record`]),
 /// and returns the (deterministic) report for stdout. Wall-clock and
 /// file-path chatter goes to stderr so stdout stays byte-comparable
 /// across invocations.
@@ -260,15 +277,11 @@ fn load_report(args: &[String]) -> String {
         eprintln!("  load: {w} workers -> {ms} ms (wall; stderr only)");
     }
 
-    let path = std::env::var("RT_BENCH_OUT").unwrap_or_else(|_| "BENCH_sweep.json".into());
-    let existing = std::fs::read_to_string(&path)
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .unwrap_or_else(|| "{\n}\n".into());
     let block = result.to_json_block(&walls, identical);
-    let merged = sweep::upsert_json_block(&existing, "load", &block);
-    std::fs::write(&path, &merged).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("  wrote {path}");
+    eprintln!(
+        "{}",
+        record(args, |old| sweep::upsert_json_block(old, "load", &block))
+    );
 
     if !identical {
         eprintln!("load: reports DIVERGED across worker counts {workers:?}");
@@ -285,7 +298,7 @@ fn load_report(args: &[String]) -> String {
 /// The `repro explore` driver: runs the reduced frontier search once per
 /// requested worker count, asserts the rendered reports (header plus one
 /// `key=value` line per scenario) are byte-identical across counts,
-/// upserts the `"explore"` block into the bench artifact, and returns the
+/// records the `"explore"` block (see [`record`]), and returns the
 /// deterministic report for stdout. Wall-clock, snapshot-engine stats and
 /// file-path chatter go to stderr, as with `repro load` — the snapshot
 /// cadence must never leak into stdout, because forked and rebuilt
@@ -456,11 +469,6 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         rebuild = Some((ms, states));
     }
 
-    let path = std::env::var("RT_BENCH_OUT").unwrap_or_else(|_| "BENCH_sweep.json".into());
-    let existing = std::fs::read_to_string(&path)
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .unwrap_or_else(|| "{\n}\n".into());
     let key = if smp_set { "explore_smp" } else { "explore" };
     let block = explore_json_block(
         key,
@@ -474,9 +482,10 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         &snap,
         rebuild,
     );
-    let merged = sweep::upsert_json_block(&existing, key, &block);
-    std::fs::write(&path, &merged).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("  wrote {path}");
+    eprintln!(
+        "{}",
+        record(args, |old| sweep::upsert_json_block(old, key, &block))
+    );
 
     if !identical {
         eprintln!(
@@ -643,7 +652,7 @@ fn main() {
         "latency-bound" => print!("{}", latency_bound(ctx)),
         "constraints" => print!("{}", constraints_demo(ctx)),
         "explore" => print!("{}", explore_cmd(&args, depth, ctx)),
-        "bench" => print!("{}", bench_report(&bench_opts(&args))),
+        "bench" => print!("{}", bench_report(&args, &bench_opts(&args))),
         "load" => print!("{}", load_report(&args)),
         "all" => {
             print!("{}", tables::render_table1(&tables::table1_with(ctx)));

@@ -974,9 +974,8 @@ impl Kernel {
         let st = self.tcb_addr(t, crate::tcb::OFF_STATE);
         self.blk(Block::SchedCommit, &[st]);
         if t != self.cur {
-            let ctx: Vec<Addr> = (0..8)
-                .map(|i| self.tcb_addr(t, crate::tcb::OFF_CONTEXT + 4 * i))
-                .collect();
+            let ctx: [Addr; 8] =
+                std::array::from_fn(|i| self.tcb_addr(t, crate::tcb::OFF_CONTEXT + 4 * i as u32));
             self.blk(Block::CtxSwitch, &ctx);
             self.cur = t;
         }
@@ -1082,9 +1081,9 @@ impl Kernel {
             self.blk0(Block::KExitCheck);
             guard += 1;
         }
-        let ctx: Vec<Addr> = (0..6)
-            .map(|i| self.tcb_addr(self.cur, crate::tcb::OFF_CONTEXT + 4 * i))
-            .collect();
+        let ctx: [Addr; 6] = std::array::from_fn(|i| {
+            self.tcb_addr(self.cur, crate::tcb::OFF_CONTEXT + 4 * i as u32)
+        });
         self.blk(Block::ExitRestore, &ctx);
     }
 

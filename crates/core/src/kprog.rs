@@ -26,8 +26,6 @@
 //! object accesses ([`D::Ob`]) depend on runtime placement and are the
 //! analysis's unknowable, always-miss traffic.
 
-use std::collections::HashMap;
-
 use rt_hw::Addr;
 
 /// Kernel code is linked at the top of the virtual address space.
@@ -564,19 +562,18 @@ impl Block {
         }
     }
 
-    /// Stable index of the block (position in [`Block::ALL`]).
+    /// Stable index of the block (position in [`Block::ALL`], which
+    /// lists the blocks in declaration order).
     pub fn index(self) -> usize {
-        Block::ALL
-            .iter()
-            .position(|&b| b == self)
-            .expect("block missing from ALL")
+        self as usize
     }
 }
 
 /// Code layout: the concrete address of every block.
 #[derive(Clone, Debug)]
 pub struct Layout {
-    addr: HashMap<Block, Addr>,
+    /// Indexed by [`Block::index`].
+    addr: Vec<Addr>,
     code_end: Addr,
 }
 
@@ -584,7 +581,7 @@ impl Layout {
     /// Lays out [`Block::ALL`] from [`KERNEL_CODE_BASE`], aligning each
     /// function's first block to a cache line (as a linker would).
     pub fn new() -> Layout {
-        let mut addr = HashMap::new();
+        let mut addr = Vec::with_capacity(Block::ALL.len());
         let mut cur = KERNEL_CODE_BASE;
         let mut last_fn = None;
         for &b in Block::ALL {
@@ -593,7 +590,8 @@ impl Layout {
                 cur = (cur + 31) & !31;
                 last_fn = Some(spec.func);
             }
-            addr.insert(b, cur);
+            assert_eq!(b.index(), addr.len(), "{b:?} out of order in ALL");
+            addr.push(cur);
             cur += spec.code_bytes();
         }
         Layout {
@@ -604,7 +602,7 @@ impl Layout {
 
     /// Address of a block's first instruction.
     pub fn addr_of(&self, b: Block) -> Addr {
-        *self.addr.get(&b).expect("unknown block")
+        self.addr[b.index()]
     }
 
     /// Total kernel code size in bytes.
@@ -694,6 +692,15 @@ mod tests {
             assert!(addr >= KERNEL_CODE_BASE);
             assert_eq!(addr % 4, 0);
         }
+    }
+
+    #[test]
+    fn block_index_is_position_in_all() {
+        // `Layout` stores addresses in a vector indexed by `Block::index`.
+        for (i, &b) in Block::ALL.iter().enumerate() {
+            assert_eq!(b.index(), i, "{b:?}");
+        }
+        assert_eq!(Block::ALL.len(), Block::NtfnWaitOp.index() + 1);
     }
 
     #[test]

@@ -847,7 +847,7 @@ impl Kernel {
             let mut line = 0;
             while line < chunk {
                 let base = plan.region_start + off + line;
-                let addrs: Vec<Addr> = (0..8).map(|w| base + 4 * w).collect();
+                let addrs: [Addr; 8] = std::array::from_fn(|w| base + 4 * w as u32);
                 self.blk(Block::ClearLine, &addrs);
                 line += 32;
             }
@@ -870,7 +870,7 @@ impl Kernel {
             if matches!(plan.kind, RetypeKind::PageDirectory) {
                 for l in 0..(vspace::KERNEL_MAPPING_BYTES / 32) {
                     let dst = base + vspace::KERNEL_PDE_START * 4 + l * 32;
-                    let addrs: Vec<Addr> = (0..8).map(|w| dst + 4 * w).collect();
+                    let addrs: [Addr; 8] = std::array::from_fn(|w| dst + 4 * w as u32);
                     self.blk(Block::PdCopyLine, &addrs);
                 }
                 self.objs.pd_mut(id).install_kernel_mappings();

@@ -98,6 +98,10 @@ pub enum Lookup {
 #[derive(Clone, Debug)]
 pub struct Cache {
     geom: CacheGeometry,
+    /// `log2(geom.line)`: the address shift to the line number.
+    line_shift: u32,
+    /// `log2(geom.sets())`: the line-number shift to the tag.
+    set_shift: u32,
     /// `sets * ways` lines, row-major by set. Ways `0..locked_ways` are the
     /// locked region.
     lines: Vec<Line>,
@@ -115,6 +119,8 @@ impl Cache {
     /// buffers always fit).
     pub fn copy_from(&mut self, src: &Cache) {
         self.geom = src.geom;
+        self.line_shift = src.line_shift;
+        self.set_shift = src.set_shift;
         self.lines.clone_from(&src.lines);
         self.locked_ways = src.locked_ways;
         self.policy = src.policy;
@@ -133,12 +139,17 @@ impl Cache {
             "cache size must be a whole number of sets"
         );
         let sets = geom.sets() as usize;
+        // Power-of-two sets let `locate` index with a shift and a mask
+        // instead of the divisions `CacheGeometry::set_of`/`tag_of` do.
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
         let lfsr = match policy {
             Replacement::PseudoRandom { seed } => seed.max(1),
             Replacement::RoundRobin => 1,
         };
         Cache {
             geom,
+            line_shift: geom.line.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             lines: vec![Line::default(); sets * geom.ways as usize],
             locked_ways: 0,
             policy,
@@ -181,6 +192,19 @@ impl Cache {
         }
     }
 
+    /// `addr`'s set and the index of that set's first line in `lines`,
+    /// and `addr`'s tag; equal to `geom.set_of(addr)` and
+    /// `geom.tag_of(addr)`.
+    fn locate(&self, addr: Addr) -> (usize, usize, u32) {
+        let line_no = addr >> self.line_shift;
+        let set = (line_no & ((1 << self.set_shift) - 1)) as usize;
+        (
+            set,
+            set * self.geom.ways as usize,
+            line_no >> self.set_shift,
+        )
+    }
+
     /// Pins the line containing `addr` into a locked way of its set.
     ///
     /// Returns `false` (without pinning) if every locked way of the set is
@@ -188,9 +212,7 @@ impl Cache {
     /// set exceeds the locked region, as the paper did when selecting "as
     /// much as would fit into 1/4 of the cache" (§4).
     pub fn pin(&mut self, addr: Addr) -> bool {
-        let set = self.geom.set_of(addr) as usize;
-        let tag = self.geom.tag_of(addr);
-        let base = set * self.geom.ways as usize;
+        let (_, base, tag) = self.locate(addr);
         // Already pinned?
         for w in 0..self.locked_ways as usize {
             let l = &self.lines[base + w];
@@ -214,19 +236,22 @@ impl Cache {
 
     /// Returns `true` if the line containing `addr` is pinned.
     pub fn is_pinned(&self, addr: Addr) -> bool {
-        let set = self.geom.set_of(addr) as usize;
-        let tag = self.geom.tag_of(addr);
-        let base = set * self.geom.ways as usize;
+        let (_, base, tag) = self.locate(addr);
         (0..self.locked_ways as usize)
             .any(|w| self.lines[base + w].valid && self.lines[base + w].tag == tag)
     }
 
     /// Looks up `addr`, allocating on miss. `write` marks the line dirty.
     pub fn access(&mut self, addr: Addr, write: bool) -> Lookup {
-        let set = self.geom.set_of(addr) as usize;
-        let tag = self.geom.tag_of(addr);
+        self.probe(addr, write).0
+    }
+
+    /// As [`Cache::access`], also telling whether a hit was in a locked
+    /// way. Locked ways are searched first, so a hit is locked exactly
+    /// when [`Cache::is_pinned`] holds: one set probe answers both.
+    pub fn probe(&mut self, addr: Addr, write: bool) -> (Lookup, bool) {
+        let (set, base, tag) = self.locate(addr);
         let ways = self.geom.ways as usize;
-        let base = set * ways;
 
         // Hit in any way (locked or not)?
         for w in 0..ways {
@@ -235,7 +260,7 @@ impl Cache {
                 if write {
                     l.dirty = true;
                 }
-                return Lookup::Hit;
+                return (Lookup::Hit, w < self.locked_ways as usize);
             }
         }
 
@@ -266,7 +291,7 @@ impl Cache {
             dirty: write,
             tag,
         };
-        Lookup::Miss { writeback }
+        (Lookup::Miss { writeback }, false)
     }
 
     /// Invalidates the entire cache except pinned lines (used between

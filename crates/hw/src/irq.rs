@@ -47,9 +47,11 @@ impl IrqController {
     /// Programs `line` to be raised when the cycle counter reaches `at`.
     pub fn schedule(&mut self, at: Cycles, line: IrqLine) {
         assert!(line.0 < NUM_LINES);
-        self.schedule.push((at, line));
-        // Keep soonest at the back for O(1) pop.
-        self.schedule.sort_by_key(|e| std::cmp::Reverse(e.0));
+        // Keep soonest at the back for O(1) pop. The new entry goes
+        // nearer the back than its equal-cycle ties (it fires first
+        // among them), as a stable descending sort would place it.
+        let ix = self.schedule.partition_point(|e| e.0 >= at);
+        self.schedule.insert(ix, (at, line));
     }
 
     /// Programs a whole batch of future raises in one call.

@@ -14,7 +14,7 @@ use crate::mem::{AccessKind, MemSystem};
 use crate::phys::PhysMem;
 use crate::pmu::Pmu;
 use crate::predictor::BranchPredictor;
-use crate::trace::{CycleAccounts, Trace, TraceEvent};
+use crate::trace::{AccessReport, CycleAccounts, Trace, TraceEvent};
 use crate::{Addr, Cycles};
 
 /// Instruction classes with distinct base costs on the modelled ARM1136
@@ -177,7 +177,7 @@ impl Machine {
 
     /// One access through the hierarchy, attributed to the right bucket and
     /// (when tracing) recorded.
-    fn mem_access(&mut self, kind: AccessKind, addr: Addr) -> Cycles {
+    fn mem_access(&mut self, kind: AccessKind, addr: Addr) -> AccessReport {
         let report = self.mem.access_report(kind, addr);
         match kind {
             AccessKind::IFetch => self.accounts.ifetch_miss += report.miss_cycles,
@@ -192,11 +192,11 @@ impl Machine {
                 report,
             });
         }
-        report.cost()
+        report
     }
 
     fn ifetch(&mut self, pc: Addr) -> Cycles {
-        self.mem_access(AccessKind::IFetch, pc)
+        self.mem_access(AccessKind::IFetch, pc).cost()
     }
 
     /// Executes one instruction of `class` at `pc`; loads/stores must use
@@ -217,10 +217,53 @@ impl Machine {
 
     /// Executes `n` sequential ALU instructions starting at `pc` (word
     /// addresses `pc, pc+4, ...`).
+    ///
+    /// Charges exactly what `n` calls of [`Machine::exec`] with
+    /// [`InstrClass::Alu`] would, but probes the I-cache once per line:
+    /// only a line's first fetch can miss, since it leaves the line
+    /// resident and the rest of the run touches no other address. Each
+    /// later fetch is a hit that changes nothing but the hit counter, and
+    /// hits a locked way exactly when the first one did. Interrupts are
+    /// ticked once at the end: `tick` stamps each raise with its scheduled
+    /// cycle and nothing reads the controller mid-run. With tracing on,
+    /// every fetch still records its own `Access` event.
     pub fn exec_straight(&mut self, pc: Addr, n: u32) {
-        for i in 0..n {
-            self.exec(InstrClass::Alu, pc + 4 * i);
+        if n == 0 {
+            return;
         }
+        let line = self.mem.l1i.geometry().line;
+        let mut i = 0;
+        while i < n {
+            let first = pc + 4 * i;
+            // Fetches left in `first`'s line, this one included.
+            let run = ((line - (first & (line - 1))).div_ceil(4)).min(n - i);
+            let at = self.pmu.cycles;
+            let report = self.mem_access(AccessKind::IFetch, first);
+            let hits = run - 1;
+            self.mem.l1i_stats.hits += u64::from(hits);
+            if self.trace.is_enabled() {
+                let hit = AccessReport {
+                    l1_hit: true,
+                    locked_hit: report.locked_hit,
+                    ..AccessReport::default()
+                };
+                let after_first = at + report.cost() + InstrClass::Alu.base_cost();
+                for k in 0..hits {
+                    self.trace.push(TraceEvent::Access {
+                        at: after_first + Cycles::from(k),
+                        kind: AccessKind::IFetch,
+                        addr: first + 4 * (k + 1),
+                        report: hit,
+                    });
+                }
+            }
+            let base = Cycles::from(run) * InstrClass::Alu.base_cost();
+            self.accounts.pipeline += base;
+            self.pmu.instructions += u64::from(run);
+            self.pmu.cycles += report.cost() + base;
+            i += run;
+        }
+        self.irq.tick(self.pmu.cycles);
     }
 
     /// Executes a load at `pc` from data address `addr`; returns the loaded
@@ -228,7 +271,7 @@ impl Machine {
     pub fn exec_load(&mut self, pc: Addr, addr: Addr) -> u32 {
         let c = self.ifetch(pc)
             + InstrClass::Load.base_cost()
-            + self.mem_access(AccessKind::Read, addr);
+            + self.mem_access(AccessKind::Read, addr).cost();
         self.accounts.pipeline += InstrClass::Load.base_cost();
         self.pmu.instructions += 1;
         self.pmu.data_accesses += 1;
@@ -242,7 +285,7 @@ impl Machine {
     pub fn touch_read(&mut self, pc: Addr, addr: Addr) {
         let c = self.ifetch(pc)
             + InstrClass::Load.base_cost()
-            + self.mem_access(AccessKind::Read, addr);
+            + self.mem_access(AccessKind::Read, addr).cost();
         self.accounts.pipeline += InstrClass::Load.base_cost();
         self.pmu.instructions += 1;
         self.pmu.data_accesses += 1;
@@ -253,7 +296,7 @@ impl Machine {
     pub fn exec_store(&mut self, pc: Addr, addr: Addr, value: u32) {
         let c = self.ifetch(pc)
             + InstrClass::Store.base_cost()
-            + self.mem_access(AccessKind::Write, addr);
+            + self.mem_access(AccessKind::Write, addr).cost();
         self.accounts.pipeline += InstrClass::Store.base_cost();
         self.pmu.instructions += 1;
         self.pmu.data_accesses += 1;
@@ -265,7 +308,7 @@ impl Machine {
     pub fn touch_write(&mut self, pc: Addr, addr: Addr) {
         let c = self.ifetch(pc)
             + InstrClass::Store.base_cost()
-            + self.mem_access(AccessKind::Write, addr);
+            + self.mem_access(AccessKind::Write, addr).cost();
         self.accounts.pipeline += InstrClass::Store.base_cost();
         self.pmu.instructions += 1;
         self.pmu.data_accesses += 1;

@@ -118,13 +118,13 @@ impl MemSystem {
             AccessKind::IFetch => (&mut self.l1i, &mut self.l1i_stats),
             AccessKind::Read | AccessKind::Write => (&mut self.l1d, &mut self.l1d_stats),
         };
-        let pinned = l1.is_pinned(addr);
-        match l1.access(addr, write) {
+        let (lookup, locked_hit) = l1.probe(addr, write);
+        match lookup {
             Lookup::Hit => {
                 stats.hits += 1;
                 AccessReport {
                     l1_hit: true,
-                    locked_hit: pinned,
+                    locked_hit,
                     ..AccessReport::default()
                 }
             }

@@ -18,11 +18,10 @@
 //! buckets (pipeline / ifetch-miss / dmiss / L2), verifying on the way
 //! that the replayed latency is bit-identical to the recorded one.
 
-use std::collections::HashMap;
-
 use crate::hist::Hist;
 use crate::rng::{shard_seed, Rng64};
-use crate::scenario::{build_shard, LoadSpec, Step};
+use crate::scenario::{build_shard, LoadSpec, ObjMap, Step};
+use rt_hw::irq::NUM_LINES;
 use rt_hw::{AccessKind, Addr, Cycles, IrqLine, TraceEvent};
 use rt_kernel::syscall::SyscallOutcome;
 use rt_kernel::tcb::ThreadState;
@@ -164,7 +163,11 @@ fn run_shard_impl(
     let mut sim = build_shard(spec);
     let quota = spec.shard_quota();
     let lines = spec.active_lines();
-    let bound_of: HashMap<u8, Cycles> = bounds.iter().copied().collect();
+    // Per-line tables below are indexed by the line number.
+    let mut bound_of = [None; NUM_LINES as usize];
+    for &(l, b) in bounds {
+        bound_of[l as usize] = Some(b);
+    }
     let bound_max = bounds.iter().map(|&(_, b)| b).max().unwrap_or(0);
     // The storm budget: with inter-arrival gaps at or above the largest
     // bound, a line is never raised twice inside one service window, so
@@ -188,17 +191,14 @@ fn run_shard_impl(
     sim.kernel.inject_irq_schedule(batch);
 
     // Closed-loop driver lines: re-armed only after the driver's ack.
-    let mut drv_scheduled: HashMap<u8, u64> = HashMap::new();
-    let mut seen: HashMap<u8, u64> = HashMap::new();
-    for &l in &lines {
-        seen.insert(l, 0);
-    }
-    for &l in &spec.driver_lines {
-        drv_scheduled.insert(l, 0);
-    }
+    let mut drv_scheduled = [0u64; NUM_LINES as usize];
+    let mut seen = [0u64; NUM_LINES as usize];
 
     let mut per_line: Vec<(u8, Hist)> = lines.iter().map(|&l| (l, Hist::new())).collect();
-    let line_ix: HashMap<u8, usize> = lines.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+    let mut line_ix = [None; NUM_LINES as usize];
+    for (i, &l) in lines.iter().enumerate() {
+        line_ix[l as usize] = Some(i);
+    }
     let mut syscalls = Hist::new();
     let mut events = 0u64;
     let mut syscall_visits = 0u64;
@@ -209,7 +209,7 @@ fn run_shard_impl(
     let mut violation_counts: Vec<u64> = vec![0; lines.len()];
     let mut drained = 0usize;
     let mut injected = false;
-    let mut carry: HashMap<rt_kernel::obj::ObjId, Cycles> = HashMap::new();
+    let mut carry: ObjMap<Cycles> = ObjMap::default();
     let mut attribution: Option<WorstAttribution> = None;
 
     let mut steps = 0u64;
@@ -238,7 +238,7 @@ fn run_shard_impl(
         // must be an unmasked (timer or storm) line so the raise is
         // serviceable immediately after the stall.
         if let Some(f) = spec.fault {
-            if f.shard == shard && !injected && seen[&f.line] >= f.after {
+            if f.shard == shard && !injected && seen[f.line as usize] >= f.after {
                 injected = true;
                 let il = IrqLine(f.line);
                 let now = k.machine.now();
@@ -249,13 +249,16 @@ fn run_shard_impl(
 
         // Re-arm driver lines whose previous occurrence was acked.
         for &l in &spec.driver_lines {
-            let sched = drv_scheduled[&l];
+            let sched = drv_scheduled[l as usize];
             let il = IrqLine(l);
-            if seen[&l] == sched && !k.machine.irq.is_masked(il) && !k.machine.irq.is_pending(il) {
+            if seen[l as usize] == sched
+                && !k.machine.irq.is_masked(il)
+                && !k.machine.irq.is_pending(il)
+            {
                 let gap = rng.gen_range(budget, 2 * budget);
                 let at = k.machine.now() + gap;
                 k.machine.irq.schedule(at, il);
-                *drv_scheduled.get_mut(&l).unwrap() = sched + 1;
+                drv_scheduled[l as usize] = sched + 1;
             }
         }
 
@@ -289,10 +292,10 @@ fn run_shard_impl(
                 if k.objs.tcb(cur).state == ThreadState::Restart {
                     k.objs.tcb_mut(cur).state = ThreadState::Running;
                 }
-                if let Some(c) = carry.remove(&cur) {
+                if let Some(c) = carry.remove(cur) {
                     Step::Compute(c)
                 } else {
-                    match sim.behaviors.get_mut(&cur) {
+                    match sim.behaviors.get_mut(cur) {
                         Some(b) => b.next(&mut rng),
                         None => {
                             k.suspend_thread(cur);
@@ -348,7 +351,7 @@ fn run_shard_impl(
                 }
                 if !k.is_idle() {
                     let cur = k.current();
-                    if let Some(b) = sim.behaviors.get_mut(&cur) {
+                    if let Some(b) = sim.behaviors.get_mut(cur) {
                         match b.next(&mut rng) {
                             Step::Compute(cyc) => k.machine.advance(cyc.max(1)),
                             Step::Sys(sys) => {
@@ -369,10 +372,10 @@ fn run_shard_impl(
             drained += 1;
             let latency = r.kernel_ack.saturating_sub(r.raised);
             let line = r.line.0;
-            if let Some(&ix) = line_ix.get(&line) {
+            if let Some(ix) = line_ix[line as usize] {
                 per_line[ix].1.record(latency);
             }
-            *seen.entry(line).or_insert(0) += 1;
+            seen[line as usize] += 1;
             irq_responses += 1;
             events += 1;
             let sample = WorstSample {
@@ -385,9 +388,9 @@ fn run_shard_impl(
             if worst.is_none_or(|w| latency > w.latency) {
                 worst = Some(sample);
             }
-            if let Some(&b) = bound_of.get(&line) {
+            if let Some(b) = bound_of[line as usize] {
                 if latency > b {
-                    if let Some(&ix) = line_ix.get(&line) {
+                    if let Some(ix) = line_ix[line as usize] {
                         violation_counts[ix] += 1;
                     }
                     if violations.len() < 16 {

@@ -31,8 +31,6 @@
 //! only after observing the driver's ack, keeping the line's protocol
 //! closed-loop and the raise-while-masked hazard impossible).
 
-use std::collections::HashMap;
-
 use crate::arrival::{Arrival, Think};
 use crate::rng::Rng64;
 use rt_hw::{Cycles, HwConfig};
@@ -331,13 +329,45 @@ impl Behavior {
     }
 }
 
+/// Values keyed by [`ObjId`], stored in a vector indexed by the id.
+/// Object ids are small dense slot indices, so the shard loop's
+/// per-step lookups index instead of hashing.
+pub struct ObjMap<T>(Vec<Option<T>>);
+
+impl<T> Default for ObjMap<T> {
+    fn default() -> ObjMap<T> {
+        ObjMap(Vec::new())
+    }
+}
+
+impl<T> ObjMap<T> {
+    /// Sets `id`'s value.
+    pub fn insert(&mut self, id: ObjId, value: T) {
+        let i = id.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, || None);
+        }
+        self.0[i] = Some(value);
+    }
+
+    /// `id`'s value, if set.
+    pub fn get_mut(&mut self, id: ObjId) -> Option<&mut T> {
+        self.0.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// Clears `id`'s value and returns it, if set.
+    pub fn remove(&mut self, id: ObjId) -> Option<T> {
+        self.0.get_mut(id.0 as usize)?.take()
+    }
+}
+
 /// A booted shard: the kernel, the tenants' behaviours, and the object
 /// census the report prints.
 pub struct ShardSim {
     /// The shard's kernel (fresh machine, after-kernel configuration).
     pub kernel: Kernel,
     /// Behaviour per thread.
-    pub behaviors: HashMap<ObjId, Behavior>,
+    pub behaviors: ObjMap<Behavior>,
     /// Threads created (excluding idle).
     pub threads: u32,
     /// Endpoints created.
@@ -353,7 +383,7 @@ pub fn build_shard(spec: &LoadSpec) -> ShardSim {
     if spec.cores > 1 {
         k.enable_smp(spec.cores);
     }
-    let mut behaviors = HashMap::new();
+    let mut behaviors = ObjMap::default();
     let mut threads = 0u32;
     let mut endpoints = 0u32;
 

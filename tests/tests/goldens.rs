@@ -14,9 +14,18 @@
 //!
 //! `ci.sh` additionally diffs the actual `repro table1|table2` stdout
 //! against the same files, covering the binary's argument plumbing.
+//!
+//! `load_small` and `explore_small` pin the simulated output of the load
+//! engine and the schedule explorer. Worker-count agreement alone cannot
+//! catch a simulator change that shifts every run alike; these goldens
+//! do, so a host-side speed-up of the machine model must leave them
+//! byte-identical.
 
 use rt_bench::sweep::SweepCtx;
 use rt_bench::{attribution, tables};
+use rt_explore::scenario::{all, smp_all};
+use rt_explore::{explore_scenario, render_line, BoundMemo, PorMode};
+use rt_load::{run_load, LoadSpec};
 
 fn check(name: &str, golden: &str, render: impl Fn(&SweepCtx) -> String) {
     for jobs in [1usize, 4] {
@@ -71,5 +80,50 @@ fn attribution_matches_golden() {
         "attribution",
         include_str!("../goldens/attribution.txt"),
         |ctx| attribution::attribution_report_with(ctx, 2),
+    );
+}
+
+#[test]
+fn load_small_matches_golden() {
+    check(
+        "load_small",
+        include_str!("../goldens/load_small.txt"),
+        |ctx| {
+            let cfg = rt_wcet::AnalysisConfig::after_l2_off();
+            let mut out = String::new();
+            for cores in [1u8, 2] {
+                let mut spec = LoadSpec::standard(42, 6_000, 16, 4);
+                spec.cores = cores;
+                out.push_str(&run_load(&spec, ctx.pool(), ctx.cache(), &cfg).render());
+            }
+            out
+        },
+    );
+}
+
+#[test]
+fn explore_small_matches_golden() {
+    check(
+        "explore_small",
+        include_str!("../goldens/explore_small.txt"),
+        |ctx| {
+            let mut memo = BoundMemo::default();
+            all()
+                .iter()
+                .chain(smp_all().iter())
+                .map(|sc| {
+                    render_line(&explore_scenario(
+                        sc,
+                        6,
+                        PorMode::Sleep,
+                        None,
+                        4,
+                        ctx.pool(),
+                        ctx.cache(),
+                        &mut memo,
+                    ))
+                })
+                .collect()
+        },
     );
 }
