@@ -247,13 +247,23 @@ grep -q '"violations": 0,' "$load_json" || {
 smp_json="$(mktemp)"
 smp_out_1="$(mktemp)"
 smp_out_4="$(mktemp)"
-trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4" "$explore_rebuild" "$bench_json" "$load_out_1" "$load_out_4" "$load_json" "$smp_json" "$smp_out_1" "$smp_out_4"' EXIT
+smp_rebuild="$(mktemp)"
+trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4" "$explore_rebuild" "$bench_json" "$load_out_1" "$load_out_4" "$load_json" "$smp_json" "$smp_out_1" "$smp_out_4" "$smp_rebuild"' EXIT
 RT_BENCH_OUT="$smp_json" cargo run --release -q -p rt-bench --bin repro -- \
     explore --smp --depth 6 --por sleep --workers 1 >"$smp_out_1" 2>/dev/null
 RT_BENCH_OUT="$smp_json" cargo run --release -q -p rt-bench --bin repro -- \
     explore --smp --depth 6 --por sleep --workers 4 >"$smp_out_4" 2>/dev/null
 diff -u "$smp_out_1" "$smp_out_4" || {
     echo "ci: SMP explore report differs between 1 and 4 workers" >&2
+    exit 1
+}
+# Fork-vs-rebuild on SMP, as for the single-core set above: every branch
+# rebuilt from boot must render what the forks render, so restoring 2-
+# and 4-core snapshots into reused scratch kernels is invisible.
+RT_BENCH_OUT="$smp_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --smp --depth 6 --por sleep --workers 4 --snapshot-every 0 >"$smp_rebuild" 2>/dev/null
+diff -u "$smp_out_4" "$smp_rebuild" || {
+    echo "ci: forked and rebuilt SMP explore reports differ at depth 6" >&2
     exit 1
 }
 awk '

@@ -334,8 +334,8 @@ pub fn is_final(store: &ObjStore, slot: SlotRef) -> bool {
             continue; // caps inside the object itself die with it
         }
         if let crate::obj::ObjKind::CNode(cn) = &o.kind {
-            for i in 0..cn.num_slots() {
-                if cn.slot(i).cap.object() == Some(obj) {
+            for (i, s) in cn.slots_in_use() {
+                if s.cap.object() == Some(obj) {
                     seen += 1;
                     if id == slot.cnode && i == slot.index {
                         counted_self = true;

@@ -16,6 +16,12 @@ use crate::obj::{ObjId, ObjStore};
 pub struct CNode {
     radix_bits: u8,
     slots: Vec<CapSlot>,
+    /// Bit `i` is set once slot `i` has been handed out by
+    /// [`CNode::slot_mut`], the only mutable path to `slots`: every slot
+    /// outside the set still equals [`CapSlot::null`]. Whole-node scans
+    /// (canonical hashing, the CDT invariants, finality) visit only the
+    /// set — a few dozen slots instead of a 4,096-slot root CNode.
+    in_use: Vec<u64>,
 }
 
 impl CNode {
@@ -28,6 +34,7 @@ impl CNode {
         CNode {
             radix_bits,
             slots: vec![CapSlot::null(); 1usize << radix_bits],
+            in_use: vec![0; (1usize << radix_bits).div_ceil(64)],
         }
     }
 
@@ -61,20 +68,30 @@ impl CNode {
     ///
     /// Panics if `index` is out of range.
     pub fn slot_mut(&mut self, index: u32) -> &mut CapSlot {
-        &mut self.slots[index as usize]
+        let slot = &mut self.slots[index as usize];
+        self.in_use[index as usize / 64] |= 1 << (index % 64);
+        slot
+    }
+
+    /// Every slot ever handed out by [`CNode::slot_mut`], as
+    /// `(index, slot)` in ascending index order. A superset of the
+    /// occupied slots; each slot it skips equals [`CapSlot::null`].
+    pub fn slots_in_use(&self) -> impl Iterator<Item = (u32, &CapSlot)> + '_ {
+        crate::set_bits(self.in_use.iter().copied(), 64).map(|i| (i, &self.slots[i as usize]))
     }
 
     /// Index of the first occupied slot, if any (used by deletion paths).
     pub fn first_occupied(&self) -> Option<u32> {
-        self.slots
-            .iter()
-            .position(|s| !s.cap.is_null())
-            .map(|i| i as u32)
+        self.slots_in_use()
+            .find(|(_, s)| !s.cap.is_null())
+            .map(|(i, _)| i)
     }
 
     /// Number of occupied slots.
     pub fn occupied(&self) -> u32 {
-        self.slots.iter().filter(|s| !s.cap.is_null()).count() as u32
+        self.slots_in_use()
+            .filter(|(_, s)| !s.cap.is_null())
+            .count() as u32
     }
 }
 

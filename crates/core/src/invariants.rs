@@ -23,12 +23,10 @@
 //!   queue membership matching thread states, shadow back-pointers naming
 //!   real frame caps that agree with the page tables (§3.6).
 
-use std::collections::{HashMap, HashSet};
-
-use crate::cap::{CapType, SlotRef, SpaceRef};
+use crate::cap::{CapSlot, CapType, SlotRef, SpaceRef};
 use crate::kernel::{Kernel, SchedKind, VmKind};
 use crate::obj::{ObjId, ObjKind};
-use crate::tcb::ThreadState;
+use crate::tcb::{Tcb, ThreadState};
 use crate::vspace::{PdEntry, PtEntry};
 
 /// A violated invariant.
@@ -69,6 +67,32 @@ pub fn assert_all(k: &Kernel) {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Kind-checked lookup: the payload of `id` if it is live, `None` for a
+/// dead or out-of-range id. A corrupted kernel can hold dangling or
+/// recycled ids anywhere; the checker reports them instead of tripping
+/// the panicking typed accessors.
+fn live_kind(k: &Kernel, id: ObjId) -> Option<&ObjKind> {
+    k.objs.is_live(id).then(|| &k.objs.get(id).kind)
+}
+
+fn live_tcb(k: &Kernel, id: ObjId) -> Option<&Tcb> {
+    match live_kind(k, id)? {
+        ObjKind::Tcb(t) => Some(t),
+        _ => None,
+    }
+}
+
+/// A waiter list from `head` through the TCBs' `ep_next` links, ending
+/// early at a link that is not a live TCB (the queue walks report it).
+fn waiters(k: &Kernel, head: Option<ObjId>) -> impl Iterator<Item = ObjId> + '_ {
+    let mut cur = head;
+    std::iter::from_fn(move || {
+        let id = cur?;
+        cur = live_tcb(k, id)?.ep_next;
+        Some(id)
+    })
 }
 
 fn check_alignment_and_overlap(k: &Kernel, out: &mut Vec<Violation>) {
@@ -119,22 +143,34 @@ fn check_run_queues(k: &Kernel, out: &mut Vec<Violation>) {
     // SMP: every core's run queues must be well-formed, and a queued
     // thread must be queued on its affinity core (single-core: one loop
     // iteration, affinity always 0 — identical to the historical check).
-    let mut seen = HashSet::new();
+    // `seen` is indexed by object id, grown on demand so dangling ids fit.
+    let mut seen: Vec<bool> = Vec::new();
     for core in 0..k.n_cores() {
-        let queues = k.core_queues(core);
-        for prio in 0..=255u8 {
-            let mut cur = queues.head(prio);
+        for (prio, head) in k.core_queues(core).nonempty() {
+            let mut cur = Some(head);
             let mut prev: Option<ObjId> = None;
             let mut steps = 0;
             while let Some(t) = cur {
-                if !seen.insert(t) {
+                let i = t.0 as usize;
+                if i >= seen.len() {
+                    seen.resize(i + 1, false);
+                }
+                if std::mem::replace(&mut seen[i], true) {
                     out.push(Violation {
                         invariant: "runqueue-well-formed",
                         detail: format!("{t:?} linked twice"),
                     });
                     return;
                 }
-                let tcb = k.objs.tcb(t);
+                let Some(tcb) = live_tcb(k, t) else {
+                    out.push(Violation {
+                        invariant: "runqueue-well-formed",
+                        detail: format!(
+                            "core {core} prio {prio} links {t:?}, which is not a live Tcb"
+                        ),
+                    });
+                    break;
+                };
                 if tcb.sched_prev != prev {
                     out.push(Violation {
                         invariant: "runqueue-well-formed",
@@ -181,7 +217,7 @@ fn check_run_queues(k: &Kernel, out: &mut Vec<Violation>) {
     // No thread claims membership without being linked.
     for (id, o) in k.objs.iter() {
         if let ObjKind::Tcb(t) = &o.kind {
-            if t.in_runqueue && !seen.contains(&id) {
+            if t.in_runqueue && !seen.get(id.0 as usize).is_some_and(|&s| s) {
                 out.push(Violation {
                     invariant: "runqueue-well-formed",
                     detail: format!("{:?} claims in_runqueue but is not linked", t.name),
@@ -195,7 +231,6 @@ fn check_run_queues(k: &Kernel, out: &mut Vec<Violation>) {
 /// scheduler every runnable thread is queued or current (or idle).
 fn check_scheduler_invariant(k: &Kernel, out: &mut Vec<Violation>) {
     let benno = matches!(k.config.sched, SchedKind::Benno | SchedKind::BennoBitmap);
-    let currents: HashSet<ObjId> = (0..k.n_cores()).map(|c| k.core_current(c)).collect();
     for (id, o) in k.objs.iter() {
         if let ObjKind::Tcb(t) = &o.kind {
             if benno && t.in_runqueue && !t.state.is_runnable() {
@@ -204,7 +239,10 @@ fn check_scheduler_invariant(k: &Kernel, out: &mut Vec<Violation>) {
                     detail: format!("{:?} queued in state {:?}", t.name, t.state),
                 });
             }
-            if t.state.is_runnable() && !t.in_runqueue && !currents.contains(&id) {
+            if t.state.is_runnable()
+                && !t.in_runqueue
+                && !(0..k.n_cores()).any(|c| k.core_current(c) == id)
+            {
                 out.push(Violation {
                     invariant: "runnable-queued-or-current",
                     detail: format!("{:?} runnable but neither queued nor current", t.name),
@@ -222,15 +260,18 @@ fn check_bitmap(k: &Kernel, out: &mut Vec<Violation>) {
     }
     for core in 0..k.n_cores() {
         let queues = k.core_queues(core);
-        for prio in 0..=255u8 {
-            let queued = queues.head(prio).is_some();
-            let bit = queues.bitmap.is_set(prio);
-            if queued != bit {
-                out.push(Violation {
-                    invariant: "bitmap-reflects-queues",
-                    detail: format!("core {core} prio {prio}: queued={queued} bit={bit}"),
-                });
-            }
+        let queued = queues.heads_mask();
+        let set = queues.bitmap.buckets;
+        // Visit only the priorities where the two disagree, ascending.
+        let diff = queued.iter().zip(&set).map(|(q, s)| u64::from(q ^ s));
+        for prio in crate::set_bits(diff, 32) {
+            let (b, i) = (prio as usize / 32, prio % 32);
+            let queued = queued[b] >> i & 1 != 0;
+            let bit = set[b] >> i & 1 != 0;
+            out.push(Violation {
+                invariant: "bitmap-reflects-queues",
+                detail: format!("core {core} prio {prio}: queued={queued} bit={bit}"),
+            });
         }
     }
 }
@@ -245,7 +286,13 @@ fn check_ep_queues(k: &Kernel, out: &mut Vec<Violation>) {
         let mut last = None;
         let mut steps = 0;
         while let Some(t) = cur {
-            let tcb = k.objs.tcb(t);
+            let Some(tcb) = live_tcb(k, t) else {
+                out.push(Violation {
+                    invariant: "epqueue-well-formed",
+                    detail: format!("{ep_id:?} queue links {t:?}, which is not a live Tcb"),
+                });
+                break;
+            };
             if tcb.ep_prev != prev {
                 out.push(Violation {
                     invariant: "epqueue-well-formed",
@@ -297,7 +344,13 @@ fn check_ep_queues(k: &Kernel, out: &mut Vec<Violation>) {
         let mut last = None;
         let mut steps = 0;
         while let Some(t) = cur {
-            let tcb = k.objs.tcb(t);
+            let Some(tcb) = live_tcb(k, t) else {
+                out.push(Violation {
+                    invariant: "ntfnqueue-well-formed",
+                    detail: format!("{ntfn_id:?} queue links {t:?}, which is not a live Tcb"),
+                });
+                break;
+            };
             if tcb.ep_prev != prev {
                 out.push(Violation {
                     invariant: "ntfnqueue-well-formed",
@@ -342,52 +395,64 @@ fn check_ep_queues(k: &Kernel, out: &mut Vec<Violation>) {
     // Conversely, every blocked thread is linked into the queue it claims.
     for (id, o) in k.objs.iter() {
         if let ObjKind::Tcb(t) = &o.kind {
-            match t.state {
+            let (obj, kind, head) = match t.state {
                 ThreadState::BlockedOnSend { ep, .. } | ThreadState::BlockedOnRecv { ep } => {
-                    let found = crate::ep::ep_iter(&k.objs, ep).any(|x| x == id);
-                    if !found {
-                        out.push(Violation {
-                            invariant: "blocked-implies-queued",
-                            detail: format!("{:?} blocked on {ep:?} but not in its queue", t.name),
-                        });
-                    }
+                    let head = match live_kind(k, ep) {
+                        Some(ObjKind::Endpoint(e)) => Some(e.head),
+                        _ => None,
+                    };
+                    (ep, "Endpoint", head)
                 }
                 ThreadState::BlockedOnNotification { ntfn } => {
-                    let found = crate::ntfn::ntfn_iter(&k.objs, ntfn).any(|x| x == id);
-                    if !found {
-                        out.push(Violation {
-                            invariant: "blocked-implies-queued",
-                            detail: format!(
-                                "{:?} blocked on {ntfn:?} but not in its queue",
-                                t.name
-                            ),
-                        });
-                    }
+                    let head = match live_kind(k, ntfn) {
+                        Some(ObjKind::Notification(n)) => Some(n.head),
+                        _ => None,
+                    };
+                    (ntfn, "Notification", head)
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            let detail = match head {
+                None => format!(
+                    "{:?} blocked on {obj:?}, which is not a live {kind}",
+                    t.name
+                ),
+                Some(head) if !waiters(k, head).any(|x| x == id) => {
+                    format!("{:?} blocked on {obj:?} but not in its queue", t.name)
+                }
+                Some(_) => continue,
+            };
+            out.push(Violation {
+                invariant: "blocked-implies-queued",
+                detail,
+            });
         }
     }
 }
 
 fn check_cdt(k: &Kernel, out: &mut Vec<Violation>) {
-    // parent(child) and children(parent) must agree.
-    let mut all_slots: Vec<(SlotRef, Option<SlotRef>, Vec<SlotRef>)> = Vec::new();
+    // parent(child) and children(parent) must agree. Objects iterate in
+    // id order and slots in index order, so `all_slots` is sorted by
+    // `SlotRef` and a slot's entry is found by binary search.
+    let mut all_slots: Vec<(SlotRef, &CapSlot)> = Vec::new();
     for (id, o) in k.objs.iter() {
         if let ObjKind::CNode(cn) = &o.kind {
-            for i in 0..cn.num_slots() {
-                let s = cn.slot(i);
+            for (i, s) in cn.slots_in_use() {
                 if !s.cap.is_null() || !s.children.is_empty() {
-                    all_slots.push((SlotRef::new(id, i), s.parent, s.children.clone()));
+                    all_slots.push((SlotRef::new(id, i), s));
                 }
             }
         }
     }
-    let parents: HashMap<SlotRef, Option<SlotRef>> =
-        all_slots.iter().map(|(s, p, _)| (*s, *p)).collect();
-    for (slot, _parent, children) in &all_slots {
-        for c in children {
-            match parents.get(c) {
+    let entry = |slot: &SlotRef| {
+        all_slots
+            .binary_search_by(|(s, _)| s.cmp(slot))
+            .ok()
+            .map(|j| all_slots[j].1)
+    };
+    for (slot, s) in &all_slots {
+        for c in &s.children {
+            match entry(c).map(|cs| &cs.parent) {
                 Some(Some(p)) if p == slot => {}
                 other => out.push(Violation {
                     invariant: "cdt-links-agree",
@@ -396,12 +461,9 @@ fn check_cdt(k: &Kernel, out: &mut Vec<Violation>) {
             }
         }
     }
-    for (slot, parent, _) in &all_slots {
-        if let Some(p) = parent {
-            let ok = all_slots
-                .iter()
-                .any(|(s, _, ch)| s == p && ch.contains(slot));
-            if !ok {
+    for (slot, s) in &all_slots {
+        if let Some(p) = &s.parent {
+            if !entry(p).is_some_and(|ps| ps.children.contains(slot)) {
                 out.push(Violation {
                     invariant: "cdt-links-agree",
                     detail: format!("{slot:?} claims parent {p:?}, which does not list it"),
@@ -410,9 +472,8 @@ fn check_cdt(k: &Kernel, out: &mut Vec<Violation>) {
         }
     }
     // No cap references a dead object.
-    for (slot, _, _) in &all_slots {
-        let cap = &crate::cap::read_slot(&k.objs, *slot).cap;
-        if let Some(obj) = cap.object() {
+    for (slot, s) in &all_slots {
+        if let Some(obj) = s.cap.object() {
             if !k.objs.is_live(obj) {
                 out.push(Violation {
                     invariant: "caps-reference-live-objects",
@@ -449,14 +510,21 @@ fn check_shadow_backpointers(k: &Kernel, out: &mut Vec<Violation>) {
                         });
                         continue;
                     };
-                    if !k.objs.is_live(slot.cnode) {
-                        out.push(Violation {
-                            invariant: "shadow-agrees",
-                            detail: format!("{pt_id:?}[{i}] shadow names a dead CNode"),
-                        });
-                        continue;
-                    }
-                    match &crate::cap::read_slot(&k.objs, slot).cap {
+                    // A recycled id names some other object: the CNode
+                    // the back-pointer was written for is dead.
+                    let named = match live_kind(k, slot.cnode) {
+                        Some(ObjKind::CNode(cn)) if slot.index < cn.num_slots() => {
+                            cn.slot(slot.index)
+                        }
+                        _ => {
+                            out.push(Violation {
+                                invariant: "shadow-agrees",
+                                detail: format!("{pt_id:?}[{i}] shadow names a dead CNode"),
+                            });
+                            continue;
+                        }
+                    };
+                    match &named.cap {
                         CapType::Frame {
                             obj,
                             mapping: Some(m),
@@ -486,15 +554,16 @@ fn check_shadow_backpointers(k: &Kernel, out: &mut Vec<Violation>) {
     // design buys with eager updates).
     for (id, o) in k.objs.iter() {
         if let ObjKind::CNode(cn) = &o.kind {
-            for i in 0..cn.num_slots() {
+            for (i, s) in cn.slots_in_use() {
                 if let CapType::Frame {
                     obj,
                     mapping: Some(m),
                     ..
-                } = &cn.slot(i).cap
+                } = &s.cap
                 {
                     if let SpaceRef::Pd(pd) = m.space {
-                        if !k.objs.is_live(pd) {
+                        // A recycled id is as dead a PD as a freed one.
+                        let Some(ObjKind::PageDirectory(pd_obj)) = live_kind(k, pd) else {
                             out.push(Violation {
                                 invariant: "no-dangling-space-refs",
                                 detail: format!(
@@ -503,15 +572,16 @@ fn check_shadow_backpointers(k: &Kernel, out: &mut Vec<Violation>) {
                                 ),
                             });
                             continue;
-                        }
+                        };
                         let pdi = crate::vspace::pd_index(m.vaddr);
-                        let entry = k.objs.pd(pd).entries[pdi as usize];
-                        let ok = match entry {
+                        let ok = match pd_obj.entries[pdi as usize] {
                             PdEntry::Section { frame } => frame == *obj,
                             PdEntry::Table { pt } => matches!(
-                                k.objs.pt(pt).entries
-                                    [crate::vspace::pt_index(m.vaddr) as usize],
-                                PtEntry::Page { frame } if frame == *obj
+                                live_kind(k, pt),
+                                Some(ObjKind::PageTable(t)) if matches!(
+                                    t.entries[crate::vspace::pt_index(m.vaddr) as usize],
+                                    PtEntry::Page { frame } if frame == *obj
+                                )
                             ),
                             _ => false,
                         };
@@ -545,7 +615,7 @@ fn check_smp(k: &Kernel, out: &mut Vec<Violation>) {
     }
     for core in 0..smp.n_cores {
         let queues = k.core_queues(core);
-        let has_work = (0..=255u8).any(|p| queues.head(p).is_some());
+        let has_work = queues.heads_mask() != [0; 8];
         let idle = k.core_current(core) == k.idle_thread();
         let resched_pending = k
             .core_irq(core)

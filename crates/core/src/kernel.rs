@@ -303,8 +303,9 @@ impl KernelSnapshot {
     }
 
     /// Restores the snapshot *into* an existing kernel, reusing its heap
-    /// buffers (cache line arrays, object slots, run queues, log vectors)
-    /// instead of allocating fresh ones. The result is bit-identical to
+    /// buffers (cache line arrays, object slots, run queues, log vectors,
+    /// and every parked core's share of them) instead of allocating fresh
+    /// ones. The result is bit-identical to
     /// [`KernelSnapshot::restore`] — every field is overwritten, and the
     /// decision source of the target (if any) is dropped so the restored
     /// kernel again has `decisions == None`. This is the explorer's

@@ -110,3 +110,23 @@ pub const MAX_XFER_CAPS: u32 = 3;
 /// Depth of the capability address space in bits; a pathological capability
 /// space requires one lookup per bit (§6.1, Fig. 7).
 pub const CSPACE_DEPTH_BITS: u32 = 32;
+
+/// Indices of the set bits of `words`, `width` bits per word, ascending:
+/// the walk shared by the bitset indexes (CNode slots in use, non-empty
+/// run queues) and the invariant checks that read them.
+pub(crate) fn set_bits(
+    words: impl IntoIterator<Item = u64>,
+    width: u32,
+) -> impl Iterator<Item = u32> {
+    words.into_iter().enumerate().flat_map(move |(w, word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = w as u32 * width + bits.trailing_zeros();
+            bits &= bits - 1;
+            Some(i)
+        })
+    })
+}

@@ -121,6 +121,26 @@ impl RunQueues {
         self.heads[prio as usize]
     }
 
+    /// One bit per non-empty queue, bucketed like [`PrioBitmap::buckets`]
+    /// but read from the queue heads rather than the maintained bitmap —
+    /// the invariant checker compares the two. A branch-free pass over
+    /// the heads, far cheaper than 256 [`RunQueues::head`] probes.
+    pub fn heads_mask(&self) -> [u32; 8] {
+        let mut mask = [0u32; 8];
+        for (word, heads) in mask.iter_mut().zip(self.heads.chunks_exact(32)) {
+            for (i, h) in heads.iter().enumerate() {
+                *word |= (h.is_some() as u32) << i;
+            }
+        }
+        mask
+    }
+
+    /// `(prio, head)` of every non-empty queue, in ascending priority.
+    pub fn nonempty(&self) -> impl Iterator<Item = (u8, ObjId)> + '_ {
+        crate::set_bits(self.heads_mask().map(u64::from), 32)
+            .filter_map(|p| Some((p as u8, self.heads[p as usize]?)))
+    }
+
     /// Appends `tcb` to the tail of its priority's queue.
     ///
     /// # Panics

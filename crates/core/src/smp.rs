@@ -62,7 +62,7 @@ const HOLD_LOG_CAP: usize = 64;
 /// One parked core's scheduler state (the active core's lives in the
 /// kernel's own fields; its slot holds the previously swapped-out
 /// placeholder and is never read while the core is active).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CoreSlot {
     /// Parked hardware state (L1s, predictor, IRQ interface, PMU,
     /// accounts, trace).
@@ -88,7 +88,7 @@ pub struct LockHold {
 
 /// The big kernel lock's bookkeeping: recorded hold intervals and
 /// per-core accumulated lock-wait.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BigLock {
     /// Each core's most recent completed hold (the overlap source for
     /// other cores' entries).
@@ -178,7 +178,7 @@ pub struct Shootdown {
 
 /// The kernel's SMP extension. `None` on the kernel — or `n_cores == 1`
 /// here — reproduces pre-SMP behaviour bit-for-bit.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SmpState {
     /// Number of cores.
     pub n_cores: u8,
@@ -229,6 +229,117 @@ impl SmpState {
             ipi_eois: 0,
             drop_resched_ipis: false,
         }
+    }
+}
+
+// Hand-written `Clone`s: `clone_from` is the snapshot-restore path
+// (`KernelSnapshot::restore_into` reaches it through `Option<Box<_>>`), so
+// it overwrites in place — parked L1 line arrays, run queues and logs keep
+// their buffers — where a derived `clone_from` would reallocate them all.
+// Each `clone_from` destructures its source, so a field added later is a
+// compile error here until it is copied.
+
+impl Clone for CoreSlot {
+    fn clone(&self) -> CoreSlot {
+        CoreSlot {
+            ctx: self.ctx.clone(),
+            queues: self.queues.clone(),
+            cur: self.cur,
+            sched_action: self.sched_action,
+        }
+    }
+
+    fn clone_from(&mut self, src: &CoreSlot) {
+        let CoreSlot {
+            ctx,
+            queues,
+            cur,
+            sched_action,
+        } = src;
+        self.ctx.copy_from(ctx);
+        self.queues.copy_from(queues);
+        self.cur = *cur;
+        self.sched_action = *sched_action;
+    }
+}
+
+impl Clone for BigLock {
+    fn clone(&self) -> BigLock {
+        BigLock {
+            last_hold: self.last_hold.clone(),
+            hold_log: self.hold_log.clone(),
+            wait_cycles: self.wait_cycles.clone(),
+            hold_cap: self.hold_cap,
+            entered_at: self.entered_at.clone(),
+            hold_log_next: self.hold_log_next,
+        }
+    }
+
+    fn clone_from(&mut self, src: &BigLock) {
+        let BigLock {
+            last_hold,
+            hold_log,
+            wait_cycles,
+            hold_cap,
+            entered_at,
+            hold_log_next,
+        } = src;
+        self.last_hold.clone_from(last_hold);
+        self.hold_log.clone_from(hold_log);
+        self.wait_cycles.clone_from(wait_cycles);
+        self.hold_cap = *hold_cap;
+        self.entered_at.clone_from(entered_at);
+        self.hold_log_next = *hold_log_next;
+    }
+}
+
+impl Clone for SmpState {
+    fn clone(&self) -> SmpState {
+        SmpState {
+            n_cores: self.n_cores,
+            cur_core: self.cur_core,
+            slots: self.slots.clone(),
+            routing: self.routing.clone(),
+            lock: self.lock.clone(),
+            shootdown: self.shootdown.clone(),
+            resched_sent: self.resched_sent.clone(),
+            ipi_eois: self.ipi_eois,
+            drop_resched_ipis: self.drop_resched_ipis,
+        }
+    }
+
+    /// `Vec::clone_from` reuses the common prefix of `slots` element-wise
+    /// through [`CoreSlot`]'s `clone_from` and truncates or extends the
+    /// rest, so restoring a 2-core snapshot into a 4-core scratch kernel
+    /// (or back) is exact.
+    fn clone_from(&mut self, src: &SmpState) {
+        let SmpState {
+            n_cores,
+            cur_core,
+            slots,
+            routing,
+            lock,
+            shootdown:
+                Shootdown {
+                    initiated,
+                    completed,
+                    pending,
+                },
+            resched_sent,
+            ipi_eois,
+            drop_resched_ipis,
+        } = src;
+        self.n_cores = *n_cores;
+        self.cur_core = *cur_core;
+        self.slots.clone_from(slots);
+        self.routing.clone_from(routing);
+        self.lock.clone_from(lock);
+        self.shootdown.initiated = *initiated;
+        self.shootdown.completed = *completed;
+        self.shootdown.pending.clone_from(pending);
+        self.resched_sent.clone_from(resched_sent);
+        self.ipi_eois = *ipi_eois;
+        self.drop_resched_ipis = *drop_resched_ipis;
     }
 }
 

@@ -110,9 +110,10 @@ fn base() -> Base {
 }
 
 /// As [`base`] but with a chosen root-CNode radix. The widened search
-/// scenario uses a 256-slot root: the canonical state hash scans every
-/// slot for occupancy, and at 10⁷ states a 4096-slot scan would dominate
-/// the whole search. All scenario cptrs fit in 8 bits.
+/// scenario uses a 256-slot root. It predates the CNode in-use index,
+/// which makes whole-node scans independent of the radix; the radix
+/// stays because object placement, and so every recorded number of that
+/// search, depends on it. All scenario cptrs fit in 8 bits.
 fn base_radix(radix_bits: u8) -> Base {
     let mut k = Kernel::new(KernelConfig::after(), HwConfig::default());
     let cnode = k.boot_cnode(radix_bits);

@@ -173,12 +173,11 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
                 opt_id(&mut h, n.tail);
             }
             ObjKind::CNode(c) => {
-                // Slot scan dominated by the null check; only occupied
-                // slots stream their (index, payload).
+                // Only occupied slots stream their (index, payload); the
+                // in-use index skips the never-touched (null) ones.
                 h.add(3);
                 h.add(c.radix_bits() as u64);
-                for i in 0..c.num_slots() {
-                    let s = c.slot(i);
+                for (i, s) in c.slots_in_use() {
                     if !s.cap.is_null() {
                         h.add(i as u64);
                         stream_hash!(&mut h, s);
@@ -215,11 +214,9 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
     }
     // Queue membership and FIFO order live in the per-TCB links hashed
     // above; per-priority heads pin which list each chain belongs to.
-    for prio in 0..=255u8 {
-        if let Some(head) = kernel.queues.head(prio) {
-            h.add(prio as u64);
-            h.add(head.0 as u64);
-        }
+    for (prio, head) in kernel.queues.nonempty() {
+        h.add(prio as u64);
+        h.add(head.0 as u64);
     }
     h.add(kernel.queues.len() as u64);
     stream_hash!(&mut h, kernel.irq_table);
@@ -251,11 +248,9 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
                 rt_kernel::kernel::SchedAction::SwitchTo(t) => 0x2_0000_0000 | t.0 as u64,
             });
             let q = kernel.core_queues(c);
-            for prio in 0..=255u8 {
-                if let Some(head) = q.head(prio) {
-                    h.add(prio as u64);
-                    h.add(head.0 as u64);
-                }
+            for (prio, head) in q.nonempty() {
+                h.add(prio as u64);
+                h.add(head.0 as u64);
             }
             h.add(q.len() as u64);
             let irq = kernel.core_irq(c);

@@ -4,6 +4,11 @@
 //! `check_all` output — names, details and order. A rewrite of the
 //! checker that changes what is reported, how it is worded, or the order
 //! it is reported in fails here.
+//!
+//! The second half covers corruptions a checker must *report* rather
+//! than panic on: dangling and recycled object ids in queues, thread
+//! states and mappings. Inside the explorer a panicking oracle aborts the
+//! whole search instead of yielding a minimized counterexample.
 
 use rt_hw::{HwConfig, IrqLine};
 use rt_kernel::cap::{CapSlot, CapType, SlotRef, SpaceRef};
@@ -895,4 +900,187 @@ fn shootdown_ipi_pending() {
         .raise(IrqLine(rt_kernel::smp::IPI_SHOOTDOWN_LINE), now);
     k.switch_core(0);
     expect(&k, vec![]);
+}
+
+// --- dangling and recycled ids: reported, never a panic -------------------
+
+/// Frees `t`'s object and hands its id straight back out as an endpoint
+/// placed clear of every other object.
+fn recycle_as_endpoint(k: &mut Kernel, t: ObjId) {
+    k.objs.remove(t);
+    let e = k
+        .objs
+        .insert(0x9000_0000, 4, ObjKind::Endpoint(Default::default()));
+    assert_eq!(e, t, "the store recycles the freed id first");
+}
+
+#[test]
+fn runqueue_links_freed_tcb() {
+    let Fx { mut k, server, .. } = fixture();
+    enqueue(&mut k, server);
+    k.objs.remove(server);
+    expect(
+        &k,
+        vec![v(
+            "runqueue-well-formed",
+            format!("core 0 prio 11 links {server:?}, which is not a live Tcb"),
+        )],
+    );
+}
+
+#[test]
+fn runqueue_links_recycled_id() {
+    let Fx { mut k, server, .. } = fixture();
+    let extra = k.boot_tcb("extra", 11);
+    enqueue(&mut k, server);
+    enqueue(&mut k, extra);
+    recycle_as_endpoint(&mut k, extra);
+    // The walk stops at the broken link; the threads before it are still
+    // checked, and the rest of the checker still runs.
+    k.objs.tcb_mut(server).prio = 12;
+    expect(
+        &k,
+        vec![
+            v(
+                "runqueue-well-formed",
+                "\"server\" at prio 12 queued under 11",
+            ),
+            v(
+                "runqueue-well-formed",
+                format!("core 0 prio 11 links {extra:?}, which is not a live Tcb"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn epqueue_links_freed_tcb() {
+    let Fx {
+        mut k, server, ep, ..
+    } = fixture();
+    block_recv(&mut k, ep, server);
+    k.objs.remove(server);
+    expect(
+        &k,
+        vec![
+            v(
+                "epqueue-well-formed",
+                format!("{ep:?} queue links {server:?}, which is not a live Tcb"),
+            ),
+            v(
+                "epqueue-well-formed",
+                format!("{ep:?} tail pointer disagrees"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn ntfnqueue_links_recycled_id() {
+    let Fx { mut k, server, .. } = fixture();
+    let n = k.boot_ntfn();
+    block_ntfn(&mut k, n, server);
+    recycle_as_endpoint(&mut k, server);
+    expect(
+        &k,
+        vec![
+            v(
+                "ntfnqueue-well-formed",
+                format!("{n:?} queue links {server:?}, which is not a live Tcb"),
+            ),
+            v(
+                "ntfnqueue-well-formed",
+                format!("{n:?} tail pointer disagrees"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn thread_blocked_on_deleted_endpoint() {
+    let Fx {
+        mut k,
+        cnode,
+        server,
+        ep,
+        ..
+    } = fixture();
+    block_recv(&mut k, ep, server);
+    k.objs.remove(ep);
+    expect(
+        &k,
+        vec![
+            v(
+                "blocked-implies-queued",
+                format!("\"server\" blocked on {ep:?}, which is not a live Endpoint"),
+            ),
+            v(
+                "caps-reference-live-objects",
+                format!("{:?} references dead {ep:?}", SlotRef::new(cnode, 1)),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn thread_blocked_on_recycled_notification() {
+    let Fx { mut k, server, .. } = fixture();
+    let n = k.boot_ntfn();
+    k.objs.tcb_mut(server).state = ThreadState::BlockedOnNotification { ntfn: n };
+    recycle_as_endpoint(&mut k, n);
+    expect(
+        &k,
+        vec![v(
+            "blocked-implies-queued",
+            format!("\"server\" blocked on {n:?}, which is not a live Notification"),
+        )],
+    );
+}
+
+#[test]
+fn frame_cap_maps_into_recycled_pd() {
+    let mut f = vm_fixture();
+    // A live object of the wrong kind is no page directory either.
+    let pt = f.pt;
+    frame_mapping(&mut f).space = SpaceRef::Pd(pt);
+    expect(
+        &f.k,
+        vec![v(
+            "no-dangling-space-refs",
+            format!("frame cap at {:?}[18] maps into dead PD {pt:?}", f.cnode),
+        )],
+    );
+}
+
+#[test]
+fn pd_entry_names_recycled_page_table() {
+    let mut f = vm_fixture();
+    let pdi = rt_kernel::vspace::pd_index(VADDR) as usize;
+    // The directory now names the PD itself as its second-level table.
+    let pd = f.pd;
+    f.k.objs.pd_mut(pd).entries[pdi] = PdEntry::Table { pt: pd };
+    expect(
+        &f.k,
+        vec![v(
+            "no-dangling-space-refs",
+            format!(
+                "frame cap at {:?}[18] mapping not present in tables",
+                f.cnode
+            ),
+        )],
+    );
+}
+
+#[test]
+fn shadow_names_recycled_cnode() {
+    let mut f = vm_fixture();
+    let pt = f.pt;
+    f.k.objs.pt_mut(pt).shadow[pte()] = Some(SlotRef::new(pt, 0));
+    expect(
+        &f.k,
+        vec![v(
+            "shadow-agrees",
+            format!("{pt:?}[{}] shadow names a dead CNode", pte()),
+        )],
+    );
 }
