@@ -5,6 +5,15 @@ set -euo pipefail
 cargo build --release
 cargo test -q
 
+# The benchmark package is a workspace of its own, so the build above
+# does not compile it; it calls the crates' library APIs directly and
+# must keep building and passing its own tests against them.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+# Every scratch file below lives in one directory, removed on exit.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 # Exercise the parallel analysis path (worker pool + shared cache) in the
 # integration suite: the golden and differential tests must hold when the
 # env caps the pool at 2 workers.
@@ -20,9 +29,7 @@ cargo run --release -q -p rt-bench --bin repro -- l2lock --reps 2 --jobs 4 | dif
 # Explorer smoke gate: at depth 6 every scenario must genuinely branch
 # (strictly more interleavings than preemption-point decision sites) and
 # every oracle must hold (zero counterexamples) on every explored path.
-explore_smoke_json="$(mktemp)"
-trap 'rm -f "$explore_smoke_json"' EXIT
-RT_BENCH_OUT="$explore_smoke_json" cargo run --release -q -p rt-bench --bin repro -- \
+RT_BENCH_OUT="$tmp/explore_smoke_json" cargo run --release -q -p rt-bench --bin repro -- \
     explore --depth 6 --jobs 2 | awk '
     /interleavings=/ {
         n++
@@ -51,18 +58,13 @@ RT_BENCH_OUT="$explore_smoke_json" cargo run --release -q -p rt-bench --bin repr
 # separate invocations, so the identity holds across processes, not just
 # across pools in one address space (each invocation also self-checks
 # identity across its own worker list).
-explore_json="$(mktemp)"
-explore_off="$(mktemp)"
-explore_por_1="$(mktemp)"
-explore_por_4="$(mktemp)"
-trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4"' EXIT
-RT_BENCH_OUT="$explore_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --depth 8 --por off --workers 2 >"$explore_off" 2>/dev/null
-RT_BENCH_OUT="$explore_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --depth 8 --por sleep --workers 1 >"$explore_por_1" 2>/dev/null
-RT_BENCH_OUT="$explore_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --depth 8 --por sleep --workers 4 >"$explore_por_4" 2>/dev/null
-diff -u "$explore_por_1" "$explore_por_4" || {
+RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --depth 8 --por off --workers 2 >"$tmp/explore_off" 2>/dev/null
+RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --depth 8 --por sleep --workers 1 >"$tmp/explore_por_1" 2>/dev/null
+RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --depth 8 --por sleep --workers 4 >"$tmp/explore_por_4" 2>/dev/null
+diff -u "$tmp/explore_por_1" "$tmp/explore_por_4" || {
     echo "ci: reduced explore report differs between 1 and 4 workers" >&2
     exit 1
 }
@@ -73,11 +75,9 @@ diff -u "$explore_por_1" "$explore_por_4" || {
 # must render byte-identical stdout to the forked runs above, with zero
 # counterexamples (already asserted on the diffed output). A separate
 # process again, so the identity holds across address spaces.
-explore_rebuild="$(mktemp)"
-trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4" "$explore_rebuild"' EXIT
-RT_BENCH_OUT="$explore_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --depth 8 --por sleep --workers 4 --snapshot-every 0 >"$explore_rebuild" 2>/dev/null
-diff -u "$explore_por_4" "$explore_rebuild" || {
+RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --depth 8 --por sleep --workers 4 --snapshot-every 0 >"$tmp/explore_rebuild" 2>/dev/null
+diff -u "$tmp/explore_por_4" "$tmp/explore_rebuild" || {
     echo "ci: forked and rebuilt explore reports differ at depth 8" >&2
     exit 1
 }
@@ -102,7 +102,7 @@ awk '
         if (n < 5) { print "ci: expected >= 5 reduced scenario lines, saw " n; bad = 1 }
         exit bad
     }
-' "$explore_off" "$explore_por_4"
+' "$tmp/explore_off" "$tmp/explore_por_4"
 
 # Scale gate: the widened small-scope scenario must push at least a
 # million oracle-checked states through the reduced frontier search
@@ -113,7 +113,7 @@ awk '
 # process (also asserting byte-identical renders) and records both walls
 # in the JSON. The recorded margin is ~4x, so 2x still catches a fork
 # path that has quietly degenerated into replay without flaking on noise.
-RT_BENCH_OUT="$explore_json" cargo run --release -q -p rt-bench --bin repro -- \
+RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
     explore --depth 20 --scenario ep-delete-wide --por sleep --budget-states 1050000 --workers 4 \
     --baseline-rebuild 2>/dev/null | awk '
     /interleavings=/ {
@@ -132,8 +132,8 @@ RT_BENCH_OUT="$explore_json" cargo run --release -q -p rt-bench --bin repro -- \
         exit bad
     }
 '
-fork_wall=$(sed -n 's/.*"workers": 4, "wall_ms": \([0-9]*\),.*/\1/p' "$explore_json" | head -1)
-rebuild_wall=$(sed -n 's/.*"rebuild_wall_ms": \([0-9]*\),.*/\1/p' "$explore_json" | head -1)
+fork_wall=$(sed -n 's/.*"workers": 4, "wall_ms": \([0-9]*\),.*/\1/p' "$tmp/explore_json" | head -1)
+rebuild_wall=$(sed -n 's/.*"rebuild_wall_ms": \([0-9]*\),.*/\1/p' "$tmp/explore_json" | head -1)
 [ -n "$fork_wall" ] && [ -n "$rebuild_wall" ] || {
     echo "ci: fork/rebuild walls missing from explore JSON" >&2
     exit 1
@@ -151,15 +151,13 @@ awk -v f="$fork_wall" -v r="$rebuild_wall" 'BEGIN {
 # recorded), then we assert the structure memo absorbed the cost-config
 # axis (hit rate > 0.5) and that every batch/fleet report matched serial
 # (`bit_identical_to_serial` is the AND of both sweeps' identity checks).
-bench_json="$(mktemp)"
-trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4" "$explore_rebuild" "$bench_json"' EXIT
-RT_BENCH_OUT="$bench_json" cargo run --release -q -p rt-bench --bin repro -- \
+RT_BENCH_OUT="$tmp/bench_json" cargo run --release -q -p rt-bench --bin repro -- \
     bench --workers 1,2,4 --fleet-jobs 200 >/dev/null
-grep -q '"bit_identical_to_serial": true' "$bench_json" || {
+grep -q '"bit_identical_to_serial": true' "$tmp/bench_json" || {
     echo "ci: bench sweep diverged from serial analyze" >&2
     exit 1
 }
-structure_rate=$(sed -n 's/.*"ilp_structure": .*"hit_rate": \([0-9.]*\).*/\1/p' "$bench_json" | head -1)
+structure_rate=$(sed -n 's/.*"ilp_structure": .*"hit_rate": \([0-9.]*\).*/\1/p' "$tmp/bench_json" | head -1)
 awk -v r="$structure_rate" 'BEGIN { exit !(r > 0.5) }' || {
     echo "ci: ilp_structure hit rate $structure_rate <= 0.5" >&2
     exit 1
@@ -182,10 +180,10 @@ awk -v r="$structure_rate" 'BEGIN { exit !(r > 0.5) }' || {
 # recorded BENCH_sweep.json (host_cpus: 1) shows phantom slowdowns for
 # exactly 2 threads that neither syscall, fault nor context-switch
 # counters explain — so below 2 CPUs the 2-worker bound is skipped.
-host_cpus=$(sed -n 's/.*"host_cpus": \([0-9]*\).*/\1/p' "$bench_json" | head -1)
-fleet_wall_1=$(grep '"speedup_vs_1w"' "$bench_json" | sed -n 's/.*"workers": 1,.*"wall_ms": \([0-9.]*\).*/\1/p' | head -1)
-fleet_wall_2=$(grep '"speedup_vs_1w"' "$bench_json" | sed -n 's/.*"workers": 2,.*"wall_ms": \([0-9.]*\).*/\1/p' | head -1)
-fleet_wall_4=$(grep '"speedup_vs_1w"' "$bench_json" | sed -n 's/.*"workers": 4,.*"wall_ms": \([0-9.]*\).*/\1/p' | head -1)
+host_cpus=$(sed -n 's/.*"host_cpus": \([0-9]*\).*/\1/p' "$tmp/bench_json" | head -1)
+fleet_wall_1=$(grep '"speedup_vs_1w"' "$tmp/bench_json" | sed -n 's/.*"workers": 1,.*"wall_ms": \([0-9.]*\).*/\1/p' | head -1)
+fleet_wall_2=$(grep '"speedup_vs_1w"' "$tmp/bench_json" | sed -n 's/.*"workers": 2,.*"wall_ms": \([0-9.]*\).*/\1/p' | head -1)
+fleet_wall_4=$(grep '"speedup_vs_1w"' "$tmp/bench_json" | sed -n 's/.*"workers": 4,.*"wall_ms": \([0-9.]*\).*/\1/p' | head -1)
 [ -n "$host_cpus" ] && [ -n "$fleet_wall_1" ] && [ -n "$fleet_wall_2" ] && [ -n "$fleet_wall_4" ] || {
     echo "ci: fleet scaling fields missing from bench JSON" >&2
     exit 1
@@ -212,27 +210,23 @@ awk -v c="$host_cpus" -v w1="$fleet_wall_1" -v w2="$fleet_wall_2" -v w4="$fleet_
 # invocations and diffing proves the property holds across *processes*,
 # not just across pools in one address space. JSON goes to a scratch
 # path so the committed BENCH_sweep.json stays as recorded.
-load_out_1="$(mktemp)"
-load_out_4="$(mktemp)"
-load_json="$(mktemp)"
-trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4" "$explore_rebuild" "$bench_json" "$load_out_1" "$load_out_4" "$load_json"' EXIT
-RT_BENCH_OUT="$load_json" cargo run --release -q -p rt-bench --bin repro -- \
-    load --events 100000 --shards 16 --tenants 32 --seed 42 --workers 1 >"$load_out_1"
-RT_BENCH_OUT="$load_json" cargo run --release -q -p rt-bench --bin repro -- \
-    load --events 100000 --shards 16 --tenants 32 --seed 42 --workers 4 >"$load_out_4"
-diff -u "$load_out_1" "$load_out_4" || {
+RT_BENCH_OUT="$tmp/load_json" cargo run --release -q -p rt-bench --bin repro -- \
+    load --events 100000 --shards 16 --tenants 32 --seed 42 --workers 1 >"$tmp/load_out_1"
+RT_BENCH_OUT="$tmp/load_json" cargo run --release -q -p rt-bench --bin repro -- \
+    load --events 100000 --shards 16 --tenants 32 --seed 42 --workers 4 >"$tmp/load_out_4"
+diff -u "$tmp/load_out_1" "$tmp/load_out_4" || {
     echo "ci: load report differs between 1 and 4 workers" >&2
     exit 1
 }
-diff -u tests/goldens/load_100k.txt "$load_out_1" || {
+diff -u tests/goldens/load_100k.txt "$tmp/load_out_1" || {
     echo "ci: load report differs from tests/goldens/load_100k.txt" >&2
     exit 1
 }
-grep -q 'soundness oracle: PASS' "$load_out_1" || {
+grep -q 'soundness oracle: PASS' "$tmp/load_out_1" || {
     echo "ci: load soundness oracle did not pass" >&2
     exit 1
 }
-grep -q '"violations": 0,' "$load_json" || {
+grep -q '"violations": 0,' "$tmp/load_json" || {
     echo "ci: load JSON block reports violations" >&2
     exit 1
 }
@@ -244,25 +238,20 @@ grep -q '"violations": 0,' "$load_json" || {
 # the which-core axis, and must render byte-identical stdout from two
 # separate processes at 1 and 4 workers. JSON goes to a scratch path:
 # the committed explore_smp block of BENCH_sweep.json stays as recorded.
-smp_json="$(mktemp)"
-smp_out_1="$(mktemp)"
-smp_out_4="$(mktemp)"
-smp_rebuild="$(mktemp)"
-trap 'rm -f "$explore_smoke_json" "$explore_json" "$explore_off" "$explore_por_1" "$explore_por_4" "$explore_rebuild" "$bench_json" "$load_out_1" "$load_out_4" "$load_json" "$smp_json" "$smp_out_1" "$smp_out_4" "$smp_rebuild"' EXIT
-RT_BENCH_OUT="$smp_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --smp --depth 6 --por sleep --workers 1 >"$smp_out_1" 2>/dev/null
-RT_BENCH_OUT="$smp_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --smp --depth 6 --por sleep --workers 4 >"$smp_out_4" 2>/dev/null
-diff -u "$smp_out_1" "$smp_out_4" || {
+RT_BENCH_OUT="$tmp/smp_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --smp --depth 6 --por sleep --workers 1 >"$tmp/smp_out_1" 2>/dev/null
+RT_BENCH_OUT="$tmp/smp_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --smp --depth 6 --por sleep --workers 4 >"$tmp/smp_out_4" 2>/dev/null
+diff -u "$tmp/smp_out_1" "$tmp/smp_out_4" || {
     echo "ci: SMP explore report differs between 1 and 4 workers" >&2
     exit 1
 }
 # Fork-vs-rebuild on SMP, as for the single-core set above: every branch
 # rebuilt from boot must render what the forks render, so restoring 2-
 # and 4-core snapshots into reused scratch kernels is invisible.
-RT_BENCH_OUT="$smp_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --smp --depth 6 --por sleep --workers 4 --snapshot-every 0 >"$smp_rebuild" 2>/dev/null
-diff -u "$smp_out_4" "$smp_rebuild" || {
+RT_BENCH_OUT="$tmp/smp_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --smp --depth 6 --por sleep --workers 4 --snapshot-every 0 >"$tmp/smp_rebuild" 2>/dev/null
+diff -u "$tmp/smp_out_4" "$tmp/smp_rebuild" || {
     echo "ci: forked and rebuilt SMP explore reports differ at depth 6" >&2
     exit 1
 }
@@ -283,8 +272,8 @@ awk '
         if (n < 4) { print "ci: expected >= 4 SMP scenario lines, saw " n; bad = 1 }
         exit bad
     }
-' "$smp_out_4"
-grep -q '"explore_smp": {' "$smp_json" || {
+' "$tmp/smp_out_4"
+grep -q '"explore_smp": {' "$tmp/smp_json" || {
     echo "ci: explore --smp did not write the explore_smp JSON block" >&2
     exit 1
 }

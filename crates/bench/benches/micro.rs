@@ -31,12 +31,12 @@ fn choose_thread_cycles(sched: SchedKind, blocked: u32) -> u64 {
     // blocked stragglers that lazy scheduling leaves queued.
     let runnable = k.boot_tcb("runnable", 5);
     k.objs.tcb_mut(runnable).state = ThreadState::Running;
-    k.queues.enqueue(&mut k.objs, runnable);
+    k.enqueue_on(0, runnable);
     if sched == SchedKind::Lazy {
         for i in 0..blocked {
             let t = k.boot_tcb(&format!("stale{i}"), 6);
             k.objs.tcb_mut(t).state = ThreadState::Running;
-            k.queues.enqueue(&mut k.objs, t);
+            k.enqueue_on(0, t);
             k.objs.tcb_mut(t).state = ThreadState::BlockedOnReply;
         }
     }

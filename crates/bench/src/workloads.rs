@@ -188,7 +188,7 @@ impl WorstSyscall {
         // Caller awaits the reply.
         {
             if k.objs.tcb(self.caller).in_runqueue {
-                k.queues.dequeue(&mut k.objs, self.caller);
+                k.dequeue_on(0, self.caller);
             }
             let t = k.objs.tcb_mut(self.caller);
             t.state = ThreadState::BlockedOnReply;
@@ -199,7 +199,7 @@ impl WorstSyscall {
         // send.
         {
             if k.objs.tcb(self.client).in_runqueue {
-                k.queues.dequeue(&mut k.objs, self.client);
+                k.dequeue_on(0, self.client);
             }
             let t = k.objs.tcb_mut(self.client);
             t.ep_next = None;
@@ -234,7 +234,7 @@ impl WorstSyscall {
             t.caller = Some(self.caller);
         }
         if k.objs.tcb(self.server).in_runqueue {
-            k.queues.dequeue(&mut k.objs, self.server);
+            k.dequeue_on(0, self.server);
         }
         k.force_current_for_test(self.server);
     }
@@ -315,7 +315,7 @@ impl WorstInterrupt {
         // Re-park the driver for the next run.
         let driver = self.driver;
         if k.objs.tcb(driver).in_runqueue {
-            k.queues.dequeue(&mut k.objs, driver);
+            k.dequeue_on(0, driver);
         }
         k.objs.tcb_mut(driver).state = ThreadState::BlockedOnNotification { ntfn: self.ntfn };
         k.objs.tcb_mut(driver).msg_info = MsgInfo::EMPTY;
@@ -331,7 +331,7 @@ impl WorstInterrupt {
             // Switch back to the background "current".
             let low = self.low;
             if k.objs.tcb(low).in_runqueue {
-                k.queues.dequeue(&mut k.objs, low);
+                k.dequeue_on(0, low);
             }
             k.objs.tcb_mut(low).state = ThreadState::Running;
             k.force_current_for_test(low);
@@ -389,7 +389,7 @@ impl WorstFault {
         // Handler parked receiving on its endpoint.
         {
             if k.objs.tcb(self.handler).in_runqueue {
-                k.queues.dequeue(&mut k.objs, self.handler);
+                k.dequeue_on(0, self.handler);
             }
             let t = k.objs.tcb_mut(self.handler);
             t.ep_next = None;
@@ -414,7 +414,7 @@ impl WorstFault {
         // Faulter current and runnable.
         {
             if k.objs.tcb(self.faulter).in_runqueue {
-                k.queues.dequeue(&mut k.objs, self.faulter);
+                k.dequeue_on(0, self.faulter);
             }
             let t = k.objs.tcb_mut(self.faulter);
             t.state = ThreadState::Running;

@@ -43,19 +43,12 @@ use rt_hw::{IrqController, IrqLine};
 /// [`Kernel`]: crate::kernel::Kernel
 /// [`KernelSnapshot`]: crate::kernel::KernelSnapshot
 pub trait DecisionSource {
-    /// Called once per preemption-point poll, before the kernel samples
-    /// the pending mask. Return `Some(line)` to assert `line` now.
-    fn preemption_poll(&mut self, irq: &IrqController) -> Option<IrqLine>;
-
-    /// SMP-aware poll: like [`Self::preemption_poll`], but told which
-    /// core is polling so a source can restrict an injection to the core
-    /// its line is routed to. The default ignores the core — correct for
-    /// single-core kernels, where `core` is always 0 — so pre-SMP
-    /// sources are unaffected.
-    fn preemption_poll_on(&mut self, core: u8, irq: &IrqController) -> Option<IrqLine> {
-        let _ = core;
-        self.preemption_poll(irq)
-    }
+    /// Called once per preemption-point poll on `core`, before the
+    /// kernel samples that core's pending mask (`irq`). Return
+    /// `Some(line)` to assert `line` on `core` now. The core lets a
+    /// source restrict an injection to the core its line is routed to;
+    /// on a one-core kernel it is always 0.
+    fn preemption_poll(&mut self, core: u8, irq: &IrqController) -> Option<IrqLine>;
 }
 
 /// The production decision source: never injects anything, so every
@@ -65,7 +58,7 @@ pub trait DecisionSource {
 pub struct RunToCompletion;
 
 impl DecisionSource for RunToCompletion {
-    fn preemption_poll(&mut self, _irq: &IrqController) -> Option<IrqLine> {
+    fn preemption_poll(&mut self, _core: u8, _irq: &IrqController) -> Option<IrqLine> {
         None
     }
 }

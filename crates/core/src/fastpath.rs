@@ -141,8 +141,9 @@ impl Kernel {
         // The replying server blocks, so the caller runs next iff nothing
         // runnable outranks it (seL4's fastpath checks the ready-queue
         // bitmap the same way).
-        let highest_queued = self.queues.bitmap.highest().unwrap_or(0);
-        if !self.queues.is_empty() && self.objs.tcb(caller).prio < highest_queued {
+        let queues = &self.local().queues;
+        let highest_queued = queues.bitmap.highest().unwrap_or(0);
+        if !queues.is_empty() && self.objs.tcb(caller).prio < highest_queued {
             return None;
         }
         let e0 = self.obj_addr(epobj, 0);

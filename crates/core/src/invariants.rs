@@ -146,7 +146,7 @@ fn check_run_queues(k: &Kernel, out: &mut Vec<Violation>) {
     // `seen` is indexed by object id, grown on demand so dangling ids fit.
     let mut seen: Vec<bool> = Vec::new();
     for core in 0..k.n_cores() {
-        for (prio, head) in k.core_queues(core).nonempty() {
+        for (prio, head) in k.core(core).queues.nonempty() {
             let mut cur = Some(head);
             let mut prev: Option<ObjId> = None;
             let mut steps = 0;
@@ -241,7 +241,7 @@ fn check_scheduler_invariant(k: &Kernel, out: &mut Vec<Violation>) {
             }
             if t.state.is_runnable()
                 && !t.in_runqueue
-                && !(0..k.n_cores()).any(|c| k.core_current(c) == id)
+                && !(0..k.n_cores()).any(|c| k.core(c).cur == id)
             {
                 out.push(Violation {
                     invariant: "runnable-queued-or-current",
@@ -259,7 +259,7 @@ fn check_bitmap(k: &Kernel, out: &mut Vec<Violation>) {
         return;
     }
     for core in 0..k.n_cores() {
-        let queues = k.core_queues(core);
+        let queues = &k.core(core).queues;
         let queued = queues.heads_mask();
         let set = queues.bitmap.buckets;
         // Visit only the priorities where the two disagree, ascending.
@@ -606,47 +606,48 @@ fn check_shadow_backpointers(k: &Kernel, out: &mut Vec<Violation>) {
 /// that queues work on a remote core sends one, and servicing it forces
 /// `ChooseNew`. A dropped IPI (the seeded `LostIpi` bug) leaves the core
 /// idle with work queued and nothing pending: exactly this violation.
+/// These are cross-core properties, checked only with `n_cores > 1`.
 fn check_smp(k: &Kernel, out: &mut Vec<Violation>) {
-    let Some(smp) = k.smp_state() else {
-        return;
-    };
-    if smp.n_cores <= 1 {
+    if !k.smp_active() {
         return;
     }
-    for core in 0..smp.n_cores {
-        let queues = k.core_queues(core);
-        let has_work = queues.heads_mask() != [0; 8];
-        let idle = k.core_current(core) == k.idle_thread();
+    for c in 0..k.n_cores() {
+        let core = k.core(c);
+        let has_work = core.queues.heads_mask() != [0; 8];
+        let idle = core.cur == k.idle_thread();
         let resched_pending = k
-            .core_irq(core)
+            .machine
+            .core_irq(c)
             .is_pending(rt_hw::IrqLine(crate::smp::IPI_RESCHED_LINE));
-        let will_choose = k.core_sched_action(core) != crate::kernel::SchedAction::ResumeCurrent;
+        let will_choose = core.sched_action != crate::kernel::SchedAction::ResumeCurrent;
         if has_work && idle && !resched_pending && !will_choose {
             out.push(Violation {
                 invariant: "smp-idle-core-kicked",
                 detail: format!(
-                    "core {core} idles with runnable work queued and no \
+                    "core {c} idles with runnable work queued and no \
                      reschedule IPI pending (lost wakeup)"
                 ),
             });
         }
     }
-    if smp.shootdown.completed > smp.shootdown.initiated {
+    let smp = &k.smp;
+    if smp.shootdowns_completed > smp.shootdowns_initiated {
         out.push(Violation {
             invariant: "shootdown-counts-agree",
             detail: format!(
                 "completed {} > initiated {}",
-                smp.shootdown.completed, smp.shootdown.initiated
+                smp.shootdowns_completed, smp.shootdowns_initiated
             ),
         });
     }
-    for (c, pending) in smp.shootdown.pending.iter().enumerate() {
-        if c as u8 == k.cur_core() {
+    for c in 0..k.n_cores() {
+        if c == k.cur_core() {
             continue; // the active core may be mid-service
         }
-        if *pending
+        if k.core(c).shootdown_pending
             && !k
-                .core_irq(c as u8)
+                .machine
+                .core_irq(c)
                 .is_pending(rt_hw::IrqLine(crate::smp::IPI_SHOOTDOWN_LINE))
         {
             out.push(Violation {
@@ -673,8 +674,9 @@ mod tests {
         let (mut k, _, server, _) = boot_two_threads_one_ep();
         // Enqueue the server but corrupt the bitmap.
         k.objs.tcb_mut(server).state = ThreadState::Running;
-        k.queues.enqueue(&mut k.objs, server);
-        k.queues.bitmap.clear(k.objs.tcb(server).prio);
+        k.enqueue_on(0, server);
+        let prio = k.objs.tcb(server).prio;
+        k.core_mut(0).queues.bitmap.clear(prio);
         let v = check_all(&k);
         assert!(v.iter().any(|x| x.invariant == "bitmap-reflects-queues"));
     }
@@ -683,7 +685,7 @@ mod tests {
     fn benno_invariant_detects_blocked_queued_thread() {
         let (mut k, _, server, _) = boot_two_threads_one_ep();
         k.objs.tcb_mut(server).state = ThreadState::Running;
-        k.queues.enqueue(&mut k.objs, server);
+        k.enqueue_on(0, server);
         // Now the thread blocks while still queued — legal under lazy
         // scheduling, a violation under Benno.
         k.objs.tcb_mut(server).state = ThreadState::BlockedOnReply;

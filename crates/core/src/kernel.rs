@@ -33,8 +33,7 @@ use crate::kprog::{self, Block, Ik, Layout, D};
 use crate::ntfn::{self, Notification};
 use crate::obj::{BootAlloc, ObjId, ObjKind, ObjStore};
 use crate::preempt::{PreemptResult, Preempted};
-use crate::sched::RunQueues;
-use crate::smp::{SmpState, IPI_RESCHED_LINE, IPI_SHOOTDOWN_LINE};
+use crate::smp::{self, Core, LockHold, SmpCounters, IPI_RESCHED_LINE, IPI_SHOOTDOWN_LINE};
 use crate::tcb::{Tcb, ThreadState, TCB_SIZE_BITS};
 use crate::vspace::asid::AsidTable;
 
@@ -199,8 +198,6 @@ pub struct Kernel {
     pub machine: Machine,
     /// All kernel objects.
     pub objs: ObjStore,
-    /// Scheduler run queues + priority bitmap.
-    pub queues: RunQueues,
     /// Global ASID table (legacy VM design; unused under shadow PTs).
     pub asid_table: AsidTable,
     /// IRQ dispatch table.
@@ -218,9 +215,12 @@ pub struct Kernel {
     /// When `Some`, per-block execution counts and cycles are accumulated
     /// (the hottest-path side of an attribution report).
     pub profile: Option<HashMap<Block, BlockStat>>,
-    cur: ObjId,
+    /// Machine-wide SMP counters ([`crate::smp`]).
+    pub smp: SmpCounters,
+    /// One record per core, indexed by core id; the active core is the
+    /// machine's resident core ([`Self::cur_core`]).
+    cores: Vec<Core>,
     idle: ObjId,
-    sched_action: SchedAction,
     alloc: BootAlloc,
     /// Objects whose teardown is on the (Rust) call stack right now; a
     /// capability inside a CNode can reference an ancestor being destroyed
@@ -232,11 +232,6 @@ pub struct Kernel {
     /// Installed schedule-decision source ([`crate::decision`]); `None`
     /// (the production state) means no poll-time injection at all.
     decisions: Option<Box<dyn DecisionSource>>,
-    /// SMP extension ([`crate::smp`]); `None` (the production
-    /// single-core state) compiles every SMP path out, and `Some` with
-    /// `n_cores == 1` is behaviourally identical to `None` — the
-    /// differential the SMP test layer pins.
-    smp: Option<Box<SmpState>>,
 }
 
 /// A complete, decision-source-free copy of a kernel's state, machine
@@ -256,7 +251,6 @@ pub struct KernelSnapshot {
     config: KernelConfig,
     machine: Machine,
     objs: ObjStore,
-    queues: RunQueues,
     asid_table: AsidTable,
     irq_table: IrqTable,
     layout: Arc<Layout>,
@@ -264,13 +258,12 @@ pub struct KernelSnapshot {
     irq_log: Vec<IrqResponse>,
     trace: Option<Vec<Block>>,
     profile: Option<HashMap<Block, BlockStat>>,
-    cur: ObjId,
+    smp: SmpCounters,
+    cores: Vec<Core>,
     idle: ObjId,
-    sched_action: SchedAction,
     alloc: BootAlloc,
     destroying: Vec<ObjId>,
     pending_delivery: HashMap<ObjId, usize>,
-    smp: Option<Box<SmpState>>,
 }
 
 impl KernelSnapshot {
@@ -283,7 +276,6 @@ impl KernelSnapshot {
             config: self.config,
             machine: self.machine.clone(),
             objs: self.objs.clone(),
-            queues: self.queues.clone(),
             asid_table: self.asid_table.clone(),
             irq_table: self.irq_table.clone(),
             layout: self.layout.clone(),
@@ -291,21 +283,20 @@ impl KernelSnapshot {
             irq_log: self.irq_log.clone(),
             trace: self.trace.clone(),
             profile: self.profile.clone(),
-            cur: self.cur,
+            smp: self.smp,
+            cores: self.cores.clone(),
             idle: self.idle,
-            sched_action: self.sched_action,
             alloc: self.alloc.clone(),
             destroying: self.destroying.clone(),
             pending_delivery: self.pending_delivery.clone(),
             decisions: None,
-            smp: self.smp.clone(),
         }
     }
 
     /// Restores the snapshot *into* an existing kernel, reusing its heap
-    /// buffers (cache line arrays, object slots, run queues, log vectors,
-    /// and every parked core's share of them) instead of allocating fresh
-    /// ones. The result is bit-identical to
+    /// buffers (cache line arrays, object slots, core records, log
+    /// vectors, and every parked core's hardware context) instead of
+    /// allocating fresh ones. The result is bit-identical to
     /// [`KernelSnapshot::restore`] — every field is overwritten, and the
     /// decision source of the target (if any) is dropped so the restored
     /// kernel again has `decisions == None`. This is the explorer's
@@ -316,7 +307,6 @@ impl KernelSnapshot {
         k.config = self.config;
         k.machine.copy_from(&self.machine);
         k.objs.copy_from(&self.objs);
-        k.queues.copy_from(&self.queues);
         k.asid_table = self.asid_table.clone();
         k.irq_table = self.irq_table.clone();
         k.layout = self.layout.clone();
@@ -324,14 +314,13 @@ impl KernelSnapshot {
         k.irq_log.clone_from(&self.irq_log);
         k.trace.clone_from(&self.trace);
         k.profile.clone_from(&self.profile);
-        k.cur = self.cur;
+        k.smp = self.smp;
+        k.cores.clone_from(&self.cores);
         k.idle = self.idle;
-        k.sched_action = self.sched_action;
         k.alloc = self.alloc.clone();
         k.destroying.clone_from(&self.destroying);
         k.pending_delivery.clone_from(&self.pending_delivery);
         k.decisions = None;
-        k.smp.clone_from(&self.smp);
     }
 }
 
@@ -358,7 +347,6 @@ impl Kernel {
             config,
             machine,
             objs,
-            queues: RunQueues::new(),
             asid_table: AsidTable::new(),
             irq_table: IrqTable::new(),
             layout: Arc::new(Layout::new()),
@@ -366,14 +354,13 @@ impl Kernel {
             irq_log: Vec::new(),
             trace: None,
             profile: None,
-            cur: idle,
+            smp: SmpCounters::default(),
+            cores: vec![Core::new(idle)],
             idle,
-            sched_action: SchedAction::ResumeCurrent,
             alloc,
             destroying: Vec::new(),
             pending_delivery: HashMap::new(),
             decisions: None,
-            smp: None,
         }
     }
 
@@ -410,7 +397,6 @@ impl Kernel {
             config: self.config,
             machine: self.machine.clone(),
             objs: self.objs.clone(),
-            queues: self.queues.clone(),
             asid_table: self.asid_table.clone(),
             irq_table: self.irq_table.clone(),
             layout: self.layout.clone(),
@@ -418,19 +404,18 @@ impl Kernel {
             irq_log: self.irq_log.clone(),
             trace: self.trace.clone(),
             profile: self.profile.clone(),
-            cur: self.cur,
+            smp: self.smp,
+            cores: self.cores.clone(),
             idle: self.idle,
-            sched_action: self.sched_action,
             alloc: self.alloc.clone(),
             destroying: self.destroying.clone(),
             pending_delivery: self.pending_delivery.clone(),
-            smp: self.smp.clone(),
         }
     }
 
     /// The currently running thread.
     pub fn current(&self) -> ObjId {
-        self.cur
+        self.local().cur
     }
 
     /// The idle thread.
@@ -440,7 +425,7 @@ impl Kernel {
 
     /// Returns `true` when the idle thread is running.
     pub fn is_idle(&self) -> bool {
-        self.cur == self.idle
+        self.current() == self.idle
     }
 
     /// Starts recording executed blocks.
@@ -540,45 +525,39 @@ impl Kernel {
             "boot_resume on a live thread"
         );
         *st = ThreadState::Running;
-        if self.smp_active() {
-            let aff = self.objs.tcb(tcb).affinity;
-            if aff != self.cur_core() {
-                // Boot-time start on a remote core: queue it there and
-                // kick the core (uncharged, like the rest of boot).
-                {
-                    let smp = self.smp.as_deref_mut().expect("smp_active");
-                    smp.slots[aff as usize].queues.enqueue(&mut self.objs, tcb);
-                }
-                self.send_resched_ipi(aff);
-                return;
-            }
+        let aff = self.objs.tcb(tcb).affinity;
+        self.enqueue_on(aff, tcb);
+        if aff == self.cur_core() {
+            self.schedule_no_charge();
+        } else {
+            // Boot-time start on a remote core: kick the core
+            // (uncharged, like the rest of boot).
+            self.send_resched_ipi(aff);
         }
-        self.queues.enqueue(&mut self.objs, tcb);
-        self.schedule_no_charge();
     }
 
     /// Boot-time scheduling without timing charges, used to pick the first
     /// thread before measurement begins.
     fn schedule_no_charge(&mut self) {
-        let cur_runnable = self.cur != self.idle && self.objs.tcb(self.cur).state.is_runnable();
+        let (cur, here) = (self.current(), self.cur_core());
+        let cur_runnable = cur != self.idle && self.objs.tcb(cur).state.is_runnable();
         let cur_prio = if cur_runnable {
-            Some(self.objs.tcb(self.cur).prio)
+            Some(self.objs.tcb(cur).prio)
         } else {
             None
         };
-        let Some(best) = self.queues.choose_bitmap() else {
+        let Some(best) = self.local().queues.choose_bitmap() else {
             return;
         };
         let best_prio = self.objs.tcb(best).prio;
         if cur_prio.is_some_and(|p| p >= best_prio) {
             return; // current keeps the CPU
         }
-        if cur_runnable && !self.objs.tcb(self.cur).in_runqueue {
-            self.queues.enqueue(&mut self.objs, self.cur);
+        if cur_runnable && !self.objs.tcb(cur).in_runqueue {
+            self.enqueue_on(here, cur);
         }
-        self.queues.dequeue(&mut self.objs, best);
-        self.cur = best;
-        self.sched_action = SchedAction::ResumeCurrent;
+        self.dequeue_on(here, best);
+        self.set_current(best);
     }
 
     // --- The block executor ------------------------------------------------
@@ -715,19 +694,19 @@ impl Kernel {
             // consultation itself charges no cycles and, when the source
             // declines, mutates nothing — the production path stays
             // bit-identical.
-            if let Some(line) = src.preemption_poll_on(core, &self.machine.irq) {
-                let now = self.machine.now();
-                self.machine.irq.raise(line, now);
+            if let Some(line) = src.preemption_poll(core, &self.machine.irq) {
+                self.machine.raise_on(core, line);
             }
         }
         self.machine.trace_phase("preempt-check");
         self.blk0(Block::PreemptCheck);
         if self.machine.irq.has_pending() {
             self.machine.trace_phase("preempt-fire");
-            let st = self.tcb_addr(self.cur, crate::tcb::OFF_STATE);
-            let ctx = self.tcb_addr(self.cur, crate::tcb::OFF_CONTEXT);
+            let cur = self.current();
+            let st = self.tcb_addr(cur, crate::tcb::OFF_STATE);
+            let ctx = self.tcb_addr(cur, crate::tcb::OFF_CONTEXT);
             self.blk(Block::PreemptSave, &[st, ctx]);
-            self.objs.tcb_mut(self.cur).state = ThreadState::Restart;
+            self.objs.tcb_mut(cur).state = ThreadState::Restart;
             self.stats.preemptions += 1;
             return Err(Preempted);
         }
@@ -744,7 +723,8 @@ impl Kernel {
         let pr = self.tcb_addr(t, crate::tcb::OFF_PRIO);
         self.blk(Block::WakeThread, &[st, pr]);
         self.objs.tcb_mut(t).state = ThreadState::Running;
-        if self.smp_active() && self.objs.tcb(t).affinity != self.cur_core() {
+        let aff = self.objs.tcb(t).affinity;
+        if aff != self.cur_core() {
             // Cross-core wake (DESIGN.md §14): never direct-switch to a
             // thread homed on another core — enqueue it there and kick
             // the core with a reschedule IPI. Lazy scheduling may find
@@ -754,14 +734,13 @@ impl Kernel {
                 self.charge_enqueue(t);
                 self.enqueue_remote(t);
             } else {
-                let aff = self.objs.tcb(t).affinity;
                 self.machine.advance(kprog::DEVICE_ACCESS_CYCLES);
                 self.send_resched_ipi(aff);
             }
             return;
         }
         let t_prio = self.objs.tcb(t).prio;
-        let cur_prio = self.objs.tcb(self.cur).prio;
+        let cur_prio = self.objs.tcb(self.current()).prio;
         let eligible = if cur_yields {
             t_prio >= cur_prio
         } else {
@@ -773,11 +752,11 @@ impl Kernel {
                 // still queued; one that has never run must be entered.
                 if !self.objs.tcb(t).in_runqueue {
                     self.charge_enqueue(t);
-                    self.queues.enqueue(&mut self.objs, t);
+                    self.enqueue_on(aff, t);
                 }
                 if eligible {
                     self.blk0(Block::DirectSwitch);
-                    self.sched_action = SchedAction::SwitchTo(t);
+                    self.set_sched_action(SchedAction::SwitchTo(t));
                 }
             }
             SchedKind::Benno | SchedKind::BennoBitmap => {
@@ -785,10 +764,10 @@ impl Kernel {
                     // §3.1: switch directly, do not enqueue the woken
                     // thread.
                     self.blk0(Block::DirectSwitch);
-                    self.sched_action = SchedAction::SwitchTo(t);
+                    self.set_sched_action(SchedAction::SwitchTo(t));
                 } else {
                     self.charge_enqueue(t);
-                    self.queues.enqueue(&mut self.objs, t);
+                    self.enqueue_on(aff, t);
                     if self.config.sched == SchedKind::BennoBitmap {
                         self.blk0(Block::BitmapSet);
                     }
@@ -805,19 +784,12 @@ impl Kernel {
         self.blk(Block::WakeThread, &[st, pr]);
         if !self.objs.tcb(t).in_runqueue {
             self.charge_enqueue(t);
-            if self.smp_active() && self.objs.tcb(t).affinity != self.cur_core() {
-                self.enqueue_remote(t);
-            } else {
-                self.queues.enqueue(&mut self.objs, t);
-                if self.config.sched == SchedKind::BennoBitmap {
-                    self.blk0(Block::BitmapSet);
-                }
-            }
+            self.enqueue_routed(t);
         }
-        if self.sched_action == SchedAction::ResumeCurrent
-            && !self.objs.tcb(self.cur).state.is_runnable()
+        if self.sched_action() == SchedAction::ResumeCurrent
+            && !self.objs.tcb(self.current()).state.is_runnable()
         {
-            self.sched_action = SchedAction::ChooseNew;
+            self.set_sched_action(SchedAction::ChooseNew);
         }
     }
 
@@ -846,7 +818,7 @@ impl Kernel {
     /// harnesses (the rt-explore engine) driving threads directly.
     pub fn suspend_thread(&mut self, t: ObjId) {
         if self.objs.tcb(t).in_runqueue {
-            self.queues.dequeue(&mut self.objs, t);
+            self.dequeue_on(self.cur_core(), t);
         }
         self.objs.tcb_mut(t).state = ThreadState::Inactive;
         self.force_choose_new();
@@ -856,12 +828,11 @@ impl Kernel {
     /// Resolves the pending scheduling decision — runs on every kernel
     /// exit.
     pub(crate) fn schedule(&mut self) {
-        let action = std::mem::take(&mut self.sched_action);
+        let action = std::mem::take(&mut self.local_mut().sched_action);
         match action {
             SchedAction::ResumeCurrent => {
-                if self.objs.tcb(self.cur).state.is_runnable()
-                    || self.objs.tcb(self.cur).state == ThreadState::Idle
-                {
+                let state = &self.objs.tcb(self.current()).state;
+                if state.is_runnable() || *state == ThreadState::Idle {
                     return;
                 }
                 // Current blocked with no explicit decision: choose.
@@ -875,13 +846,7 @@ impl Kernel {
                 // Benno: the woken thread was never enqueued. Lazy: it may
                 // still be queued — leave it there (Fig. 2 tolerates this).
                 if self.config.sched != SchedKind::Lazy && self.objs.tcb(t).in_runqueue {
-                    self.charge_dequeue(t);
-                    self.queues.dequeue(&mut self.objs, t);
-                    if self.config.sched == SchedKind::BennoBitmap
-                        && self.queues.head(self.objs.tcb(t).prio).is_none()
-                    {
-                        self.blk0(Block::BitmapClear);
-                    }
+                    self.dequeue_chosen(t);
                 }
                 self.commit(t);
             }
@@ -905,13 +870,7 @@ impl Kernel {
                 // Benno-family: the chosen thread leaves the queue; lazy
                 // leaves it at the head (Fig. 2).
                 if self.config.sched != SchedKind::Lazy {
-                    self.charge_dequeue(t);
-                    self.queues.dequeue(&mut self.objs, t);
-                    if self.config.sched == SchedKind::BennoBitmap
-                        && self.queues.head(self.objs.tcb(t).prio).is_none()
-                    {
-                        self.blk0(Block::BitmapClear);
-                    }
+                    self.dequeue_chosen(t);
                 }
                 self.commit(t);
             }
@@ -922,12 +881,24 @@ impl Kernel {
         }
     }
 
+    /// Charged dequeue of the thread the scheduler picked from the local
+    /// queues, clearing its bitmap bit if its priority empties.
+    fn dequeue_chosen(&mut self, t: ObjId) {
+        self.charge_dequeue(t);
+        self.dequeue_on(self.cur_core(), t);
+        if self.config.sched == SchedKind::BennoBitmap
+            && self.local().queues.head(self.objs.tcb(t).prio).is_none()
+        {
+            self.blk0(Block::BitmapClear);
+        }
+    }
+
     /// Fig. 2 with cost charging: scan priorities, dequeue blocked threads
     /// found at queue heads.
     fn choose_lazy_charged(&mut self) -> Option<ObjId> {
         for prio in (0..crate::NUM_PRIOS as usize).rev() {
             self.blk0(Block::SchedPrioScan);
-            while let Some(head) = self.queues.head(prio as u8) {
+            while let Some(head) = self.local().queues.head(prio as u8) {
                 let st = self.tcb_addr(head, crate::tcb::OFF_STATE);
                 self.blk(Block::SchedLazyIter, &[st]);
                 if self.objs.tcb(head).state.is_runnable() {
@@ -941,7 +912,7 @@ impl Kernel {
                     Block::SchedLazyDequeue,
                     &[st, a, b, c, d, self.tcb_addr(head, crate::tcb::OFF_PRIO)],
                 );
-                self.queues.dequeue(&mut self.objs, head);
+                self.dequeue_on(self.cur_core(), head);
                 self.stats.lazy_dequeues += 1;
             }
         }
@@ -952,7 +923,7 @@ impl Kernel {
     fn choose_benno_charged(&mut self) -> Option<ObjId> {
         for prio in (0..crate::NUM_PRIOS as usize).rev() {
             self.blk0(Block::SchedPrioScan);
-            if let Some(h) = self.queues.head(prio as u8) {
+            if let Some(h) = self.local().queues.head(prio as u8) {
                 debug_assert!(
                     self.objs.tcb(h).state.is_runnable(),
                     "Benno invariant: queued thread must be runnable"
@@ -966,7 +937,7 @@ impl Kernel {
     /// §3.2 with cost charging: two loads and two CLZ.
     fn choose_bitmap_charged(&mut self) -> Option<ObjId> {
         self.blk0(Block::SchedBitmap);
-        self.queues.choose_bitmap()
+        self.local().queues.choose_bitmap()
     }
 
     /// Installs `t` as the current thread, charging the commit and (if the
@@ -974,11 +945,11 @@ impl Kernel {
     fn commit(&mut self, t: ObjId) {
         let st = self.tcb_addr(t, crate::tcb::OFF_STATE);
         self.blk(Block::SchedCommit, &[st]);
-        if t != self.cur {
+        if t != self.current() {
             let ctx: [Addr; 8] =
                 std::array::from_fn(|i| self.tcb_addr(t, crate::tcb::OFF_CONTEXT + 4 * i as u32));
             self.blk(Block::CtxSwitch, &ctx);
-            self.cur = t;
+            self.local_mut().cur = t;
         }
         // A scheduled Restart-state thread is about to re-execute its
         // trapped system call; accounting only (the System harness drives
@@ -1035,8 +1006,8 @@ impl Kernel {
                     self.wake_thread(tcb, false);
                     // An interrupt wake always reconsiders scheduling so a
                     // higher-priority driver preempts the current thread.
-                    if self.sched_action == SchedAction::ResumeCurrent {
-                        self.sched_action = SchedAction::ChooseNew;
+                    if self.sched_action() == SchedAction::ResumeCurrent {
+                        self.set_sched_action(SchedAction::ChooseNew);
                     }
                 }
                 ntfn::SignalOutcome::Accumulated => {}
@@ -1047,8 +1018,8 @@ impl Kernel {
             // by the scheduler — the §3.1 "re-established at preemption
             // time" path — and `chooseThread` runs, giving round-robin
             // among equal priorities.
-            if self.sched_action == SchedAction::ResumeCurrent {
-                self.sched_action = SchedAction::ChooseNew;
+            if self.sched_action() == SchedAction::ResumeCurrent {
+                self.set_sched_action(SchedAction::ChooseNew);
             }
         }
     }
@@ -1082,9 +1053,9 @@ impl Kernel {
             self.blk0(Block::KExitCheck);
             guard += 1;
         }
-        let ctx: [Addr; 6] = std::array::from_fn(|i| {
-            self.tcb_addr(self.cur, crate::tcb::OFF_CONTEXT + 4 * i as u32)
-        });
+        let cur = self.current();
+        let ctx: [Addr; 6] =
+            std::array::from_fn(|i| self.tcb_addr(cur, crate::tcb::OFF_CONTEXT + 4 * i as u32));
         self.blk(Block::ExitRestore, &ctx);
     }
 
@@ -1114,7 +1085,7 @@ impl Kernel {
 
     /// Common fault handling: decode handler cap, build message, send.
     fn fault_common(&mut self, info: u32, msg_words: u32) {
-        let cur = self.cur;
+        let cur = self.current();
         let a = self.tcb_addr(cur, crate::tcb::OFF_CONTEXT);
         let b = self.tcb_addr(cur, crate::tcb::OFF_MSGINFO);
         self.blk(Block::FaultSetup, &[a, b]);
@@ -1138,12 +1109,12 @@ impl Kernel {
                 } else {
                     // No valid handler: suspend the thread.
                     self.objs.tcb_mut(cur).state = ThreadState::Inactive;
-                    self.sched_action = SchedAction::ChooseNew;
+                    self.set_sched_action(SchedAction::ChooseNew);
                 }
             }
             Err(_) => {
                 self.objs.tcb_mut(cur).state = ThreadState::Inactive;
-                self.sched_action = SchedAction::ChooseNew;
+                self.set_sched_action(SchedAction::ChooseNew);
             }
         }
     }
@@ -1188,19 +1159,25 @@ impl Kernel {
     /// Overrides the pending scheduling decision (used by syscall paths
     /// that must force a full `chooseThread`).
     pub(crate) fn set_sched_action(&mut self, a: SchedAction) {
-        self.sched_action = a;
+        self.local_mut().sched_action = a;
     }
 
     /// The pending scheduling decision (tests).
     pub fn sched_action(&self) -> SchedAction {
-        self.sched_action
+        self.local().sched_action
+    }
+
+    /// Installs `t` as the current thread with no pending decision.
+    fn set_current(&mut self, t: ObjId) {
+        let core = self.local_mut();
+        core.cur = t;
+        core.sched_action = SchedAction::ResumeCurrent;
     }
 
     /// Fastpath commit: installs `t` as current without running the
     /// scheduler (the fastpath blocks already charged the switch).
     pub(crate) fn install_current_fast(&mut self, t: ObjId) {
-        self.cur = t;
-        self.sched_action = SchedAction::ResumeCurrent;
+        self.set_current(t);
         if let Some(ix) = self.pending_delivery.remove(&t) {
             let now = self.machine.now();
             self.irq_log[ix].delivered = Some(now);
@@ -1209,8 +1186,7 @@ impl Kernel {
 
     /// Test/bench helper: forcibly set the current thread with no charges.
     pub fn force_current_for_test(&mut self, t: ObjId) {
-        self.cur = t;
-        self.sched_action = SchedAction::ResumeCurrent;
+        self.set_current(t);
     }
 
     // --- SMP (DESIGN.md §14) -----------------------------------------------
@@ -1218,185 +1194,78 @@ impl Kernel {
     /// Turns this kernel into an `n`-core SMP kernel. Core 0 inherits
     /// the boot state (everything built so far keeps running there);
     /// cores `1..n` boot cold, idling on the shared idle thread with
-    /// empty run queues. `enable_smp(1)` is behaviourally identical to
-    /// not calling this at all — every SMP charge below is gated on
+    /// empty run queues. `enable_smp(1)` changes nothing: a one-core
+    /// kernel is the one-record case, and every SMP charge is gated on
     /// `n_cores > 1`, mirroring seL4 compiling the lock and IPIs out of
     /// uniprocessor builds.
     ///
     /// # Panics
     ///
-    /// If called twice, or with `n` outside `1..=8`.
+    /// If the kernel already has more than one core, or `n` is outside
+    /// `1..=8`.
     pub fn enable_smp(&mut self, n: u8) {
         assert!((1..=8).contains(&n), "supported core counts: 1..=8");
-        assert!(self.smp.is_none(), "enable_smp called twice");
-        let cfg = self.machine.config();
-        let idle = self.idle;
-        self.smp = Some(Box::new(SmpState::new(n, idle, || {
-            rt_hw::smp::CoreCtx::new(cfg)
-        })));
+        assert_eq!(self.n_cores(), 1, "enable_smp called twice");
+        self.machine.set_cores(n);
+        self.cores.resize(usize::from(n), Core::new(self.idle));
     }
 
     /// Unmasks `line` on the interrupt-controller interface of the core
     /// it is routed to. Device lines are distributor resources delivered
     /// to exactly one core, but a driver may acknowledge from any core
     /// (cross-core wakes migrate drivers): the unmask must reach the
-    /// routed core's controller, not the acker's. Single-core kernels —
-    /// and local acks — unmask the active controller, bit-identically to
-    /// the pre-SMP path.
+    /// routed core's controller, not the acker's.
     pub(crate) fn unmask_routed(&mut self, line: IrqLine) {
-        let rc = self.irq_route(line);
-        if rc == self.cur_core() {
-            self.machine.irq.unmask(line);
-        } else {
-            let smp = self.smp.as_deref_mut().expect("remote route implies SMP");
-            smp.slots[rc as usize].ctx.irq.unmask(line);
-        }
+        let rc = self.machine.irq_route(line);
+        self.machine.core_irq_mut(rc).unmask(line);
     }
 
-    /// Number of cores (1 for a non-SMP kernel).
+    /// Number of cores.
     pub fn n_cores(&self) -> u8 {
-        self.smp.as_ref().map_or(1, |s| s.n_cores)
+        self.cores.len() as u8
     }
 
-    /// The core whose state is resident in the active fields.
+    /// The active core: the machine's resident core.
     pub fn cur_core(&self) -> u8 {
-        self.smp.as_ref().map_or(0, |s| s.cur_core)
+        self.machine.core()
     }
 
-    /// Whether any SMP path is live (`n_cores > 1`).
+    /// Whether the SMP charges are live (`n_cores > 1`).
     pub fn smp_active(&self) -> bool {
         self.n_cores() > 1
     }
 
-    /// The SMP extension state, if enabled.
-    pub fn smp_state(&self) -> Option<&SmpState> {
-        self.smp.as_deref()
+    /// Kernel state of core `c`.
+    pub fn core(&self, c: u8) -> &Core {
+        &self.cores[usize::from(c)]
     }
 
-    /// Mutable SMP state (test/bug-seeding hook).
-    pub fn smp_state_mut(&mut self) -> Option<&mut SmpState> {
-        self.smp.as_deref_mut()
+    /// Mutable kernel state of core `c` (test/bug-seeding hook).
+    pub fn core_mut(&mut self, c: u8) -> &mut Core {
+        &mut self.cores[usize::from(c)]
     }
 
-    /// Seeded-bug hook: drop reschedule IPIs instead of raising them
-    /// (the lost-wakeup bug the explorer's SMP invariant catches).
-    pub fn set_drop_resched_ipis(&mut self, on: bool) {
-        if let Some(smp) = self.smp.as_deref_mut() {
-            smp.drop_resched_ipis = on;
-        }
+    /// The active core's record.
+    pub(crate) fn local(&self) -> &Core {
+        &self.cores[usize::from(self.machine.core())]
     }
 
-    /// Sets the big-lock hold-overlap cap (see [`crate::smp::BigLock`]).
-    pub fn set_lock_hold_cap(&mut self, cap: Cycles) {
-        if let Some(smp) = self.smp.as_deref_mut() {
-            smp.lock.hold_cap = cap;
-        }
+    /// The active core's record, mutably.
+    pub(crate) fn local_mut(&mut self) -> &mut Core {
+        &mut self.cores[usize::from(self.machine.core())]
     }
 
-    /// Lock-wait cycles charged to core `c` so far.
-    pub fn lock_wait_cycles(&self, c: u8) -> Cycles {
-        self.smp
-            .as_ref()
-            .map_or(0, |s| s.lock.wait_cycles[c as usize])
+    /// Links `t` into core `c`'s run queue. Uncharged: callers charge
+    /// the enqueue themselves, or are set-up code like the `boot_*`
+    /// helpers.
+    pub fn enqueue_on(&mut self, c: u8, t: ObjId) {
+        self.cores[usize::from(c)].queues.enqueue(&mut self.objs, t);
     }
 
-    /// Current thread of core `c`.
-    pub fn core_current(&self, c: u8) -> ObjId {
-        if c == self.cur_core() {
-            self.cur
-        } else {
-            self.smp.as_ref().expect("no such core").slots[c as usize].cur
-        }
-    }
-
-    /// Run queues of core `c`.
-    pub fn core_queues(&self, c: u8) -> &RunQueues {
-        if c == self.cur_core() {
-            &self.queues
-        } else {
-            &self.smp.as_ref().expect("no such core").slots[c as usize].queues
-        }
-    }
-
-    /// Pending scheduling decision of core `c`.
-    pub fn core_sched_action(&self, c: u8) -> SchedAction {
-        if c == self.cur_core() {
-            self.sched_action
-        } else {
-            self.smp.as_ref().expect("no such core").slots[c as usize].sched_action
-        }
-    }
-
-    /// Interrupt-controller interface of core `c`.
-    pub fn core_irq(&self, c: u8) -> &rt_hw::IrqController {
-        if c == self.cur_core() {
-            &self.machine.irq
-        } else {
-            &self.smp.as_ref().expect("no such core").slots[c as usize]
-                .ctx
-                .irq
-        }
-    }
-
-    /// Local cycle counter of core `c`.
-    pub fn core_now(&self, c: u8) -> Cycles {
-        if c == self.cur_core() {
-            self.machine.now()
-        } else {
-            self.smp.as_ref().expect("no such core").slots[c as usize]
-                .ctx
-                .pmu
-                .cycles
-        }
-    }
-
-    /// Routes device line `line` to core `core`'s interrupt interface.
-    /// Advisory for the *driver* layer (explorer, load engine): the
-    /// kernel never raises device lines itself; drivers consult
-    /// [`Self::irq_route`] to pick the controller to raise on.
-    pub fn route_irq(&mut self, line: IrqLine, core: u8) {
-        let smp = self
-            .smp
-            .as_deref_mut()
-            .expect("route_irq without enable_smp");
-        assert!(core < smp.n_cores, "core {core} out of range");
-        smp.routing.set(line, core);
-    }
-
-    /// The core `line` is routed to (0 for a non-SMP kernel).
-    pub fn irq_route(&self, line: IrqLine) -> u8 {
-        self.smp.as_ref().map_or(0, |s| s.routing.core_of(line))
-    }
-
-    /// Makes core `c` the active core: parks the current core's
-    /// scheduler + hardware state in its slot and swaps in `c`'s. O(1);
-    /// a no-op when `c` is already active. `N = 1` configurations never
-    /// take the swap path, preserving bit-identity.
-    pub fn switch_core(&mut self, c: u8) {
-        let cur = self.cur_core();
-        if c == cur {
-            return;
-        }
-        let smp = self
-            .smp
-            .as_deref_mut()
-            .expect("switch_core without enable_smp");
-        assert!(c < smp.n_cores, "core {c} out of range");
-        {
-            let slot = &mut smp.slots[cur as usize];
-            self.machine.swap_core(&mut slot.ctx);
-            std::mem::swap(&mut self.queues, &mut slot.queues);
-            slot.cur = self.cur;
-            slot.sched_action = self.sched_action;
-        }
-        {
-            let slot = &mut smp.slots[c as usize];
-            self.machine.swap_core(&mut slot.ctx);
-            std::mem::swap(&mut self.queues, &mut slot.queues);
-            self.cur = slot.cur;
-            self.sched_action = slot.sched_action;
-        }
-        smp.cur_core = c;
+    /// Unlinks `t` from core `c`'s run queue (uncharged, as
+    /// [`Self::enqueue_on`]).
+    pub fn dequeue_on(&mut self, c: u8, t: ObjId) {
+        self.cores[usize::from(c)].queues.dequeue(&mut self.objs, t);
     }
 
     /// Changes `t`'s affinity (uncharged management operation, like the
@@ -1410,25 +1279,16 @@ impl Kernel {
         if old == core {
             return;
         }
-        if self.objs.tcb(t).in_runqueue {
-            if old == self.cur_core() {
-                self.queues.dequeue(&mut self.objs, t);
-            } else {
-                let smp = self.smp.as_deref_mut().expect("no such core");
-                smp.slots[old as usize].queues.dequeue(&mut self.objs, t);
-            }
-            self.objs.tcb_mut(t).affinity = core;
-            if core == self.cur_core() {
-                self.queues.enqueue(&mut self.objs, t);
-            } else {
-                {
-                    let smp = self.smp.as_deref_mut().expect("no such core");
-                    smp.slots[core as usize].queues.enqueue(&mut self.objs, t);
-                }
+        let queued = self.objs.tcb(t).in_runqueue;
+        if queued {
+            self.dequeue_on(old, t);
+        }
+        self.objs.tcb_mut(t).affinity = core;
+        if queued {
+            self.enqueue_on(core, t);
+            if core != self.cur_core() {
                 self.send_resched_ipi(core);
             }
-        } else {
-            self.objs.tcb_mut(t).affinity = core;
         }
     }
 
@@ -1436,20 +1296,15 @@ impl Kernel {
     /// stamped with the target's local clock. Dropped silently when the
     /// seeded lost-IPI bug is armed.
     fn send_resched_ipi(&mut self, target: u8) {
-        let Some(smp) = self.smp.as_deref_mut() else {
-            return;
-        };
-        if smp.n_cores <= 1 {
+        if !self.smp_active() {
             return;
         }
-        smp.resched_sent[target as usize] += 1;
-        if smp.drop_resched_ipis {
+        self.cores[usize::from(target)].resched_sent += 1;
+        if self.smp.drop_resched_ipis {
             return;
         }
-        debug_assert_ne!(target, smp.cur_core, "IPI to self");
-        let slot = &mut smp.slots[target as usize];
-        let at = slot.ctx.pmu.cycles;
-        slot.ctx.irq.raise(IrqLine(IPI_RESCHED_LINE), at);
+        debug_assert_ne!(target, self.cur_core(), "IPI to self");
+        self.machine.raise_on(target, IrqLine(IPI_RESCHED_LINE));
     }
 
     /// Enqueues `t` on its (remote) affinity core and kicks that core:
@@ -1457,10 +1312,7 @@ impl Kernel {
     /// the distributor register write on the *current* core.
     fn enqueue_remote(&mut self, t: ObjId) {
         let aff = self.objs.tcb(t).affinity;
-        {
-            let smp = self.smp.as_deref_mut().expect("remote enqueue without SMP");
-            smp.slots[aff as usize].queues.enqueue(&mut self.objs, t);
-        }
+        self.enqueue_on(aff, t);
         if self.config.sched == SchedKind::BennoBitmap {
             self.blk0(Block::BitmapSet);
         }
@@ -1469,21 +1321,29 @@ impl Kernel {
         self.send_resched_ipi(aff);
     }
 
-    /// Requeues a displaced-but-runnable current thread, routing by
-    /// affinity (bit-identical to the historical inline sequence when
-    /// SMP is off or the thread stays local).
-    fn requeue_current(&mut self) {
-        let cur_runnable = self.objs.tcb(self.cur).state.is_runnable();
-        if cur_runnable && !self.objs.tcb(self.cur).in_runqueue && self.cur != self.idle {
-            self.charge_enqueue(self.cur);
-            if self.smp_active() && self.objs.tcb(self.cur).affinity != self.cur_core() {
-                self.enqueue_remote(self.cur);
-            } else {
-                self.queues.enqueue(&mut self.objs, self.cur);
-                if self.config.sched == SchedKind::BennoBitmap {
-                    self.blk0(Block::BitmapSet);
-                }
+    /// Enqueues `t` (already charged by `charge_enqueue`) on its
+    /// affinity core: locally with the bitmap write, or remotely with a
+    /// kick.
+    fn enqueue_routed(&mut self, t: ObjId) {
+        let here = self.cur_core();
+        if self.objs.tcb(t).affinity != here {
+            self.enqueue_remote(t);
+        } else {
+            self.enqueue_on(here, t);
+            if self.config.sched == SchedKind::BennoBitmap {
+                self.blk0(Block::BitmapSet);
             }
+        }
+    }
+
+    /// Requeues a displaced-but-runnable current thread, routing by
+    /// affinity.
+    fn requeue_current(&mut self) {
+        let cur = self.current();
+        let cur_runnable = self.objs.tcb(cur).state.is_runnable();
+        if cur_runnable && !self.objs.tcb(cur).in_runqueue && cur != self.idle {
+            self.charge_enqueue(cur);
+            self.enqueue_routed(cur);
         }
     }
 
@@ -1496,17 +1356,14 @@ impl Kernel {
         if line.0 == IPI_SHOOTDOWN_LINE {
             // Remote TLB invalidate: same block as the local flush.
             self.blk0(Block::TlbFlush);
-            let smp = self.smp.as_deref_mut().expect("IPI without SMP");
-            smp.shootdown.pending[smp.cur_core as usize] = false;
-            smp.shootdown.completed += 1;
-        } else if self.sched_action == SchedAction::ResumeCurrent {
+            self.local_mut().shootdown_pending = false;
+            self.smp.shootdowns_completed += 1;
+        } else if self.sched_action() == SchedAction::ResumeCurrent {
             // Reschedule kick: force a full chooseThread on this core.
-            self.sched_action = SchedAction::ChooseNew;
+            self.set_sched_action(SchedAction::ChooseNew);
         }
         self.machine.trace_phase("ipi-eoi");
-        if let Some(smp) = self.smp.as_deref_mut() {
-            smp.ipi_eois += 1;
-        }
+        self.smp.ipi_eois += 1;
     }
 
     /// Broadcasts a TLB shootdown to every other core (called from the
@@ -1516,23 +1373,13 @@ impl Kernel {
     /// the window closes at the target's next kernel entry, and the
     /// §2.1 latency story is what the model is for).
     pub(crate) fn tlb_shootdown_broadcast(&mut self) {
-        if !self.smp_active() {
-            return;
-        }
-        let n = self.n_cores();
-        let cur = self.cur_core();
-        for c in 0..n {
-            if c == cur {
-                continue;
-            }
+        let here = self.cur_core();
+        for c in (0..self.n_cores()).filter(|&c| c != here) {
             self.machine.trace_phase("shootdown-send");
             self.machine.advance(kprog::DEVICE_ACCESS_CYCLES);
-            let smp = self.smp.as_deref_mut().expect("smp_active");
-            smp.shootdown.pending[c as usize] = true;
-            smp.shootdown.initiated += 1;
-            let slot = &mut smp.slots[c as usize];
-            let at = slot.ctx.pmu.cycles;
-            slot.ctx.irq.raise(IrqLine(IPI_SHOOTDOWN_LINE), at);
+            self.cores[usize::from(c)].shootdown_pending = true;
+            self.smp.shootdowns_initiated += 1;
+            self.machine.raise_on(c, IrqLine(IPI_SHOOTDOWN_LINE));
         }
     }
 
@@ -1541,36 +1388,30 @@ impl Kernel {
     /// records this hold's start. Compiled out (`return`) below 2
     /// cores.
     pub(crate) fn lock_enter(&mut self) {
-        let Some(smp) = self.smp.as_deref_mut() else {
-            return;
-        };
-        if smp.n_cores <= 1 {
+        if !self.smp_active() {
             return;
         }
-        let c = smp.cur_core;
-        let now = self.machine.now();
-        let wait = smp.lock.wait_for_entry(c, now);
+        let wait = smp::lock_wait_for_entry(&self.cores, self.cur_core(), self.machine.now());
         if wait > 0 {
             self.machine.trace_phase("lock-wait");
             self.machine.advance(wait);
-            smp.lock.wait_cycles[c as usize] += wait;
+            self.local_mut().lock_wait += wait;
         }
         let start = self.machine.now();
-        smp.lock.enter(c, start);
+        self.local_mut().entered_at = Some(start);
     }
 
     /// Releases the big kernel lock on kernel exit, recording the hold
     /// interval.
     pub(crate) fn lock_exit(&mut self) {
-        let Some(smp) = self.smp.as_deref_mut() else {
-            return;
-        };
-        if smp.n_cores <= 1 {
+        if !self.smp_active() {
             return;
         }
-        let c = smp.cur_core;
-        let now = self.machine.now();
-        smp.lock.exit(c, now);
+        let end = self.machine.now();
+        let core = self.local_mut();
+        if let Some(start) = core.entered_at.take() {
+            core.last_hold = Some(LockHold { start, end });
+        }
     }
 }
 

@@ -74,8 +74,8 @@ impl PrioBitmap {
 /// 256 FIFO run queues plus the bitmap.
 #[derive(Clone, Debug)]
 pub struct RunQueues {
-    heads: Vec<Option<ObjId>>,
-    tails: Vec<Option<ObjId>>,
+    heads: [Option<ObjId>; NUM_PRIOS as usize],
+    tails: [Option<ObjId>; NUM_PRIOS as usize],
     /// Priority bitmap (§3.2); maintained on every queue mutation.
     pub bitmap: PrioBitmap,
     len: u32,
@@ -88,19 +88,11 @@ impl Default for RunQueues {
 }
 
 impl RunQueues {
-    /// Overwrites `self` with `src`, reusing the head/tail buffers.
-    pub fn copy_from(&mut self, src: &RunQueues) {
-        self.heads.clone_from(&src.heads);
-        self.tails.clone_from(&src.tails);
-        self.bitmap = src.bitmap;
-        self.len = src.len;
-    }
-
     /// Creates empty queues.
     pub fn new() -> RunQueues {
         RunQueues {
-            heads: vec![None; NUM_PRIOS as usize],
-            tails: vec![None; NUM_PRIOS as usize],
+            heads: [None; NUM_PRIOS as usize],
+            tails: [None; NUM_PRIOS as usize],
             bitmap: PrioBitmap::default(),
             len: 0,
         }

@@ -736,10 +736,11 @@ impl Kernel {
     fn sys_yield(&mut self) {
         let cur = self.current();
         // Move to the tail of the priority's queue and choose anew.
+        let here = self.cur_core();
         if self.objs.tcb(cur).in_runqueue {
-            self.queues.dequeue(&mut self.objs, cur);
+            self.dequeue_on(here, cur);
         }
-        self.queues.enqueue(&mut self.objs, cur);
+        self.enqueue_on(here, cur);
         if self.config.sched == SchedKind::BennoBitmap {
             self.blk0(Block::BitmapSet);
         }
@@ -1188,7 +1189,7 @@ impl Kernel {
 
     fn destroy_tcb(&mut self, tcb: ObjId) {
         if self.objs.tcb(tcb).in_runqueue {
-            self.queues.dequeue(&mut self.objs, tcb);
+            self.dequeue_on(self.cur_core(), tcb);
         }
         // Unhook from any endpoint queue.
         let st = self.objs.tcb(tcb).state.clone();
@@ -1721,14 +1722,14 @@ impl Kernel {
         // keep reflecting the queues (§3.2).
         let was_queued = self.objs.tcb(t).in_runqueue;
         if was_queued {
-            self.queues.dequeue(&mut self.objs, t);
+            self.dequeue_on(self.cur_core(), t);
             if self.config.sched == SchedKind::BennoBitmap {
                 self.blk0(Block::BitmapClear);
             }
         }
         self.objs.tcb_mut(t).prio = prio;
         if was_queued {
-            self.queues.enqueue(&mut self.objs, t);
+            self.enqueue_on(self.cur_core(), t);
             if self.config.sched == SchedKind::BennoBitmap {
                 self.blk0(Block::BitmapSet);
             }
@@ -1802,7 +1803,7 @@ impl Kernel {
         let ta = self.tcb_addr(t, OFF_STATE);
         self.blk(Block::TcbInvoke, &[ta, ta + 4, ta, ta + 4, ta + 8, ta + 12]);
         if self.objs.tcb(t).in_runqueue {
-            self.queues.dequeue(&mut self.objs, t);
+            self.dequeue_on(self.cur_core(), t);
         }
         self.objs.tcb_mut(t).state = ThreadState::Inactive;
         if self.current() == t {

@@ -200,8 +200,8 @@ pub(crate) struct ScriptedSource {
     pub routes: Vec<u8>,
 }
 
-impl ScriptedSource {
-    fn poll_on(&mut self, core: u8, irq: &IrqController) -> Option<IrqLine> {
+impl DecisionSource for ScriptedSource {
+    fn preemption_poll(&mut self, core: u8, irq: &IrqController) -> Option<IrqLine> {
         let mut ctl = self.ctl.borrow_mut();
         ctl.polls += 1;
         let legal: Vec<usize> = ctl
@@ -224,16 +224,6 @@ impl ScriptedSource {
         ctl.budgets[bi].1 -= 1;
         ctl.injected += 1;
         Some(ctl.budgets[bi].0)
-    }
-}
-
-impl DecisionSource for ScriptedSource {
-    fn preemption_poll(&mut self, irq: &IrqController) -> Option<IrqLine> {
-        self.poll_on(0, irq)
-    }
-
-    fn preemption_poll_on(&mut self, core: u8, irq: &IrqController) -> Option<IrqLine> {
-        self.poll_on(core, irq)
     }
 }
 

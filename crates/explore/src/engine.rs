@@ -68,7 +68,7 @@ use crate::por::{
     desc_raise, desc_run, filter_sleep, independent, raise_footprint, run_footprint, sig_subset,
     sleep_sig, Footprint, PorMode, SleepEntry,
 };
-use crate::scenario::{self, Instance, Scenario};
+use crate::scenario::{Instance, Scenario};
 use crate::snap::{SnapAccount, SnapPoint, SnapStats};
 use crate::state::{canonical_hash, SharedVisited};
 
@@ -351,8 +351,8 @@ enum Event {
 
 fn apply_seeded_bug(k: &mut Kernel, bug: SeededBug) {
     match bug {
-        // Installed once at boot (`set_drop_resched_ipis`), nothing to do
-        // per event.
+        // Installed once at boot (`SmpCounters::drop_resched_ipis`),
+        // nothing to do per event.
         SeededBug::LostIpi => {}
         SeededBug::AbortSkip => {
             let target = k.objs.iter().find_map(|(id, o)| match &o.kind {
@@ -381,7 +381,7 @@ fn apply_seeded_bug(k: &mut Kernel, bug: SeededBug) {
                 _ => None,
             });
             if let Some(t) = victim {
-                k.queues.dequeue(&mut k.objs, t);
+                k.dequeue_on(k.cur_core(), t);
             }
         }
     }
@@ -534,7 +534,7 @@ fn execute_inner(
             // cross-core wake drops its kick); snapshots carry the flag,
             // so resumed branches need no re-application.
             if cfg.seeded_bug == Some(SeededBug::LostIpi) {
-                kernel.set_drop_resched_ipis(true);
+                kernel.smp.drop_resched_ipis = true;
             }
             let cursors = vec![0usize; scripts.len()];
             let ctl = RunCtl::new(branch.prefix.clone(), rng, irqs);
@@ -575,7 +575,7 @@ fn execute_inner(
         .borrow()
         .budgets
         .iter()
-        .map(|&(l, _)| kernel.irq_route(l))
+        .map(|&(l, _)| kernel.machine.irq_route(l))
         .collect();
     kernel.set_decision_source(Box::new(ScriptedSource {
         ctl: ctl.clone(),
@@ -595,27 +595,21 @@ fn execute_inner(
     } else {
         while rec.events < cfg.max_depth {
             // "In userspace" with a line pending: the entry happens now,
-            // deterministically — same as the simulator's run loop. SMP
-            // instances drain every core in core order (IPIs raised by
-            // one core's service are picked up in the same sweep when
-            // they target a later core, or at the next boundary).
-            if kernel.n_cores() > 1 {
-                for c in 0..kernel.n_cores() {
-                    if kernel.core_irq(c).has_pending() {
-                        kernel.switch_core(c);
-                        while kernel.machine.irq.has_pending() {
-                            kernel.handle_interrupt();
-                        }
+            // deterministically — same as the simulator's run loop. Every
+            // core drains in core order (IPIs raised by one core's
+            // service are picked up in the same sweep when they target a
+            // later core, or at the next boundary).
+            for c in 0..kernel.n_cores() {
+                if kernel.machine.core_irq(c).has_pending() {
+                    kernel.machine.switch_core(c);
+                    while kernel.machine.irq.has_pending() {
+                        kernel.handle_interrupt();
                     }
-                }
-            } else {
-                while kernel.machine.irq.has_pending() {
-                    kernel.handle_interrupt();
                 }
             }
             let mut events: Vec<Event> = Vec::new();
             for c in 0..kernel.n_cores() {
-                if kernel.core_current(c) != kernel.idle_thread() {
+                if kernel.core(c).cur != kernel.idle_thread() {
                     events.push(Event::Run(c));
                 }
             }
@@ -623,9 +617,8 @@ fn execute_inner(
                 let g = ctl.borrow();
                 for (i, &(line, left)) in g.budgets.iter().enumerate() {
                     // Mask/pending state lives on the controller of the
-                    // core the line is routed to (`core_irq(0)` *is* the
-                    // active controller on single-core instances).
-                    let cirq = kernel.core_irq(kernel.irq_route(line));
+                    // core the line is routed to.
+                    let cirq = kernel.machine.core_irq(kernel.machine.irq_route(line));
                     if left > 0 && !cirq.is_masked(line) && !cirq.is_pending(line) {
                         events.push(Event::Raise(i));
                     }
@@ -644,7 +637,7 @@ fn execute_inner(
                 for e in &events {
                     match *e {
                         Event::Run(c) => {
-                            descs.push(desc_run(c, kernel.core_current(c)));
+                            descs.push(desc_run(c, kernel.core(c).cur));
                             fps.push(run_footprint(&kernel, c, &scripts[..], &cursors));
                         }
                         Event::Raise(i) => {
@@ -738,7 +731,7 @@ fn execute_inner(
             let preemptions_before = kernel.stats.preemptions;
             match events[pick as usize] {
                 Event::Run(c) => {
-                    kernel.switch_core(c);
+                    kernel.machine.switch_core(c);
                     run_current(&mut kernel, &scripts[..], &mut cursors);
                 }
                 Event::Raise(i) => {
@@ -749,12 +742,11 @@ fn execute_inner(
                         g.budgets[i].0
                     };
                     // The distributor delivers the line to its routed
-                    // core: switch there (no-op on single-core and for
-                    // core-0 routes) and stamp the arrival with that
-                    // core's own clock.
-                    kernel.switch_core(kernel.irq_route(line));
-                    let now = kernel.machine.now();
-                    kernel.machine.irq.raise(line, now);
+                    // core: switch there (a no-op when it is resident)
+                    // and stamp the arrival with that core's own clock.
+                    let core = kernel.machine.irq_route(line);
+                    kernel.machine.switch_core(core);
+                    kernel.machine.raise_on(core, line);
                     kernel.handle_interrupt();
                 }
             }
@@ -1198,29 +1190,6 @@ pub fn render_line(rep: &ExploreReport) -> String {
     s
 }
 
-/// Runs every scenario exhaustively at `depth` under `por` and renders
-/// the `repro explore` report: one `key=value` line per scenario
-/// (awk-friendly; the CI smoke gate parses it), plus any counterexample
-/// traces. Per-line latency bounds come from
-/// [`scenario_line_bounds`], memoized per distinct line set (scenarios
-/// sharing a line set share one warm-resolve pass).
-pub fn explore_report(depth: usize, por: PorMode, pool: &Pool, cache: &AnalysisCache) -> String {
-    let bound = wcet_latency_bound(cache);
-    let mut s = String::new();
-    s.push_str(&format!(
-        "schedule exploration: reduced frontier search over preemption-point interleavings, \
-         depth <= {depth}, por={por:?}\n\
-         latency oracle: per-line rank-aware bounds from max-entry WCET + rank x WCET(interrupt)\n\
-         (after-kernel, L2 off — scalar fallback {bound} cycles, the §6 bound `repro latency-bound` prints)\n\n"
-    ));
-    let mut memo = BoundMemo::default();
-    for sc in scenario::all() {
-        let rep = explore_scenario(&sc, depth, por, None, 1, pool, cache, &mut memo);
-        s.push_str(&render_line(&rep));
-    }
-    s
-}
-
 /// Per-scenario latency-bound memo, keyed by a scenario's (sorted,
 /// deduplicated) injectable line set plus its SMP shape (core count and
 /// lock-hold cap — SMP instances carry the [`smp_latency_margin`] on
@@ -1232,8 +1201,8 @@ pub struct BoundMemo {
     bounds: std::collections::HashMap<BoundKey, Vec<(IrqLine, Cycles)>>,
 }
 
-/// [`BoundMemo`] key: (sorted line set, core count, lock-hold cap).
-type BoundKey = (Vec<u8>, u8, Cycles);
+/// [`BoundMemo`] key: (sorted line set, SMP shape).
+type BoundKey = (Vec<u8>, SmpParams);
 
 /// Explores one scenario with the standard report configuration:
 /// WCET-derived per-line bounds (memoized by line set across calls) and
@@ -1258,10 +1227,7 @@ pub fn explore_scenario(
     // wait at the servicing entry plus IPI services draining ahead);
     // single-core instances get a zero margin and the pre-SMP bounds to
     // the cycle.
-    let smp = SmpParams {
-        cores: inst.kernel.n_cores(),
-        lock_hold_cap: inst.kernel.smp_state().map_or(0, |s| s.lock.hold_cap),
-    };
+    let smp = SmpParams::new(inst.kernel.n_cores());
     let margin = if smp.cores > 1 {
         smp_latency_margin(
             cache
@@ -1274,7 +1240,7 @@ pub fn explore_scenario(
     };
     let line_bounds = memo
         .bounds
-        .entry((lines.clone(), smp.cores, smp.lock_hold_cap))
+        .entry((lines.clone(), smp))
         .or_insert_with(|| {
             scenario_line_bounds(
                 cache,

@@ -49,9 +49,9 @@ pub mod state;
 
 pub use choice::{Choice, Decision, Site, SplitMix};
 pub use engine::{
-    execute, explore, explore_report, explore_scenario, explore_with_states, minimize, random_walk,
-    render_line, replay, scenario_line_bounds, wcet_latency_bound, BoundMemo, Counterexample,
-    ExploreConfig, ExploreReport, RunRecord, SeededBug,
+    execute, explore, explore_scenario, explore_with_states, minimize, random_walk, render_line,
+    replay, scenario_line_bounds, wcet_latency_bound, BoundMemo, Counterexample, ExploreConfig,
+    ExploreReport, RunRecord, SeededBug,
 };
 pub use por::PorMode;
 pub use scenario::{randomized, Instance, RandomParams, Scenario};

@@ -195,7 +195,7 @@ pub(crate) fn run_footprint(
     scripts: &[(ObjId, Vec<Action>)],
     cursors: &[usize],
 ) -> Footprint {
-    let cur = kernel.core_current(core);
+    let cur = kernel.core(core).cur;
     if kernel.objs.tcb(cur).state == ThreadState::Restart {
         // Mid-operation resume: continues an arbitrary kernel operation.
         return Footprint::universal();
@@ -234,7 +234,7 @@ pub(crate) fn run_footprint(
 /// affinity core: a cross-core wake enqueues remotely and sends a
 /// reschedule IPI there.
 pub(crate) fn raise_footprint(kernel: &Kernel, line: IrqLine) -> Footprint {
-    let route = kernel.irq_route(line);
+    let route = kernel.machine.irq_route(line);
     match kernel.irq_table.lookup(line.0) {
         None => Footprint {
             universal: false,

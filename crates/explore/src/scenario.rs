@@ -449,7 +449,7 @@ fn smp_ep_delete() -> Instance {
             b.k.set_affinity(t, 1);
         }
     }
-    b.k.route_irq(FREE_LINE, 1);
+    b.k.machine.route_irq(FREE_LINE, 1);
     let deleter = start(&mut b, "deleter", 100);
     Instance {
         kernel: b.k,
@@ -476,7 +476,7 @@ fn smp_quad_ep_delete() -> Instance {
     for (i, t) in blocked_senders(&b.k).into_iter().enumerate() {
         b.k.set_affinity(t, (i % 3 + 1) as u8);
     }
-    b.k.route_irq(FREE_LINE, 2);
+    b.k.machine.route_irq(FREE_LINE, 2);
     let deleter = start(&mut b, "deleter", 100);
     Instance {
         kernel: b.k,
@@ -502,7 +502,7 @@ fn smp_ipi_irq_race() -> Instance {
     let _ep = queued_ep(&mut b, 2, 0, false);
     let (driver, driver_script) = add_driver(&mut b);
     b.k.set_affinity(driver, 1);
-    b.k.route_irq(FREE_LINE, 1);
+    b.k.machine.route_irq(FREE_LINE, 1);
     let deleter = start(&mut b, "deleter", 100);
     Instance {
         kernel: b.k,
@@ -577,9 +577,9 @@ fn smp_shootdown_revoke() -> Instance {
     b.k.objs.tcb_mut(flusher).cspace_root = b.root.clone();
     b.k.set_affinity(flusher, 1);
     b.k.objs.tcb_mut(flusher).state = ThreadState::Running;
-    b.k.switch_core(1);
+    b.k.machine.switch_core(1);
     b.k.force_current_for_test(flusher);
-    b.k.switch_core(0);
+    b.k.machine.switch_core(0);
     Instance {
         kernel: b.k,
         scripts: vec![

@@ -214,11 +214,12 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
     }
     // Queue membership and FIFO order live in the per-TCB links hashed
     // above; per-priority heads pin which list each chain belongs to.
-    for (prio, head) in kernel.queues.nonempty() {
+    let queues = &kernel.core(kernel.cur_core()).queues;
+    for (prio, head) in queues.nonempty() {
         h.add(prio as u64);
         h.add(head.0 as u64);
     }
-    h.add(kernel.queues.len() as u64);
+    h.add(queues.len() as u64);
     stream_hash!(&mut h, kernel.irq_table);
     h.add(kernel.current().0 as u64);
     for l in 0..rt_hw::irq::NUM_LINES {
@@ -229,31 +230,30 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
                 | (l as u64) << 8,
         );
     }
-    // SMP extension: per-core scheduler and interrupt state, read through
-    // the core accessors so the hash is canonical regardless of which
-    // core happens to be resident (the active core's copy lives in the
-    // kernel fields hashed above). Appended only for `n_cores > 1`, so
-    // single-core hashes are bit-identical to the pre-SMP ones. Lock
-    // hold intervals are deliberately excluded: they are clock values,
-    // and lock wait affects timing only — which the latency oracle
-    // checks along every unpruned path.
+    // SMP extension: every core's scheduler and interrupt state, in core
+    // order, so the hash is canonical regardless of which core happens to
+    // be resident (the resident core's state is also hashed above).
+    // Appended only for `n_cores > 1`, so single-core hashes are
+    // bit-identical to the pre-SMP ones. Lock hold intervals are
+    // deliberately excluded: they are clock values, and lock wait
+    // affects timing only — which the latency oracle checks along every
+    // unpruned path.
     if kernel.n_cores() > 1 {
-        let smp = kernel.smp_state().expect("n_cores > 1 implies SMP state");
-        h.add(smp.cur_core as u64);
+        h.add(kernel.cur_core() as u64);
         for c in 0..kernel.n_cores() {
-            h.add(kernel.core_current(c).0 as u64);
-            h.add(match kernel.core_sched_action(c) {
+            let core = kernel.core(c);
+            h.add(core.cur.0 as u64);
+            h.add(match core.sched_action {
                 rt_kernel::kernel::SchedAction::ResumeCurrent => u64::MAX - 1,
                 rt_kernel::kernel::SchedAction::ChooseNew => u64::MAX - 2,
                 rt_kernel::kernel::SchedAction::SwitchTo(t) => 0x2_0000_0000 | t.0 as u64,
             });
-            let q = kernel.core_queues(c);
-            for (prio, head) in q.nonempty() {
+            for (prio, head) in core.queues.nonempty() {
                 h.add(prio as u64);
                 h.add(head.0 as u64);
             }
-            h.add(q.len() as u64);
-            let irq = kernel.core_irq(c);
+            h.add(core.queues.len() as u64);
+            let irq = kernel.machine.core_irq(c);
             for l in 0..rt_hw::irq::NUM_LINES {
                 let line = IrqLine(l);
                 h.add(
@@ -262,11 +262,12 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
                         | (l as u64) << 8,
                 );
             }
-            h.add(smp.shootdown.pending[c as usize] as u64);
-            h.add(smp.resched_sent[c as usize]);
+            h.add(core.shootdown_pending as u64);
+            h.add(core.resched_sent);
         }
-        h.add(smp.shootdown.initiated);
-        h.add(smp.shootdown.completed);
+        let smp = &kernel.smp;
+        h.add(smp.shootdowns_initiated);
+        h.add(smp.shootdowns_completed);
         h.add(smp.ipi_eois);
         h.add(smp.drop_resched_ipis as u64);
         for (_, o) in kernel.objs.iter() {

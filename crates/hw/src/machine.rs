@@ -14,6 +14,7 @@ use crate::mem::{AccessKind, MemSystem};
 use crate::phys::PhysMem;
 use crate::pmu::Pmu;
 use crate::predictor::BranchPredictor;
+use crate::smp::{self, CoreCtx, IrqRouting};
 use crate::trace::{AccessReport, CycleAccounts, Trace, TraceEvent};
 use crate::{Addr, Cycles};
 
@@ -101,7 +102,7 @@ pub struct Machine {
     pub phys: PhysMem,
     /// Branch unit.
     pub bpred: BranchPredictor,
-    /// Interrupt controller.
+    /// Interrupt controller (the resident core's CPU interface).
     pub irq: IrqController,
     /// Performance counters.
     pub pmu: Pmu,
@@ -110,13 +111,20 @@ pub struct Machine {
     pub accounts: CycleAccounts,
     /// Optional event sink (default off — a no-op).
     pub trace: Trace,
+    /// Private state of every non-resident core, in core order (empty
+    /// on a one-core machine; see [`crate::smp`]).
+    pub(crate) parked: Vec<CoreCtx>,
+    /// The resident core, whose private state is in the fields above.
+    pub(crate) core: u8,
+    /// Interrupt distributor: the core each device line is delivered to.
+    pub(crate) routing: IrqRouting,
 }
 
 impl Machine {
     /// Overwrites this machine with `src` while reusing every heap buffer
     /// already allocated here (cache line arrays, predictor tables, the
-    /// physical-memory chunk map). Semantically identical to
-    /// `*self = src.clone()`; the schedule explorer restores thousands of
+    /// physical-memory chunk map, parked cores' contexts). Semantically
+    /// identical to `*self = src.clone()`; the schedule explorer restores thousands of
     /// machine snapshots per second, where the allocation traffic of a
     /// fresh clone dominates the copy itself.
     pub fn copy_from(&mut self, src: &Machine) {
@@ -128,6 +136,9 @@ impl Machine {
         self.pmu = src.pmu;
         self.accounts = src.accounts;
         self.trace.copy_from(&src.trace);
+        smp::copy_parked(&mut self.parked, &src.parked);
+        self.core = src.core;
+        self.routing = src.routing;
     }
 
     /// Builds a machine with KZM-board RAM and the given configuration.
@@ -150,6 +161,9 @@ impl Machine {
             pmu: Pmu::new(),
             accounts: CycleAccounts::default(),
             trace: Trace::new(),
+            parked: Vec::new(),
+            core: 0,
+            routing: IrqRouting::default(),
         }
     }
 

@@ -3,14 +3,14 @@
 //! The workspace models an N-core machine by *multiplexing* one
 //! [`Machine`] across cores: everything private to a core — its L1
 //! caches, branch predictor, interrupt-controller CPU interface, PMU,
-//! cycle accounts and trace sink — lives in a [`CoreCtx`], and
-//! [`Machine::swap_core`](crate::Machine::swap_core) exchanges the
-//! machine's resident private state with a parked context in O(1)
-//! (pointer swaps, no copying). What is *not* swapped is exactly what a
-//! real i.MX31-style SMP part physically shares: physical memory and
-//! the unified L2. A burst of misses on one core therefore evicts
-//! another core's L2-resident lines for real — the cross-core
-//! interference that `rt-wcet`'s SMP bound must dominate.
+//! cycle accounts and trace sink — lives in a [`CoreCtx`]. The machine
+//! keeps the *resident* core's context in its own fields and parks every
+//! other core's context; [`Machine::switch_core`] makes another core
+//! resident by exchanging contexts (pointer swaps, no copying). What is
+//! *not* swapped is exactly what a real i.MX31-style SMP part physically
+//! shares: physical memory and the unified L2. A burst of misses on one
+//! core therefore evicts another core's L2-resident lines for real — the
+//! cross-core interference that `rt-wcet`'s SMP bound must dominate.
 //!
 //! Clock model: each core's PMU cycle counter advances only while that
 //! core is resident, so per-core clocks are independent and the driver
@@ -19,8 +19,8 @@
 //! overlap) are compared with saturating arithmetic and documented as a
 //! model, not a cycle-true global clock.
 //!
-//! The `N = 1` configuration never constructs a [`CoreCtx`] and never
-//! calls `swap_core`, so single-core behaviour is bit-identical by
+//! A one-core machine parks no context, and switching to the resident
+//! core is a no-op, so single-core behaviour is bit-identical by
 //! construction.
 
 use crate::cache::Cache;
@@ -30,10 +30,10 @@ use crate::mem::{MemLevelStats, MemSystem};
 use crate::pmu::Pmu;
 use crate::predictor::BranchPredictor;
 use crate::trace::{CycleAccounts, Trace};
+use crate::Cycles;
 
-/// One core's private machine state, parked while the core is not
-/// resident in the [`Machine`]. Swapped wholesale by
-/// [`Machine::swap_core`](crate::Machine::swap_core).
+/// One core's private machine state, parked in the [`Machine`] while the
+/// core is not resident.
 #[derive(Clone, Debug)]
 pub struct CoreCtx {
     /// Private L1 instruction cache.
@@ -98,10 +98,22 @@ impl CoreCtx {
     }
 }
 
+/// Overwrites `dst` with `src` element-wise through
+/// [`CoreCtx::copy_from`], truncating or extending when the core counts
+/// differ, so a restore across machine shapes is exact.
+pub(crate) fn copy_parked(dst: &mut Vec<CoreCtx>, src: &[CoreCtx]) {
+    dst.truncate(src.len());
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.copy_from(s);
+    }
+    let n = dst.len();
+    dst.extend_from_slice(&src[n..]);
+}
+
 /// GIC-style distributor state: which core's CPU interface each
 /// interrupt line is delivered to. Lines default to core 0, preserving
 /// single-core behaviour for every pre-SMP caller.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct IrqRouting {
     route: [u8; NUM_LINES as usize],
 }
@@ -127,10 +139,103 @@ impl IrqRouting {
 }
 
 impl Machine {
+    /// Number of cores (1 until [`Self::set_cores`]).
+    pub fn n_cores(&self) -> u8 {
+        self.parked.len() as u8 + 1
+    }
+
+    /// The resident core: the one whose private state sits in the
+    /// machine's own fields and which every instruction is charged to.
+    pub fn core(&self) -> u8 {
+        self.core
+    }
+
+    /// Gives the machine `n` cores. The resident core keeps its state;
+    /// every added core boots cold with the boot core's configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is 0 or would drop the resident core.
+    pub fn set_cores(&mut self, n: u8) {
+        assert!(n > self.core, "set_cores({n}) drops the resident core");
+        let cfg = self.config();
+        self.parked
+            .resize_with(usize::from(n) - 1, || CoreCtx::new(cfg));
+    }
+
+    /// Makes core `c` resident, parking the current resident core's
+    /// private state. O(1) in the context size; a no-op when `c` is
+    /// already resident.
+    pub fn switch_core(&mut self, c: u8) {
+        if c == self.core {
+            return;
+        }
+        assert!(c < self.n_cores(), "core {c} out of range");
+        let mut ctx = self.parked.remove(self.slot(c));
+        self.swap_core(&mut ctx);
+        let prev = std::mem::replace(&mut self.core, c);
+        self.parked.insert(self.slot(prev), ctx);
+    }
+
+    /// Interrupt-controller interface of core `c`.
+    pub fn core_irq(&self, c: u8) -> &IrqController {
+        if c == self.core {
+            &self.irq
+        } else {
+            &self.parked[self.slot(c)].irq
+        }
+    }
+
+    /// Mutable interrupt-controller interface of core `c`.
+    pub fn core_irq_mut(&mut self, c: u8) -> &mut IrqController {
+        if c == self.core {
+            &mut self.irq
+        } else {
+            let i = self.slot(c);
+            &mut self.parked[i].irq
+        }
+    }
+
+    /// Local cycle counter of core `c`.
+    pub fn core_now(&self, c: u8) -> Cycles {
+        if c == self.core {
+            self.now()
+        } else {
+            self.parked[self.slot(c)].pmu.cycles
+        }
+    }
+
+    /// Raises `line` on core `c`'s interface, stamped with core `c`'s own
+    /// clock.
+    pub fn raise_on(&mut self, c: u8, line: IrqLine) {
+        let at = self.core_now(c);
+        self.core_irq_mut(c).raise(line, at);
+    }
+
+    /// Routes device line `line` to core `core`'s interrupt interface.
+    /// Advisory for the *driver* layer (explorer, load engine): drivers
+    /// consult [`Self::irq_route`] to pick the core to raise on.
+    pub fn route_irq(&mut self, line: IrqLine, core: u8) {
+        assert!(core < self.n_cores(), "core {core} out of range");
+        self.routing.set(line, core);
+    }
+
+    /// The core `line` is routed to (0 unless [`Self::route_irq`] moved
+    /// it).
+    pub fn irq_route(&self, line: IrqLine) -> u8 {
+        self.routing.core_of(line)
+    }
+
+    /// Index of non-resident core `c` in `parked`, which holds every
+    /// other core in core order.
+    fn slot(&self, c: u8) -> usize {
+        usize::from(c) - usize::from(c > self.core)
+    }
+
     /// Exchanges the machine's resident per-core private state with the
     /// parked context `ctx`. Physical memory, the shared L2 and its
-    /// statistics stay resident — they are physically shared. O(1).
-    pub fn swap_core(&mut self, ctx: &mut CoreCtx) {
+    /// statistics stay resident — they are physically shared.
+    fn swap_core(&mut self, ctx: &mut CoreCtx) {
         std::mem::swap(&mut self.mem.l1i, &mut ctx.l1i);
         std::mem::swap(&mut self.mem.l1d, &mut ctx.l1d);
         std::mem::swap(&mut self.mem.l1i_stats, &mut ctx.l1i_stats);
@@ -148,14 +253,18 @@ mod tests {
     use super::*;
     use crate::machine::InstrClass;
 
-    #[test]
-    fn swap_core_preserves_per_core_clocks_and_shares_l2() {
-        let cfg = HwConfig {
+    fn two_core_l2_machine() -> Machine {
+        let mut m = Machine::new(HwConfig {
             l2_enabled: true,
             ..HwConfig::default()
-        };
-        let mut m = Machine::new(cfg);
-        let mut c1 = CoreCtx::new(cfg);
+        });
+        m.set_cores(2);
+        m
+    }
+
+    #[test]
+    fn swap_core_preserves_per_core_clocks_and_shares_l2() {
+        let mut m = two_core_l2_machine();
 
         // Core 0 warms a kernel line into L1 and (via the miss) the L2.
         m.exec_straight(0xf000_0000, 8);
@@ -165,14 +274,15 @@ mod tests {
         // Switch to core 1: fresh clock, cold private L1 — but the
         // shared L2 already holds core 0's line, so the first fetch is
         // an L2 hit (26), not a DRAM access (96).
-        m.swap_core(&mut c1);
+        m.switch_core(1);
         assert_eq!(m.now(), 0, "core 1 boots with its own clock");
+        assert_eq!(m.core_now(0), core0_cycles, "core 0's clock is parked");
         let t0 = m.now();
         m.exec(InstrClass::Alu, 0xf000_0000);
         assert_eq!(m.now() - t0, 26 + 1, "core 1 must hit the shared L2");
 
         // Switch back: core 0's clock, L1 and accounts are untouched.
-        m.swap_core(&mut c1);
+        m.switch_core(0);
         assert_eq!(m.now(), core0_cycles);
         assert_eq!(m.accounts.total(), m.pmu.cycles);
         let t1 = m.now();
@@ -182,17 +292,12 @@ mod tests {
 
     #[test]
     fn cross_core_l2_eviction_is_real() {
-        let cfg = HwConfig {
-            l2_enabled: true,
-            ..HwConfig::default()
-        };
-        let mut m = Machine::new(cfg);
-        let mut c1 = CoreCtx::new(cfg);
+        let mut m = two_core_l2_machine();
 
         m.exec_straight(0xf000_0000, 1); // core 0: line now in L1+L2
-        m.swap_core(&mut c1);
+        m.switch_core(1);
         m.pollute(0x4000_0000); // core 1 thrashes the shared L2
-        m.swap_core(&mut c1);
+        m.switch_core(0);
 
         // Core 0's private L1 still hits...
         let t0 = m.now();
@@ -210,6 +315,30 @@ mod tests {
             96 + 96 + 1,
             "core 1's pollution evicted the L2 line"
         );
+    }
+
+    #[test]
+    fn switch_core_keeps_each_parked_context_with_its_core() {
+        let mut m = Machine::new(HwConfig::default());
+        m.set_cores(4);
+        // Give every core a distinct clock, visiting them out of order.
+        for c in [2u8, 0, 3, 1] {
+            m.switch_core(c);
+            m.advance(100 * (u64::from(c) + 1));
+        }
+        for resident in [3u8, 0, 2, 1, 3] {
+            m.switch_core(resident);
+            assert_eq!(m.core(), resident);
+            for c in 0..4u8 {
+                assert_eq!(m.core_now(c), 100 * (u64::from(c) + 1), "core {c}");
+            }
+        }
+        // A raise lands on the named core, stamped with its own clock.
+        m.raise_on(1, IrqLine(7));
+        assert!(m.core_irq(1).is_pending(IrqLine(7)));
+        assert!(!m.irq.has_pending(), "resident core 3 untouched");
+        m.switch_core(1);
+        assert_eq!(m.irq.ack(IrqLine(7)), Some(200));
     }
 
     #[test]

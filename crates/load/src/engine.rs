@@ -339,30 +339,28 @@ fn run_shard_impl(
         // its pending IPIs, then step its pinned thrasher once — and
         // return to core 0. Remote kernel entries take the big lock and
         // pollute the shared L2, which is exactly the cross-core
-        // interference the widened per-line bounds must absorb. Gated on
-        // the core count, so single-core runs take no extra branch work
-        // and draw no extra randomness.
-        if sim.kernel.n_cores() > 1 {
-            for c in 1..sim.kernel.n_cores() {
-                let k = &mut sim.kernel;
-                k.switch_core(c);
-                while k.machine.irq.has_pending() {
-                    k.handle_interrupt();
-                }
-                if !k.is_idle() {
-                    let cur = k.current();
-                    if let Some(b) = sim.behaviors.get_mut(cur) {
-                        match b.next(&mut rng) {
-                            Step::Compute(cyc) => k.machine.advance(cyc.max(1)),
-                            Step::Sys(sys) => {
-                                let _ = k.handle_syscall(sys);
-                            }
-                            Step::Pollute => k.machine.pollute(POLLUTION_BASE),
+        // interference the widened per-line bounds must absorb. A
+        // single-core run has no remote core, so it takes no slice and
+        // draws no extra randomness.
+        for c in 1..sim.kernel.n_cores() {
+            let k = &mut sim.kernel;
+            k.machine.switch_core(c);
+            while k.machine.irq.has_pending() {
+                k.handle_interrupt();
+            }
+            if !k.is_idle() {
+                let cur = k.current();
+                if let Some(b) = sim.behaviors.get_mut(cur) {
+                    match b.next(&mut rng) {
+                        Step::Compute(cyc) => k.machine.advance(cyc.max(1)),
+                        Step::Sys(sys) => {
+                            let _ = k.handle_syscall(sys);
                         }
+                        Step::Pollute => k.machine.pollute(POLLUTION_BASE),
                     }
                 }
-                k.switch_core(0);
             }
+            k.machine.switch_core(0);
         }
 
         // Drain newly logged responses: histogram, oracle, worst-sample

@@ -380,9 +380,7 @@ pub struct ShardSim {
 /// so the shard RNG stream is wholly owned by the engine loop.
 pub fn build_shard(spec: &LoadSpec) -> ShardSim {
     let mut k = Kernel::new(KernelConfig::after(), HwConfig::default());
-    if spec.cores > 1 {
-        k.enable_smp(spec.cores);
-    }
+    k.enable_smp(spec.cores);
     let mut behaviors = ObjMap::default();
     let mut threads = 0u32;
     let mut endpoints = 0u32;

@@ -19,8 +19,8 @@
 //!   bucket so attribution stays partitioned
 //!   (`breakdown.total() == cycles` still holds).
 //! * **Big-lock wait.** One kernel entry waits at most
-//!   `(K-1) × hold_cap` for other cores' holds
-//!   ([`rt_kernel::smp::BigLock::wait_for_entry`] is capped per core by
+//!   `(K-1) × LOCK_HOLD_CAP` for other cores' holds
+//!   ([`rt_kernel::smp::lock_wait_for_entry`] is capped per core by
 //!   construction). The wait is spinning, charged to the pipeline
 //!   bucket — exactly where the simulator files it.
 //!
@@ -29,14 +29,14 @@
 
 use rt_hw::{cycles_to_us, Cycles};
 use rt_kernel::kernel::EntryPoint;
-use rt_kernel::smp::DEFAULT_LOCK_HOLD_CAP;
+use rt_kernel::smp::LOCK_HOLD_CAP;
 
 use crate::analysis::{analyze, AnalysisConfig, WcetReport};
 use crate::cache::AnalysisCache;
 
 /// Parameters of an SMP analysis: how many cores contend, and the
 /// modeled big-lock hold cap (must match the kernel's
-/// [`rt_kernel::smp::BigLock::hold_cap`] for the soundness argument to
+/// [`rt_kernel::smp::LOCK_HOLD_CAP`] for the soundness argument to
 /// connect).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SmpParams {
@@ -47,11 +47,11 @@ pub struct SmpParams {
 }
 
 impl SmpParams {
-    /// Parameters for `cores` cores with the kernel's default hold cap.
+    /// Parameters for `cores` cores with the kernel's hold cap.
     pub fn new(cores: u8) -> SmpParams {
         SmpParams {
             cores,
-            lock_hold_cap: DEFAULT_LOCK_HOLD_CAP,
+            lock_hold_cap: LOCK_HOLD_CAP,
         }
     }
 }
@@ -88,7 +88,7 @@ pub fn inflate(base: WcetReport, smp: &SmpParams) -> WcetReport {
 /// to stay sound on a K-core machine:
 ///
 /// ```text
-/// margin = (K-1) × hold_cap  +  2 × WCET(Interrupt)
+/// margin = (K-1) × lock_hold_cap  +  2 × WCET(Interrupt)
 /// ```
 ///
 /// The first term covers the big-lock wait charged at the kernel entry
@@ -148,11 +148,11 @@ mod tests {
         // Attribution stays partitioned.
         assert_eq!(two.breakdown.total(), two.cycles);
         assert_eq!(four.breakdown.total(), four.cycles);
-        // The lock term is exactly (K-1) × hold_cap of pipeline cycles
-        // on top of the stretched memory buckets.
+        // The lock term is exactly (K-1) × LOCK_HOLD_CAP of pipeline
+        // cycles on top of the stretched memory buckets.
         assert_eq!(
             two.breakdown.pipeline,
-            base.breakdown.pipeline + DEFAULT_LOCK_HOLD_CAP
+            base.breakdown.pipeline + LOCK_HOLD_CAP
         );
     }
 }

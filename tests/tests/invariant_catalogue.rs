@@ -64,7 +64,7 @@ fn fixture() -> Fx {
 /// Makes `t` runnable and links it into the active core's run queue.
 fn enqueue(k: &mut Kernel, t: ObjId) {
     k.objs.tcb_mut(t).state = ThreadState::Running;
-    k.queues.enqueue(&mut k.objs, t);
+    k.enqueue_on(k.cur_core(), t);
 }
 
 /// Blocks `t` on `ep`'s receive queue the way the IPC path does.
@@ -293,8 +293,9 @@ fn runnable_queued_or_current() {
 fn bitmap_reflects_queues() {
     let Fx { mut k, server, .. } = fixture();
     enqueue(&mut k, server);
-    k.queues.bitmap.clear(11);
-    k.queues.bitmap.set(7);
+    let bitmap = &mut k.core_mut(0).queues.bitmap;
+    bitmap.clear(11);
+    bitmap.set(7);
     expect(
         &k,
         vec![
@@ -856,9 +857,9 @@ fn smp_fixture() -> (Kernel, ObjId) {
 fn smp_idle_core_kicked() {
     let (mut k, server) = smp_fixture();
     // Queue work on idle core 1 without the reschedule IPI.
-    k.switch_core(1);
+    k.machine.switch_core(1);
     enqueue(&mut k, server);
-    k.switch_core(0);
+    k.machine.switch_core(0);
     expect(
         &k,
         vec![v(
@@ -872,7 +873,7 @@ fn smp_idle_core_kicked() {
 #[test]
 fn shootdown_counts_agree() {
     let (mut k, _) = smp_fixture();
-    k.smp_state_mut().unwrap().shootdown.completed = 1;
+    k.smp.shootdowns_completed = 1;
     expect(
         &k,
         vec![v("shootdown-counts-agree", "completed 1 > initiated 0")],
@@ -882,9 +883,8 @@ fn shootdown_counts_agree() {
 #[test]
 fn shootdown_ipi_pending() {
     let (mut k, _) = smp_fixture();
-    let sd = &mut k.smp_state_mut().unwrap().shootdown;
-    sd.initiated = 1;
-    sd.pending[1] = true;
+    k.smp.shootdowns_initiated = 1;
+    k.core_mut(1).shootdown_pending = true;
     expect(
         &k,
         vec![v(
@@ -893,12 +893,12 @@ fn shootdown_ipi_pending() {
         )],
     );
     // Raising the line on core 1's interface satisfies the check.
-    k.switch_core(1);
+    k.machine.switch_core(1);
     let now = k.machine.now();
     k.machine
         .irq
         .raise(IrqLine(rt_kernel::smp::IPI_SHOOTDOWN_LINE), now);
-    k.switch_core(0);
+    k.machine.switch_core(0);
     expect(&k, vec![]);
 }
 

@@ -276,7 +276,7 @@ fn state(k: &Kernel) -> String {
 /// deletes the queued endpoint (remote enqueues and reschedule IPIs on
 /// the SMP shapes), then every core services what is pending.
 fn drive(k: &mut Kernel) {
-    k.switch_core(0);
+    k.machine.switch_core(0);
     run(
         k,
         Syscall::Delete {
@@ -284,7 +284,7 @@ fn drive(k: &mut Kernel) {
         },
     );
     for c in 0..k.n_cores() {
-        k.switch_core(c);
+        k.machine.switch_core(c);
         k.machine.advance(500);
         k.handle_interrupt();
     }

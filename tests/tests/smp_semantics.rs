@@ -84,16 +84,18 @@ fn phases(k: &Kernel) -> Vec<&'static str> {
 fn set_affinity_migrates_queued_thread_and_kicks_target() {
     let (mut k, _m, [w0, _w1]) = boot();
     assert!(k.objs.tcb(w0).in_runqueue);
-    assert!(k.queues.bitmap.is_set(20), "w0 queued on core 0");
+    assert!(k.core(0).queues.bitmap.is_set(20), "w0 queued on core 0");
     k.set_affinity(w0, 1);
     assert_eq!(k.objs.tcb(w0).affinity, 1);
-    assert!(!k.queues.bitmap.is_set(20), "core 0 bitmap bit cleared");
-    assert!(k.core_queues(1).bitmap.is_set(20), "core 1 bitmap bit set");
-    assert_eq!(k.core_queues(1).head(20), Some(w0));
-    let smp = k.smp_state().unwrap();
-    assert_eq!(smp.resched_sent[1], 1, "destination was kicked");
     assert!(
-        k.core_irq(1).is_pending(IrqLine(IPI_RESCHED_LINE)),
+        !k.core(0).queues.bitmap.is_set(20),
+        "core 0 bitmap bit cleared"
+    );
+    assert!(k.core(1).queues.bitmap.is_set(20), "core 1 bitmap bit set");
+    assert_eq!(k.core(1).queues.head(20), Some(w0));
+    assert_eq!(k.core(1).resched_sent, 1, "destination was kicked");
+    assert!(
+        k.machine.core_irq(1).is_pending(IrqLine(IPI_RESCHED_LINE)),
         "reschedule IPI pending on core 1"
     );
     assert!(
@@ -104,9 +106,9 @@ fn set_affinity_migrates_queued_thread_and_kicks_target() {
     // Migrating back dequeues from the remote slot and re-kicks nobody
     // (core 0 is the caller's own core).
     k.set_affinity(w0, 0);
-    assert!(k.queues.bitmap.is_set(20));
-    assert!(!k.core_queues(1).bitmap.is_set(20));
-    assert_eq!(k.smp_state().unwrap().resched_sent[0], 0, "no self-IPI");
+    assert!(k.core(0).queues.bitmap.is_set(20));
+    assert!(!k.core(1).queues.bitmap.is_set(20));
+    assert_eq!(k.core(0).resched_sent, 0, "no self-IPI");
     assert!(invariants::check_all(&k).is_empty());
 }
 
@@ -117,16 +119,16 @@ fn set_affinity_on_running_or_blocked_thread_only_sets_field() {
     k.set_affinity(manager, 1);
     assert_eq!(k.objs.tcb(manager).affinity, 1);
     assert!(!k.objs.tcb(manager).in_runqueue);
-    assert_eq!(k.smp_state().unwrap().resched_sent[1], 0);
+    assert_eq!(k.core(1).resched_sent, 0);
     k.set_affinity(manager, 0);
     // Non-queued (suspended/blocked) thread: same — the routed enqueue
     // happens at wake time.
     k.objs.tcb_mut(w0).state = ThreadState::Inactive;
-    k.queues.dequeue(&mut k.objs, w0);
+    k.dequeue_on(0, w0);
     k.set_affinity(w0, 1);
     assert_eq!(k.objs.tcb(w0).affinity, 1);
-    assert!(!k.core_queues(1).bitmap.is_set(20));
-    assert_eq!(k.smp_state().unwrap().resched_sent[1], 0);
+    assert!(!k.core(1).queues.bitmap.is_set(20));
+    assert_eq!(k.core(1).resched_sent, 0);
     assert!(invariants::check_all(&k).is_empty());
 }
 
@@ -135,8 +137,8 @@ fn resched_ipi_services_as_decode_then_eoi_and_forces_choose_new() {
     let (mut k, _m, [w0, _w1]) = boot();
     k.set_affinity(w0, 1);
     // Service the kick from core 1's side.
-    k.switch_core(1);
-    assert_eq!(k.core_sched_action(1), SchedAction::ResumeCurrent);
+    k.machine.switch_core(1);
+    assert_eq!(k.core(1).sched_action, SchedAction::ResumeCurrent);
     assert!(k.machine.irq.has_pending());
     k.machine.trace.enable();
     k.handle_interrupt();
@@ -147,8 +149,7 @@ fn resched_ipi_services_as_decode_then_eoi_and_forces_choose_new() {
         .expect("decode phase");
     let eoi = ph.iter().position(|l| *l == "ipi-eoi").expect("eoi phase");
     assert!(decode < eoi, "decode must precede EOI: {ph:?}");
-    let smp = k.smp_state().unwrap();
-    assert_eq!(smp.ipi_eois, 1, "auto-EOI counted");
+    assert_eq!(k.smp.ipi_eois, 1, "auto-EOI counted");
     assert!(
         !k.machine.irq.is_pending(IrqLine(IPI_RESCHED_LINE)),
         "IPI acked"
@@ -158,19 +159,18 @@ fn resched_ipi_services_as_decode_then_eoi_and_forces_choose_new() {
         "IPI lines are never masked (the ack is the EOI)"
     );
     // The kick forced a full chooseThread: the migrated worker runs.
-    assert_eq!(k.core_current(1), w0);
+    assert_eq!(k.core(1).cur, w0);
     assert!(invariants::check_all(&k).is_empty());
 }
 
 #[test]
 fn lost_resched_ipi_is_caught_by_idle_core_invariant() {
     let (mut k, _m, [w0, _w1]) = boot();
-    k.set_drop_resched_ipis(true);
+    k.smp.drop_resched_ipis = true;
     k.set_affinity(w0, 1);
-    let smp = k.smp_state().unwrap();
-    assert_eq!(smp.resched_sent[1], 1, "send was attempted");
+    assert_eq!(k.core(1).resched_sent, 1, "send was attempted");
     assert!(
-        !k.core_irq(1).is_pending(IrqLine(IPI_RESCHED_LINE)),
+        !k.machine.core_irq(1).is_pending(IrqLine(IPI_RESCHED_LINE)),
         "but the IPI was dropped"
     );
     let v = invariants::check_all(&k);
@@ -224,23 +224,24 @@ fn tlb_shootdown_broadcasts_and_completes_asynchronously() {
     k.machine.trace.enable();
     ok(&mut k, Syscall::UnmapFrame { frame: FRAME_CPTR });
     assert!(phases(&k).contains(&"shootdown-send"), "{:?}", phases(&k));
-    let smp = k.smp_state().unwrap();
-    assert_eq!(smp.shootdown.initiated, 1);
-    assert_eq!(smp.shootdown.completed, 0);
-    assert!(smp.shootdown.pending[1]);
-    assert!(k.core_irq(1).is_pending(IrqLine(IPI_SHOOTDOWN_LINE)));
+    assert_eq!(k.smp.shootdowns_initiated, 1);
+    assert_eq!(k.smp.shootdowns_completed, 0);
+    assert!(k.core(1).shootdown_pending);
+    assert!(k
+        .machine
+        .core_irq(1)
+        .is_pending(IrqLine(IPI_SHOOTDOWN_LINE)));
     assert!(
         invariants::check_all(&k).is_empty(),
         "{:?}",
         invariants::check_all(&k)
     );
     // The target invalidates when it services the IPI; no initiator spin.
-    k.switch_core(1);
+    k.machine.switch_core(1);
     k.handle_interrupt();
-    let smp = k.smp_state().unwrap();
-    assert_eq!(smp.shootdown.completed, 1, "remote invalidate counted");
-    assert!(!smp.shootdown.pending[1]);
-    assert_eq!(smp.ipi_eois, 1);
+    assert_eq!(k.smp.shootdowns_completed, 1, "remote invalidate counted");
+    assert!(!k.core(1).shootdown_pending);
+    assert_eq!(k.smp.ipi_eois, 1);
     assert!(invariants::check_all(&k).is_empty());
 }
 
@@ -259,21 +260,21 @@ fn per_core_bitmaps_stay_consistent_through_migration_churn() {
         }
         // Drain the kicks so the next round starts quiescent.
         for c in 0..2u8 {
-            if k.core_irq(c).has_pending() {
-                k.switch_core(c);
+            if k.machine.core_irq(c).has_pending() {
+                k.machine.switch_core(c);
                 while k.machine.irq.has_pending() {
                     k.handle_interrupt();
                 }
             }
         }
-        k.switch_core(0);
+        k.machine.switch_core(0);
     }
     // After the final drain each worker lives on its affinity core —
     // either scheduled there or still queued there with the bitmap bit.
     for (w, prio) in [(w0, 20u8), (w1, 30)] {
         let aff = k.objs.tcb(w).affinity;
         assert!(
-            k.core_current(aff) == w || k.core_queues(aff).bitmap.is_set(prio),
+            k.core(aff).cur == w || k.core(aff).queues.bitmap.is_set(prio),
             "worker not on its affinity core {aff}"
         );
     }

@@ -48,13 +48,16 @@ fn set_priority_requeues_and_maintains_bitmap() {
     ok(&mut k, Syscall::TcbResume { tcb: 10 });
     ok(&mut k, Syscall::TcbResume { tcb: 11 });
     assert!(k.objs.tcb(w0).in_runqueue && k.objs.tcb(w1).in_runqueue);
-    assert!(k.queues.bitmap.is_set(20) && k.queues.bitmap.is_set(30));
+    assert!(k.core(0).queues.bitmap.is_set(20) && k.core(0).queues.bitmap.is_set(30));
     // Move w0 from prio 20 to 50.
     ok(&mut k, Syscall::TcbSetPriority { tcb: 10, prio: 50 });
     assert_eq!(k.objs.tcb(w0).prio, 50);
-    assert!(!k.queues.bitmap.is_set(20), "old priority bit cleared");
-    assert!(k.queues.bitmap.is_set(50), "new priority bit set");
-    assert_eq!(k.queues.head(50), Some(w0));
+    assert!(
+        !k.core(0).queues.bitmap.is_set(20),
+        "old priority bit cleared"
+    );
+    assert!(k.core(0).queues.bitmap.is_set(50), "new priority bit set");
+    assert_eq!(k.core(0).queues.head(50), Some(w0));
     invariants::assert_all(&k);
 }
 
