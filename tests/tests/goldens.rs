@@ -20,12 +20,24 @@
 //! catch a simulator change that shifts every run alike; these goldens
 //! do, so a host-side speed-up of the machine model must leave them
 //! byte-identical.
+//!
+//! `ilp_work` pins the ILP solver's *work*, not just its answers: per
+//! distinct analysis the re-solve's node, pivot, warm-start and presolve
+//! counts plus a digest of the chosen worst path and trace. A solver
+//! change that lands on a different optimal vertex with the same bound,
+//! or pivots differently on the way, shows up here even though every
+//! rendered table stays the same.
 
-use rt_bench::sweep::SweepCtx;
+use std::collections::HashSet;
+use std::fmt::Write;
+
+use rt_bench::sweep::{full_sweep_jobs, SweepCtx};
 use rt_bench::{attribution, tables};
 use rt_explore::scenario::{all, smp_all};
 use rt_explore::{explore_scenario, render_line, BoundMemo, PorMode};
+use rt_kernel::kernel::{EntryPoint, KernelConfig, SchedKind, VmKind};
 use rt_load::{run_load, LoadSpec};
+use rt_wcet::AnalysisConfig;
 
 fn check(name: &str, golden: &str, render: impl Fn(&SweepCtx) -> String) {
     for jobs in [1usize, 4] {
@@ -125,5 +137,96 @@ fn explore_small_matches_golden() {
                 })
                 .collect()
         },
+    );
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The analyses whose solver work `ilp_work.txt` pins: every distinct
+/// analysis `repro all` issues (one of which branches: the after-kernel
+/// system call with the L2 on), plus the fleet's lazy-scheduler,
+/// shadow-page-table system call with preemption points and manual
+/// constraints at both L2 settings — the instances whose branch and bound
+/// appends cuts, re-optimises with dual pivots and falls back to cold
+/// solves once the snapshot budget is spent.
+fn ilp_work_jobs() -> Vec<(EntryPoint, AnalysisConfig)> {
+    let mut seen = HashSet::new();
+    let mut jobs: Vec<_> = full_sweep_jobs()
+        .into_iter()
+        .filter(|job| seen.insert(*job))
+        .collect();
+    let kernel = KernelConfig {
+        sched: SchedKind::Lazy,
+        vm: VmKind::ShadowPt,
+        preemption_points: true,
+        fastpath: false,
+    };
+    for l2 in [false, true] {
+        jobs.push((
+            EntryPoint::Syscall,
+            AnalysisConfig {
+                kernel,
+                l2,
+                pinning: false,
+                l2_kernel_locked: false,
+                manual_constraints: true,
+            },
+        ));
+    }
+    jobs
+}
+
+fn render_ilp_work(ctx: &SweepCtx) -> String {
+    let jobs = ilp_work_jobs();
+    let reports = ctx.analyze_batch(&jobs);
+    let mut out = String::new();
+    for ((entry, cfg), r) in jobs.iter().zip(&reports) {
+        let k = cfg.kernel;
+        let s = r.phases.ilp_stats;
+        let path = fnv1a(format!("{:?}{:?}", r.worst_path, r.trace).as_bytes());
+        writeln!(
+            out,
+            "{entry:?} {:?}/{:?} pp={} fp={} l2={} lock={} pin={} manual={} bounds=default \
+             cycles={} nodes={} primal={} dual={} warm_hits={} warm_misses={} presolved={} \
+             path={path:016x}",
+            k.sched,
+            k.vm,
+            u8::from(k.preemption_points),
+            u8::from(k.fastpath),
+            u8::from(cfg.l2),
+            u8::from(cfg.l2_kernel_locked),
+            u8::from(cfg.pinning),
+            u8::from(cfg.manual_constraints),
+            r.cycles,
+            s.nodes,
+            s.primal_pivots,
+            s.dual_pivots,
+            s.warm_hits,
+            s.warm_misses,
+            s.presolve_eliminated,
+        )
+        .unwrap();
+    }
+    let t = ctx.cache().stats().resolve;
+    writeln!(
+        out,
+        "resolve totals: resolves={} warm_pivots={} seed_pivots={}",
+        t.resolves, t.warm_pivots, t.seed_pivots
+    )
+    .unwrap();
+    out
+}
+
+#[test]
+fn ilp_work_matches_golden() {
+    check(
+        "ilp_work",
+        include_str!("../goldens/ilp_work.txt"),
+        render_ilp_work,
     );
 }
