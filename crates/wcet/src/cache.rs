@@ -614,6 +614,10 @@ impl AnalysisCache {
                 &model,
             );
             let t_costs = t0.elapsed();
+            // The ILP phase includes a structure build (model assembly,
+            // presolve, seed LP) when this report is the one that pays it,
+            // as the uncached path counts model build and solve alike.
+            let t0 = std::time::Instant::now();
             let structure = self.structure(
                 StructKey {
                     cfg: cfg_key,
@@ -622,7 +626,6 @@ impl AnalysisCache {
                 &graph,
                 shape,
             );
-            let t0 = std::time::Instant::now();
             let objective = structure.ilp.objective_for(&costs.node, &costs.edge);
             let sol = structure
                 .presolved
