@@ -5,6 +5,12 @@ set -euo pipefail
 cargo build --release
 cargo test -q
 
+# The solver's proptests and the warm/cold differential on the real IPET
+# instances run again in the release profile, the one repro, the fleet
+# and perfbench use. Tier-1 runs them in debug only, where the solver's
+# debug assertions hold it; release code must agree without them.
+cargo test --release -q -p rt-ilp -p rt-wcet
+
 # The benchmark package is a workspace of its own, so the build above
 # does not compile it; it calls the crates' library APIs directly and
 # must keep building and passing its own tests against them.

@@ -1,4 +1,4 @@
-//! Dense simplex over exact rationals: two-phase primal solves plus
+//! Sparse-row simplex over exact rationals: two-phase primal solves plus
 //! incremental re-solves for branch and bound.
 //!
 //! The solver accepts problems of the form
@@ -27,6 +27,14 @@
 //! Bland's smallest-index rule, which provably cannot cycle, until the
 //! objective strictly improves again. This keeps the termination guarantee
 //! of the original Bland-only implementation while pivoting far less.
+//!
+//! IPET tableaus are over 99% zeros, so each constraint row stores only its
+//! nonzero entries, sorted by column. Storage, copies (a re-solve clones
+//! the seed tableau; branch and bound clones snapshots) and row operations
+//! then cost the nonzeros, not `m x total` cells. The representation never
+//! changes a pivot choice: [`Rat`] values are canonical, so a dropped zero
+//! is exactly the zero the dense tableau would have held, and every rule
+//! below reads the same values in the same column order.
 
 use crate::rational::Rat;
 
@@ -115,10 +123,13 @@ pub enum Reopt {
 pub fn maximize(n_vars: usize, objective: &[(usize, Rat)], rows: &[Row]) -> LpResult {
     let mut pivots = 0u64;
     match solve_cold(n_vars, objective, rows, &mut pivots, PivotRule::Dantzig) {
-        ColdOutcome::Optimal(t) => LpResult::Optimal {
-            objective: t.objective_value(),
-            values: t.extract(n_vars),
-        },
+        ColdOutcome::Optimal(t) => {
+            t.assert_well_formed(true);
+            LpResult::Optimal {
+                objective: t.objective_value(),
+                values: t.extract(n_vars),
+            }
+        }
         ColdOutcome::Infeasible => LpResult::Infeasible,
         ColdOutcome::Unbounded => LpResult::Unbounded,
     }
@@ -151,12 +162,69 @@ enum Phase1 {
     Infeasible,
 }
 
+/// What a primal step along one column would do at a feasible basis (see
+/// [`Tableau::column_steps`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// No positive entry: nothing blocks the step (an unbounded ray).
+    Unblocked,
+    /// Blocked, by rows with positive rhs only: a strictly positive step.
+    Positive,
+    /// Blocked by a zero-rhs row: a degenerate (zero) step.
+    Degenerate,
+}
+
+/// The value at column `col` of a sparse row (zero when not stored).
+fn entry(row: &[(usize, Rat)], col: usize) -> Rat {
+    match row.binary_search_by_key(&col, |&(j, _)| j) {
+        Ok(k) => row[k].1,
+        Err(_) => Rat::ZERO,
+    }
+}
+
+/// `dst -= f * src` over sparse rows, dropping exact zeros. The result is
+/// merged into `scratch` and swapped into `dst`, so the caller's scratch
+/// buffer ends up holding `dst`'s old allocation for the next merge.
+fn sub_scaled(dst: &mut SparseRow, f: Rat, src: &[(usize, Rat)], scratch: &mut SparseRow) {
+    scratch.clear();
+    let (mut p, mut q) = (0, 0);
+    while p < dst.len() && q < src.len() {
+        let (i, x) = dst[p];
+        let (j, y) = src[q];
+        match i.cmp(&j) {
+            std::cmp::Ordering::Less => {
+                scratch.push((i, x));
+                p += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                scratch.push((j, -(f * y)));
+                q += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                let v = x - f * y;
+                if !v.is_zero() {
+                    scratch.push((i, v));
+                }
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    scratch.extend_from_slice(&dst[p..]);
+    scratch.extend(src[q..].iter().map(|&(j, y)| (j, -(f * y))));
+    std::mem::swap(dst, scratch);
+}
+
 pub(crate) enum Opt {
     Optimal,
     Unbounded,
 }
 
-/// Dense simplex tableau.
+/// One sparse tableau row: `(column, value)` entries with strictly
+/// increasing columns and no zero values.
+type SparseRow = Vec<(usize, Rat)>;
+
+/// Simplex tableau with sparse constraint rows.
 ///
 /// Layout: `m` constraint rows over `total` columns — structural variables,
 /// then slack/surplus, then artificial (`art_start..art_end`), then the
@@ -164,12 +232,13 @@ pub(crate) enum Opt {
 /// an objective row `z` (stored as reduced costs; a column with negative
 /// entry improves the maximisation). `basis[i]` is the column basic in row
 /// `i`. Artificial columns are never eligible to (re-)enter the basis.
+/// Constraint rows store their nonzeros only; `rhs` and `obj` stay dense.
 #[derive(Clone)]
 pub struct Tableau {
     m: usize,
     total: usize,
-    /// `a[i][j]`, row-major, plus rhs in `rhs[i]`.
-    a: Vec<Vec<Rat>>,
+    /// Row `i`'s nonzero entries; its right-hand side is `rhs[i]`.
+    a: Vec<SparseRow>,
     rhs: Vec<Rat>,
     obj: Vec<Rat>,
     obj_rhs: Rat,
@@ -217,7 +286,7 @@ impl Tableau {
         }
         let total = n_vars + n_slack + n_art;
         let art_start = n_vars + n_slack;
-        let mut a = vec![vec![Rat::ZERO; total]; m];
+        let mut a = Vec::with_capacity(m);
         let mut rhs = vec![Rat::ZERO; m];
         let mut basis = vec![0usize; m];
         let mut next_slack = n_vars;
@@ -225,30 +294,43 @@ impl Tableau {
 
         for (i, r) in rows.iter().enumerate() {
             let (eff_rel, sign) = Tableau::normalise(r.rel, r.rhs);
-            for &(j, c) in &r.coeffs {
+            // Coefficients in column order (duplicates summed, zeros
+            // dropped), then the slack, then the artificial: every
+            // structural column precedes every slack, every slack every
+            // artificial, so the row comes out sorted.
+            let mut coeffs: Vec<(usize, Rat)> =
+                r.coeffs.iter().map(|&(j, c)| (j, c * sign)).collect();
+            coeffs.sort_by_key(|&(j, _)| j);
+            let mut row: SparseRow = Vec::with_capacity(coeffs.len() + 2);
+            for (j, c) in coeffs {
                 debug_assert!(j < n_vars, "rt-ilp: coefficient index out of range");
-                a[i][j] += c * sign;
+                match row.last_mut() {
+                    Some((lj, lc)) if *lj == j => *lc += c,
+                    _ => row.push((j, c)),
+                }
             }
+            row.retain(|&(_, c)| !c.is_zero());
             rhs[i] = r.rhs * sign;
             match eff_rel {
                 Rel::Le => {
-                    a[i][next_slack] = Rat::ONE;
+                    row.push((next_slack, Rat::ONE));
                     basis[i] = next_slack;
                     next_slack += 1;
                 }
                 Rel::Ge => {
-                    a[i][next_slack] = -Rat::ONE;
+                    row.push((next_slack, -Rat::ONE));
                     next_slack += 1;
-                    a[i][next_art] = Rat::ONE;
+                    row.push((next_art, Rat::ONE));
                     basis[i] = next_art;
                     next_art += 1;
                 }
                 Rel::Eq => {
-                    a[i][next_art] = Rat::ONE;
+                    row.push((next_art, Rat::ONE));
                     basis[i] = next_art;
                     next_art += 1;
                 }
             }
+            a.push(row);
         }
         Tableau {
             m,
@@ -284,12 +366,10 @@ impl Tableau {
         // Price out basic artificials.
         for i in 0..self.m {
             if self.is_artificial(self.basis[i]) {
-                let row = self.a[i].clone();
-                let r = self.rhs[i];
-                for (j, rj) in row.iter().enumerate() {
-                    self.obj[j] -= *rj;
+                for &(j, v) in &self.a[i] {
+                    self.obj[j] -= v;
                 }
-                self.obj_rhs -= r;
+                self.obj_rhs -= self.rhs[i];
             }
         }
         match self.optimize(pivots, rule) {
@@ -303,10 +383,12 @@ impl Tableau {
         }
         // Drive any artificial variables remaining in the basis out (they
         // must have value zero). If a row is all-zero over non-artificial
-        // columns it is redundant and can keep its zero artificial.
+        // columns it is redundant and can keep its zero artificial. No cut
+        // columns exist yet, so every non-artificial column precedes the
+        // artificials: the row's first entry is its first candidate.
         for i in 0..self.m {
             if self.is_artificial(self.basis[i]) {
-                if let Some(j) = (0..self.art_start).find(|&j| !self.a[i][j].is_zero()) {
+                if let Some(&(j, _)) = self.a[i].first().filter(|&&(j, _)| j < self.art_start) {
                     self.pivot(i, j);
                     *pivots += 1;
                 }
@@ -328,16 +410,12 @@ impl Tableau {
             self.obj[j] -= c; // reduced-cost convention: negative => improving
         }
         for i in 0..self.m {
-            let b = self.basis[i];
-            let coeff = self.obj[b];
+            let coeff = self.obj[self.basis[i]];
             if !coeff.is_zero() {
-                let row = self.a[i].clone();
-                let r = self.rhs[i];
-                for (j, rj) in row.iter().enumerate() {
-                    let delta = coeff * *rj;
-                    self.obj[j] -= delta;
+                for &(j, v) in &self.a[i] {
+                    self.obj[j] -= coeff * v;
                 }
-                self.obj_rhs -= coeff * r;
+                self.obj_rhs -= coeff * self.rhs[i];
             }
         }
     }
@@ -349,7 +427,7 @@ impl Tableau {
     fn ratio_row(&self, col: usize) -> Option<(usize, Rat)> {
         let mut leave: Option<(usize, Rat)> = None;
         for i in 0..self.m {
-            let aij = self.a[i][col];
+            let aij = entry(&self.a[i], col);
             if aij.is_positive() {
                 let ratio = self.rhs[i] / aij;
                 let better = match &leave {
@@ -366,6 +444,29 @@ impl Tableau {
         leave
     }
 
+    /// Classifies every column's primal step in one pass over the rows.
+    ///
+    /// Only meaningful at a primal-feasible basis (every rhs `>= 0`): there
+    /// a column's minimum ratio is zero exactly when it has a positive
+    /// entry in a zero-rhs row, and it has no blocking row exactly when it
+    /// has no positive entry at all — so this answers, for every column at
+    /// once, what a [`Tableau::ratio_row`] call per column would.
+    fn column_steps(&self) -> Vec<Step> {
+        let mut steps = vec![Step::Unblocked; self.total];
+        for (row, rhs) in self.a.iter().zip(&self.rhs) {
+            for &(j, v) in row {
+                if v.is_positive() {
+                    if rhs.is_zero() {
+                        steps[j] = Step::Degenerate;
+                    } else if steps[j] == Step::Unblocked {
+                        steps[j] = Step::Positive;
+                    }
+                }
+            }
+        }
+        steps
+    }
+
     /// Runs primal simplex iterations until optimal or unbounded.
     ///
     /// Entering column under [`PivotRule::Dantzig`]: most negative reduced
@@ -374,11 +475,17 @@ impl Tableau {
     /// progress — on highly degenerate bases (IPET flow systems, where
     /// most equality rows have zero right-hand sides) this avoids long
     /// stalls of bookkeeping pivots that largest-coefficient pricing alone
-    /// walks straight into. After `2m + 16` consecutive degenerate pivots
-    /// the rule switches to Bland (smallest index) until progress resumes —
-    /// termination stays guaranteed because Bland episodes cannot cycle and
-    /// strict objective increases are finite.
+    /// walks straight into. The scan prices every candidate from one pass
+    /// over the rows ([`Tableau::column_steps`]) and runs the ratio test
+    /// for the chosen column only. After `2m + 16` consecutive degenerate
+    /// pivots the rule switches to Bland (smallest index) until progress
+    /// resumes — termination stays guaranteed because Bland episodes
+    /// cannot cycle and strict objective increases are finite.
     pub(crate) fn optimize(&mut self, pivots: &mut u64, rule: PivotRule) -> Opt {
+        debug_assert!(
+            self.rhs.iter().all(|r| !r.is_negative()),
+            "rt-ilp: primal simplex entered at an infeasible basis"
+        );
         let threshold = match rule {
             PivotRule::Dantzig => 2 * self.m + 16,
             PivotRule::Bland => 0,
@@ -403,25 +510,27 @@ impl Tableau {
                         // Degenerate under the standard pick: prefer the
                         // best-priced improving column with a strictly
                         // positive step, if any exists.
-                        let mut alt: Option<(usize, Rat, (usize, Rat))> = None;
+                        let steps = self.column_steps();
+                        let mut alt: Option<(usize, Rat)> = None;
                         for j in self.eligible_cols() {
                             let c = self.obj[j];
                             if j == j0 || !c.is_negative() {
                                 continue;
                             }
-                            if alt.as_ref().is_some_and(|&(_, ac, _)| ac <= c) {
+                            if alt.is_some_and(|(_, ac)| ac <= c) {
                                 continue; // not better priced than current alt
                             }
-                            match self.ratio_row(j) {
-                                None => return Opt::Unbounded,
-                                Some((r, ratio)) if !ratio.is_zero() => {
-                                    alt = Some((j, c, (r, ratio)));
-                                }
-                                Some(_) => {}
+                            match steps[j] {
+                                Step::Unblocked => return Opt::Unbounded,
+                                Step::Positive => alt = Some((j, c)),
+                                Step::Degenerate => {}
                             }
                         }
                         match alt {
-                            Some((j, _, leave)) => (j, leave),
+                            Some((j, _)) => {
+                                let leave = self.ratio_row(j);
+                                (j, leave.expect("a positive step has a blocking row"))
+                            }
                             None => (j0, blocked),
                         }
                     }
@@ -454,9 +563,6 @@ impl Tableau {
     pub fn add_cut(&mut self, var: usize, rel: CutRel, bound: Rat) {
         debug_assert!(var < self.art_start, "cut on non-structural column");
         let slack_col = self.total;
-        for row in &mut self.a {
-            row.push(Rat::ZERO);
-        }
         self.obj.push(Rat::ZERO);
         self.total += 1;
 
@@ -465,18 +571,13 @@ impl Tableau {
             CutRel::Le => (Rat::ONE, bound),
             CutRel::Ge => (-Rat::ONE, -bound),
         };
-        let mut row = vec![Rat::ZERO; self.total];
-        row[var] = coeff;
-        row[slack_col] = Rat::ONE;
+        let mut row = vec![(var, coeff), (slack_col, Rat::ONE)];
         // Price out: the only potentially-basic column in the new row is
         // `var` itself; a basic column has a unit column elsewhere, so one
         // row subtraction leaves every basic column at zero.
         if let Some(r) = (0..self.m).find(|&i| self.basis[i] == var) {
-            let f = row[var];
-            for (rj, aj) in row.iter_mut().zip(&self.a[r]) {
-                *rj -= f * *aj;
-            }
-            rhs -= f * self.rhs[r];
+            sub_scaled(&mut row, coeff, &self.a[r], &mut Vec::new());
+            rhs -= coeff * self.rhs[r];
         }
         self.a.push(row);
         self.rhs.push(rhs);
@@ -504,13 +605,12 @@ impl Tableau {
             };
             // Entering column: dual ratio test — minimise
             // obj[j] / -a[row][j] over eligible columns with a[row][j] < 0
-            // (smallest column index breaks ties). Reduced costs are
-            // nonnegative at a dual-feasible point, so the minimum keeps
-            // them nonnegative after the pivot.
+            // (smallest column index breaks ties: entries come in column
+            // order). Reduced costs are nonnegative at a dual-feasible
+            // point, so the minimum keeps them nonnegative after the pivot.
             let mut enter: Option<(usize, Rat)> = None;
-            for j in self.eligible_cols() {
-                let arj = self.a[row][j];
-                if arj.is_negative() {
+            for &(j, arj) in &self.a[row] {
+                if arj.is_negative() && !self.is_artificial(j) {
                     let ratio = self.obj[j] / -arj;
                     let better = match &enter {
                         None => true,
@@ -533,43 +633,35 @@ impl Tableau {
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        let p = self.a[row][col];
+        // Taken out of the tableau while the other rows are updated from
+        // it, and put back at the end.
+        let mut pivot_row = std::mem::take(&mut self.a[row]);
+        let p = entry(&pivot_row, col);
         debug_assert!(!p.is_zero(), "rt-ilp: pivot on zero element");
         let inv = p.recip();
-        for j in 0..self.total {
-            if !self.a[row][j].is_zero() {
-                self.a[row][j] = self.a[row][j] * inv;
-            }
+        for (_, v) in &mut pivot_row {
+            *v = *v * inv;
         }
         self.rhs[row] = self.rhs[row] * inv;
-        // Flow matrices are sparse; collecting the pivot row's support and
-        // updating only those columns is the difference between minutes
-        // and milliseconds on IPET instances.
-        let support: Vec<usize> = (0..self.total)
-            .filter(|&j| !self.a[row][j].is_zero())
-            .collect();
+        let pivot_rhs = self.rhs[row];
+        let mut scratch = Vec::new();
         for i in 0..self.m {
             if i != row {
-                let f = self.a[i][col];
+                let f = entry(&self.a[i], col);
                 if !f.is_zero() {
-                    for &j in &support {
-                        let delta = f * self.a[row][j];
-                        self.a[i][j] -= delta;
-                    }
-                    let delta = f * self.rhs[row];
-                    self.rhs[i] -= delta;
+                    sub_scaled(&mut self.a[i], f, &pivot_row, &mut scratch);
+                    self.rhs[i] -= f * pivot_rhs;
                 }
             }
         }
         let f = self.obj[col];
         if !f.is_zero() {
-            for &j in &support {
-                let delta = f * self.a[row][j];
-                self.obj[j] -= delta;
+            for &(j, v) in &pivot_row {
+                self.obj[j] -= f * v;
             }
-            let delta = f * self.rhs[row];
-            self.obj_rhs -= delta;
+            self.obj_rhs -= f * pivot_rhs;
         }
+        self.a[row] = pivot_row;
         self.basis[row] = col;
     }
 
@@ -595,8 +687,50 @@ impl Tableau {
 }
 
 #[cfg(test)]
+impl Tableau {
+    /// Panics unless the tableau is well formed: every row's columns
+    /// strictly increase, below `total`, with no stored zero; every basic
+    /// column is a unit column with zero reduced cost; and, when `optimal`
+    /// (an `optimize` or `dual_reoptimize` that returned optimal), every
+    /// rhs is nonnegative.
+    fn assert_well_formed(&self, optimal: bool) {
+        assert_eq!(self.a.len(), self.m);
+        assert_eq!(self.rhs.len(), self.m);
+        assert_eq!(self.basis.len(), self.m);
+        assert_eq!(self.obj.len(), self.total);
+        for (i, row) in self.a.iter().enumerate() {
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "row {i}: columns not strictly increasing"
+            );
+            for &(j, v) in row {
+                assert!(j < self.total, "row {i}: column {j} >= {}", self.total);
+                assert!(!v.is_zero(), "row {i}: stored zero at column {j}");
+            }
+        }
+        for (i, &b) in self.basis.iter().enumerate() {
+            for (k, row) in self.a.iter().enumerate() {
+                let unit = if k == i { Rat::ONE } else { Rat::ZERO };
+                assert_eq!(entry(row, b), unit, "basic column {b} at row {k}");
+            }
+            assert!(
+                self.obj[b].is_zero(),
+                "basic column {b}: nonzero reduced cost"
+            );
+        }
+        if optimal {
+            assert!(
+                self.rhs.iter().all(|r| !r.is_negative()),
+                "optimal basis with a negative rhs"
+            );
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(n: i128) -> Rat {
         Rat::int(n)
@@ -728,9 +862,11 @@ mod tests {
         else {
             panic!("base problem must be solvable");
         };
+        warm.assert_well_formed(true);
         let mut all_rows = rows.to_vec();
         for &(var, rel, bound) in cuts {
             warm.add_cut(var, rel, Rat::int(bound));
+            warm.assert_well_formed(false);
             all_rows.push(Row {
                 coeffs: vec![(var, Rat::ONE)],
                 rel: match rel {
@@ -740,6 +876,7 @@ mod tests {
                 rhs: Rat::int(bound),
             });
             let reopt = warm.dual_reoptimize(&mut pivots);
+            warm.assert_well_formed(reopt == Reopt::Optimal);
             match maximize(n_vars, objective, &all_rows) {
                 LpResult::Optimal { objective: o, .. } => {
                     assert_eq!(reopt, Reopt::Optimal, "cuts {cuts:?}");
@@ -815,5 +952,100 @@ mod tests {
             &rows,
             &[(1, CutRel::Le, 3), (2, CutRel::Ge, 2), (0, CutRel::Le, 4)],
         );
+    }
+
+    // --- sparse rows -----------------------------------------------------
+
+    fn sparse(dense: &[Rat]) -> SparseRow {
+        dense
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| !v.is_zero())
+            .map(|(j, &v)| (j, v))
+            .collect()
+    }
+
+    #[test]
+    fn sub_scaled_drops_cancellations() {
+        // (1, 2, 0, 3) - 2 * (0, 1, 1, 0) = (1, 0, -2, 3): column 1 cancels.
+        let mut dst = sparse(&[r(1), r(2), r(0), r(3)]);
+        let src = sparse(&[r(0), r(1), r(1), r(0)]);
+        sub_scaled(&mut dst, r(2), &src, &mut Vec::new());
+        assert_eq!(dst, vec![(0, r(1)), (2, r(-2)), (3, r(3))]);
+    }
+
+    /// A random small LP with a box on every variable (so it is bounded),
+    /// mixed-relation rows and a random sequence of branching cuts.
+    type LpCase = (
+        usize,
+        Vec<i64>,
+        Vec<(Vec<i64>, u8, i64)>,
+        Vec<(usize, bool, i64)>,
+    );
+
+    fn lp_case() -> impl Strategy<Value = LpCase> {
+        (1usize..=4, 1usize..=4).prop_flat_map(|(n, m)| {
+            (
+                Just(n),
+                proptest::collection::vec(-4i64..=5, n),
+                proptest::collection::vec(
+                    (proptest::collection::vec(-3i64..=3, n), 0u8..3, -4i64..=12),
+                    m,
+                ),
+                proptest::collection::vec((0..n, any::<bool>(), 0i64..=6), 0..=5),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The merge equals dense `dst - f * src`, column by column, and
+        /// stores no zero — including the entries it cancels exactly.
+        #[test]
+        fn sub_scaled_matches_dense(
+            src in proptest::collection::vec(-2i64..=2, 10),
+            noise in proptest::collection::vec(-2i64..=2, 10),
+            cancel in proptest::collection::vec(any::<bool>(), 10),
+            f in (prop_oneof![-3i64..=-1, 1i64..=3], 1i64..=3),
+        ) {
+            let f = Rat::new(f.0.into(), f.1.into());
+            let src: Vec<Rat> = src.into_iter().map(Rat::from).collect();
+            // Where `cancel` is set, dst holds exactly f * src: the merge
+            // must cancel that entry to an absent zero.
+            let dst: Vec<Rat> = (0..10)
+                .map(|j| if cancel[j] { f * src[j] } else { Rat::from(noise[j]) })
+                .collect();
+            let mut merged = sparse(&dst);
+            sub_scaled(&mut merged, f, &sparse(&src), &mut vec![(7, r(9))]);
+            let expect: Vec<Rat> = (0..10).map(|j| dst[j] - f * src[j]).collect();
+            prop_assert_eq!(merged, sparse(&expect));
+        }
+
+        /// Random LPs under random cut sequences: warm re-solves agree with
+        /// cold solves of the accumulated system, and the tableau stays
+        /// well formed after every step.
+        #[test]
+        fn random_cut_sequences_stay_well_formed(case in lp_case()) {
+            let (n, obj, rows, cuts) = case;
+            let objective: Vec<(usize, Rat)> =
+                obj.iter().enumerate().map(|(j, &c)| (j, Rat::from(c))).collect();
+            let mut base: Vec<Row> = rows
+                .iter()
+                .map(|(a, rel, b)| Row {
+                    coeffs: a.iter().enumerate().map(|(j, &c)| (j, Rat::from(c))).collect(),
+                    rel: [Rel::Le, Rel::Ge, Rel::Eq][*rel as usize],
+                    rhs: Rat::from(*b),
+                })
+                .collect();
+            base.extend((0..n).map(|j| row(&[(j, 1)], Rel::Le, 8)));
+            let cuts: Vec<(usize, CutRel, i128)> = cuts
+                .iter()
+                .map(|&(v, up, b)| (v, if up { CutRel::Ge } else { CutRel::Le }, b.into()))
+                .collect();
+            if matches!(maximize(n, &objective, &base), LpResult::Optimal { .. }) {
+                check_warm_matches_cold(n, &objective, &base, &cuts);
+            }
+        }
     }
 }
