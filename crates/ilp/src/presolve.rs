@@ -27,7 +27,7 @@
 //! input and are substituted like any other row.
 
 use crate::rational::Rat;
-use crate::simplex::{Rel, Row};
+use crate::simplex::{self, Rel, Row};
 
 /// Fill-in cap for pivot selection: candidates whose Markowitz score
 /// `(row_nnz - 1) * (occurrences - 1)` exceeds this are not eliminated.
@@ -125,28 +125,7 @@ impl Presolved {
 /// are dropped.
 fn add_scaled(coeffs: &[(usize, Rat)], scale: Rat, terms: &[(usize, Rat)]) -> Vec<(usize, Rat)> {
     let mut out = Vec::with_capacity(coeffs.len() + terms.len());
-    let (mut i, mut j) = (0, 0);
-    while i < coeffs.len() || j < terms.len() {
-        let take_left = j == terms.len() || (i < coeffs.len() && coeffs[i].0 < terms[j].0);
-        let (idx, c) = if take_left {
-            let t = coeffs[i];
-            i += 1;
-            t
-        } else if i == coeffs.len() || terms[j].0 < coeffs[i].0 {
-            let (idx, t) = terms[j];
-            j += 1;
-            (idx, scale * t)
-        } else {
-            let c = coeffs[i].1 + scale * terms[j].1;
-            let idx = coeffs[i].0;
-            i += 1;
-            j += 1;
-            (idx, c)
-        };
-        if !c.is_zero() {
-            out.push((idx, c));
-        }
-    }
+    simplex::add_scaled(&mut out, coeffs, scale, terms);
     out
 }
 

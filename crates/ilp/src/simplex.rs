@@ -33,7 +33,7 @@
 //! the seed tableau; branch and bound clones snapshots) and row operations
 //! then cost the nonzeros, not `m x total` cells. The representation never
 //! changes a pivot choice: [`Rat`] values are canonical, so a dropped zero
-//! is exactly the zero the dense tableau would have held, and every rule
+//! is exactly the value a dense tableau would hold, and every rule
 //! below reads the same values in the same column order.
 
 use crate::rational::Rat;
@@ -182,37 +182,38 @@ fn entry(row: &[(usize, Rat)], col: usize) -> Rat {
     }
 }
 
-/// `dst -= f * src` over sparse rows, dropping exact zeros. The result is
-/// merged into `scratch` and swapped into `dst`, so the caller's scratch
-/// buffer ends up holding `dst`'s old allocation for the next merge.
-fn sub_scaled(dst: &mut SparseRow, f: Rat, src: &[(usize, Rat)], scratch: &mut SparseRow) {
-    scratch.clear();
-    let (mut p, mut q) = (0, 0);
-    while p < dst.len() && q < src.len() {
-        let (i, x) = dst[p];
-        let (j, y) = src[q];
-        match i.cmp(&j) {
-            std::cmp::Ordering::Less => {
-                scratch.push((i, x));
-                p += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                scratch.push((j, -(f * y)));
-                q += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let v = x - f * y;
-                if !v.is_zero() {
-                    scratch.push((i, v));
-                }
-                p += 1;
-                q += 1;
-            }
+/// `out := coeffs + scale * terms` over sparse rows sorted by index, with
+/// exact zeros dropped. `out` is cleared first, so one buffer can serve a
+/// run of merges.
+pub(crate) fn add_scaled(
+    out: &mut SparseRow,
+    coeffs: &[(usize, Rat)],
+    scale: Rat,
+    terms: &[(usize, Rat)],
+) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < coeffs.len() || j < terms.len() {
+        let take_left = j == terms.len() || (i < coeffs.len() && coeffs[i].0 < terms[j].0);
+        let (idx, c) = if take_left {
+            let t = coeffs[i];
+            i += 1;
+            t
+        } else if i == coeffs.len() || terms[j].0 < coeffs[i].0 {
+            let (idx, t) = terms[j];
+            j += 1;
+            (idx, scale * t)
+        } else {
+            let c = coeffs[i].1 + scale * terms[j].1;
+            let idx = coeffs[i].0;
+            i += 1;
+            j += 1;
+            (idx, c)
+        };
+        if !c.is_zero() {
+            out.push((idx, c));
         }
     }
-    scratch.extend_from_slice(&dst[p..]);
-    scratch.extend(src[q..].iter().map(|&(j, y)| (j, -(f * y))));
-    std::mem::swap(dst, scratch);
 }
 
 pub(crate) enum Opt {
@@ -294,22 +295,21 @@ impl Tableau {
 
         for (i, r) in rows.iter().enumerate() {
             let (eff_rel, sign) = Tableau::normalise(r.rel, r.rhs);
-            // Coefficients in column order (duplicates summed, zeros
-            // dropped), then the slack, then the artificial: every
-            // structural column precedes every slack, every slack every
-            // artificial, so the row comes out sorted.
-            let mut coeffs: Vec<(usize, Rat)> =
-                r.coeffs.iter().map(|&(j, c)| (j, c * sign)).collect();
-            coeffs.sort_by_key(|&(j, _)| j);
-            let mut row: SparseRow = Vec::with_capacity(coeffs.len() + 2);
-            for (j, c) in coeffs {
-                debug_assert!(j < n_vars, "rt-ilp: coefficient index out of range");
-                match row.last_mut() {
-                    Some((lj, lc)) if *lj == j => *lc += c,
-                    _ => row.push((j, c)),
-                }
-            }
-            row.retain(|&(_, c)| !c.is_zero());
+            // Coefficients in column order, then the slack, then the
+            // artificial: every structural column precedes every slack,
+            // every slack every artificial, so the row comes out sorted.
+            let mut row: SparseRow = r
+                .coeffs
+                .iter()
+                .filter(|(_, c)| !c.is_zero())
+                .map(|&(j, c)| (j, c * sign))
+                .collect();
+            row.sort_unstable_by_key(|&(j, _)| j);
+            debug_assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0)
+                    && row.last().is_none_or(|&(j, _)| j < n_vars),
+                "rt-ilp: coefficient indices must be unique and in range"
+            );
             rhs[i] = r.rhs * sign;
             match eff_rel {
                 Rel::Le => {
@@ -576,7 +576,8 @@ impl Tableau {
         // `var` itself; a basic column has a unit column elsewhere, so one
         // row subtraction leaves every basic column at zero.
         if let Some(r) = (0..self.m).find(|&i| self.basis[i] == var) {
-            sub_scaled(&mut row, coeff, &self.a[r], &mut Vec::new());
+            let cut = std::mem::take(&mut row);
+            add_scaled(&mut row, &cut, -coeff, &self.a[r]);
             rhs -= coeff * self.rhs[r];
         }
         self.a.push(row);
@@ -644,12 +645,15 @@ impl Tableau {
         }
         self.rhs[row] = self.rhs[row] * inv;
         let pivot_rhs = self.rhs[row];
+        // Each merge is built in `scratch` and swapped in, so the buffer
+        // then holds the replaced row's allocation for the next merge.
         let mut scratch = Vec::new();
         for i in 0..self.m {
             if i != row {
                 let f = entry(&self.a[i], col);
                 if !f.is_zero() {
-                    sub_scaled(&mut self.a[i], f, &pivot_row, &mut scratch);
+                    add_scaled(&mut scratch, &self.a[i], -f, &pivot_row);
+                    std::mem::swap(&mut self.a[i], &mut scratch);
                     self.rhs[i] -= f * pivot_rhs;
                 }
             }
@@ -965,15 +969,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn sub_scaled_drops_cancellations() {
-        // (1, 2, 0, 3) - 2 * (0, 1, 1, 0) = (1, 0, -2, 3): column 1 cancels.
-        let mut dst = sparse(&[r(1), r(2), r(0), r(3)]);
-        let src = sparse(&[r(0), r(1), r(1), r(0)]);
-        sub_scaled(&mut dst, r(2), &src, &mut Vec::new());
-        assert_eq!(dst, vec![(0, r(1)), (2, r(-2)), (3, r(3))]);
-    }
-
     /// A random small LP with a box on every variable (so it is bounded),
     /// mixed-relation rows and a random sequence of branching cuts.
     type LpCase = (
@@ -1000,25 +995,27 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The merge equals dense `dst - f * src`, column by column, and
-        /// stores no zero — including the entries it cancels exactly.
+        /// The merge equals dense `coeffs + scale * terms`, column by
+        /// column, and stores no zero — including the entries it cancels
+        /// exactly.
         #[test]
-        fn sub_scaled_matches_dense(
-            src in proptest::collection::vec(-2i64..=2, 10),
+        fn add_scaled_matches_dense(
+            terms in proptest::collection::vec(-2i64..=2, 10),
             noise in proptest::collection::vec(-2i64..=2, 10),
             cancel in proptest::collection::vec(any::<bool>(), 10),
-            f in (prop_oneof![-3i64..=-1, 1i64..=3], 1i64..=3),
+            scale in (prop_oneof![-3i64..=-1, 1i64..=3], 1i64..=3),
         ) {
-            let f = Rat::new(f.0.into(), f.1.into());
-            let src: Vec<Rat> = src.into_iter().map(Rat::from).collect();
-            // Where `cancel` is set, dst holds exactly f * src: the merge
-            // must cancel that entry to an absent zero.
-            let dst: Vec<Rat> = (0..10)
-                .map(|j| if cancel[j] { f * src[j] } else { Rat::from(noise[j]) })
+            let scale = Rat::new(scale.0.into(), scale.1.into());
+            let terms: Vec<Rat> = terms.into_iter().map(Rat::from).collect();
+            // Where `cancel` is set, coeffs holds exactly -scale * terms:
+            // the merge must cancel that entry to an absent zero.
+            let coeffs: Vec<Rat> = (0..10)
+                .map(|j| if cancel[j] { -(scale * terms[j]) } else { Rat::from(noise[j]) })
                 .collect();
-            let mut merged = sparse(&dst);
-            sub_scaled(&mut merged, f, &sparse(&src), &mut vec![(7, r(9))]);
-            let expect: Vec<Rat> = (0..10).map(|j| dst[j] - f * src[j]).collect();
+            // A stale buffer: the merge must clear it.
+            let mut merged = vec![(7, r(9))];
+            add_scaled(&mut merged, &sparse(&coeffs), scale, &sparse(&terms));
+            let expect: Vec<Rat> = (0..10).map(|j| coeffs[j] + scale * terms[j]).collect();
             prop_assert_eq!(merged, sparse(&expect));
         }
 
