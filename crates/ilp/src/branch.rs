@@ -84,9 +84,12 @@ impl Ord for Node {
 
 /// Maximum number of frontier nodes holding a live tableau snapshot.
 ///
-/// IPET tableaus run to a few megabytes; bounding the snapshot count keeps
-/// peak memory flat. Nodes pushed beyond the cap simply cold-solve when
-/// popped (counted as warm misses in the stats).
+/// Nodes pushed beyond the cap simply cold-solve when popped (counted as
+/// warm misses in the stats). The cap was set to keep peak memory flat
+/// when a tableau stored every cell; with sparse rows a snapshot costs
+/// kilobytes, but the cap still decides which nodes solve cold, and a
+/// cold solve can reach a different optimal vertex of equal bound than
+/// the warm path. Raising it would change the reported worst paths.
 const WARM_SNAPSHOT_CAP: usize = 16;
 
 /// Reference driver replicating the seed solver: every node is solved cold

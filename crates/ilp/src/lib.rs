@@ -10,9 +10,10 @@
 //!   ([`Rat`], `i128` numerator/denominator with aggressive normalisation),
 //!   so there is no floating-point tolerance tuning and no unsoundness from
 //!   rounding — a WCET bound produced here is exact for the given model;
-//! * the LP relaxation is solved with a dense two-phase primal simplex
-//!   using largest-coefficient (Dantzig) pivoting, falling back to Bland's
-//!   rule after a run of degenerate pivots so termination stays guaranteed;
+//! * the LP relaxation is solved with a two-phase primal simplex over a
+//!   tableau whose constraint rows store only their nonzero entries, using
+//!   largest-coefficient (Dantzig) pivoting, falling back to Bland's rule
+//!   after a run of degenerate pivots so termination stays guaranteed;
 //! * integrality is enforced by best-bound-first branch and bound with
 //!   incumbent pruning, where each child node *warm-starts* from its
 //!   parent's optimal basis: the branching cut is appended as one tableau
