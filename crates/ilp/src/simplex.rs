@@ -174,6 +174,10 @@ enum Step {
     Degenerate,
 }
 
+/// One sparse tableau row: `(column, value)` entries with strictly
+/// increasing columns and no zero values.
+type SparseRow = Vec<(usize, Rat)>;
+
 /// The value at column `col` of a sparse row (zero when not stored).
 fn entry(row: &[(usize, Rat)], col: usize) -> Rat {
     match row.binary_search_by_key(&col, |&(j, _)| j) {
@@ -220,10 +224,6 @@ pub(crate) enum Opt {
     Optimal,
     Unbounded,
 }
-
-/// One sparse tableau row: `(column, value)` entries with strictly
-/// increasing columns and no zero values.
-type SparseRow = Vec<(usize, Rat)>;
 
 /// Simplex tableau with sparse constraint rows.
 ///
