@@ -11,6 +11,10 @@ cargo test -q
 # debug assertions hold it; release code must agree without them.
 cargo test --release -q -p rt-ilp -p rt-wcet
 
+# The explorer's deep state-set goldens (the searches perfbench times)
+# take seconds in release and far longer in debug, so tier-1 skips them.
+cargo test --release -q -p rt-tests --test goldens -- --ignored
+
 # The benchmark package is a workspace of its own, so the build above
 # does not compile it; it calls the crates' library APIs directly and
 # must keep building and passing its own tests against them.

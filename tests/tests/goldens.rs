@@ -21,6 +21,11 @@
 //! do, so a host-side speed-up of the machine model must leave them
 //! byte-identical.
 //!
+//! `explore_states` and `explore_cex` pin what a faster explorer must
+//! not move even when its counters do: the set of distinct canonical
+//! states each search reaches (as a digest), and for every seeded bug the
+//! verdict, the failing and minimized traces and the violated oracles.
+//!
 //! `ilp_work` pins the ILP solver's *work*, not just its answers: per
 //! distinct analysis the re-solve's node, pivot, warm-start and presolve
 //! counts plus a digest of the chosen worst path and trace. A solver
@@ -33,8 +38,12 @@ use std::fmt::Write;
 
 use rt_bench::sweep::{full_sweep_jobs, SweepCtx};
 use rt_bench::{attribution, tables};
-use rt_explore::scenario::{all, smp_all};
-use rt_explore::{explore_scenario, render_line, BoundMemo, PorMode};
+use rt_explore::scenario::{all, by_name, smp_all};
+use rt_explore::{
+    explore, explore_scenario, explore_with_states, render_line, BoundMemo, ExploreConfig, PorMode,
+    Scenario, SeededBug,
+};
+use rt_hw::Cycles;
 use rt_kernel::kernel::{EntryPoint, KernelConfig, SchedKind, VmKind};
 use rt_load::{run_load, LoadSpec};
 use rt_wcet::AnalysisConfig;
@@ -145,6 +154,131 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     })
+}
+
+/// One line per sleep-set search: the scenario, the depth, the number of
+/// distinct canonical states and an FNV-1a digest of their sorted hashes.
+/// An engine change that reaches a different state set, not just a
+/// different count, shows up here.
+fn render_explore_states(ctx: &SweepCtx, searches: &[(Scenario, usize)]) -> String {
+    let mut out = String::new();
+    for (sc, depth) in searches {
+        let cfg = ExploreConfig {
+            max_depth: *depth,
+            por: PorMode::Sleep,
+            max_runs: usize::MAX,
+            ..ExploreConfig::default()
+        };
+        let (rep, states) = explore_with_states(sc, &cfg, ctx.pool());
+        assert!(!rep.capped, "{} at depth {depth} capped", sc.name);
+        let bytes: Vec<u8> = states.iter().flat_map(|h| h.to_le_bytes()).collect();
+        writeln!(
+            out,
+            "{} depth={depth} distinct={} states={:016x}",
+            sc.name,
+            rep.distinct_states,
+            fnv1a(&bytes)
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// The lines of `explore_states.txt` at `depth`.
+fn explore_states_golden(depth: usize) -> String {
+    let tag = format!(" depth={depth} ");
+    include_str!("../goldens/explore_states.txt")
+        .lines()
+        .filter(|l| l.contains(&tag))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// The `explore_small` scenario set at depth 6.
+#[test]
+fn explore_states_match_golden() {
+    check("explore_states", &explore_states_golden(6), |ctx| {
+        let searches: Vec<_> = all()
+            .into_iter()
+            .chain(smp_all())
+            .map(|sc| (sc, 6))
+            .collect();
+        render_explore_states(ctx, &searches)
+    });
+}
+
+/// The two searches perfbench times: ep-delete-wide at depth 20 and
+/// every SMP scenario at depth 14, which exhausts them. Seconds in
+/// release, far longer in debug, so `ci.sh` runs it with `--release
+/// -- --ignored`.
+#[test]
+#[ignore]
+fn explore_states_deep_match_golden() {
+    let wide = by_name("ep-delete-wide").expect("widened scenario");
+    let mut golden = explore_states_golden(20);
+    golden.push_str(&explore_states_golden(14));
+    check("explore_states", &golden, |ctx| {
+        let searches: Vec<_> = std::iter::once((wide.clone(), 20))
+            .chain(smp_all().into_iter().map(|sc| (sc, 14)))
+            .collect();
+        render_explore_states(ctx, &searches)
+    });
+}
+
+/// Every seeded bug, and a 1-cycle latency bound that every response
+/// breaks, against every scenario under every POR mode at depth 6: the
+/// verdict, the failing trace, the minimized trace and the names of the
+/// violated oracles.
+fn render_explore_cex(ctx: &SweepCtx) -> String {
+    let mut out = String::new();
+    let bugs = [
+        Some(SeededBug::AbortSkip),
+        Some(SeededBug::DropRunnable),
+        Some(SeededBug::LostIpi),
+        None,
+    ];
+    for bug in bugs {
+        for sc in all().iter().chain(smp_all().iter()) {
+            for por in [PorMode::Off, PorMode::Sleep, PorMode::Full] {
+                let cfg = ExploreConfig {
+                    max_depth: 6,
+                    por,
+                    seeded_bug: bug,
+                    latency_bound: if bug.is_some() { Cycles::MAX } else { 1 },
+                    ..ExploreConfig::default()
+                };
+                let rep = explore(sc, &cfg, ctx.pool());
+                let bug = bug.map_or("Latency1".to_string(), |b| format!("{b:?}"));
+                write!(out, "{bug} {} {por:?}", sc.name).unwrap();
+                match &rep.counterexample {
+                    None => writeln!(out, " clean").unwrap(),
+                    Some(cex) => {
+                        let mut names: Vec<&str> =
+                            cex.violations.iter().map(|v| v.invariant).collect();
+                        names.dedup();
+                        writeln!(
+                            out,
+                            " fail trace={:?} minimized={:?} violated={}",
+                            cex.trace,
+                            cex.minimized,
+                            names.join(",")
+                        )
+                        .unwrap();
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn explore_cex_matches_golden() {
+    check(
+        "explore_cex",
+        include_str!("../goldens/explore_cex.txt"),
+        render_explore_cex,
+    );
 }
 
 /// The analyses whose solver work `ilp_work.txt` pins: every distinct
