@@ -31,7 +31,8 @@
 //! interleaving count is exponential:
 //!
 //! * **Duplicate-state pruning** against a sharded visited set of
-//!   canonical time-free hashes ([`crate::state`]);
+//!   canonical time-free hashes ([`crate::state`]) across waves, and
+//!   against the expansions of earlier runs of the same wave (below);
 //! * **Partial-order reduction** ([`crate::por`]): sleep sets skip
 //!   branches provably covered by a commuted sibling, and (in
 //!   [`PorMode::Full`]) persistent singletons skip all siblings of an
@@ -47,10 +48,34 @@
 //!   any `--workers` value — the same determinism contract the analysis
 //!   sweep makes.
 //!
+//! Because the visited set only grows between waves, most runs of a wave
+//! reach some state that an earlier run of the same wave also reaches.
+//! The merge therefore cuts each run, in frontier order, at the first
+//! state that an earlier run of the wave expanded at no greater depth. It
+//! records the run as though a worker had pruned it there, with the
+//! counters saved at that boundary, and drops everything past it. The
+//! depth guard keeps the state set exact: an earlier expansion at a
+//! greater depth has less depth left than the run it would cut. When the
+//! earlier expansions' sleep signatures intersect to a set that is not a
+//! subset of the run's own, Godefroid's revisit rule applies (state
+//! caching with sleep sets, LNCS 1032): the run is still cut, but it
+//! branches the alternatives asleep in the stored signature and awake in
+//! the run.
+//!
+//! Workers stop most of these runs before they execute the duplicate
+//! suffix at all, through the wave's claim table (`state::Claims`,
+//! sharded like the visited set). A run stops at a state that a
+//! lower-indexed run of the wave has already claimed at no greater depth
+//! with a sleep set no larger, where the merge cuts it anyway. Claims
+//! depend on timing and cuts do not. A stopped run that the merge cannot
+//! cut at or before its stop runs again in full on the coordinating
+//! thread ([`ExploreReport::reexecutions`]), so reports stay
+//! byte-identical at any worker count.
+//!
 //! [`DecisionSource`]: rt_kernel::decision::DecisionSource
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -65,12 +90,12 @@ use rt_wcet::{smp_latency_margin, AnalysisCache, AnalysisConfig, SmpParams};
 use crate::choice::{Choice, Decision, RunCtl, ScriptedSource, Site, SplitMix};
 use crate::oracle;
 use crate::por::{
-    desc_raise, desc_run, filter_sleep, independent, raise_footprint, run_footprint, sig_subset,
-    sleep_sig, Footprint, PorMode, SleepEntry,
+    desc_raise, desc_run, filter_sleep, independent, raise_footprint, run_footprint, sig_intersect,
+    sig_subset, sleep_sig, Footprint, PorMode, SleepEntry,
 };
 use crate::scenario::{Instance, Scenario};
 use crate::snap::{SnapAccount, SnapPoint, SnapStats};
-use crate::state::{canonical_hash, SharedVisited};
+use crate::state::{canonical_hash, Claims, SharedVisited, SleepSig};
 
 /// Exploration parameters.
 #[derive(Clone, Debug)]
@@ -99,9 +124,11 @@ pub struct ExploreConfig {
     /// memory — and capture time — for up to N-1 replayed events per
     /// fork). `0` disables snapshotting entirely — every branch rebuilds
     /// from boot and replays its prefix, the pre-fork engine. Reports are
-    /// byte-identical for every value (see [`crate::snap`]). The default
-    /// of 4 is the empirical sweet spot on the depth-36 widened sweep:
-    /// capture cost and replay cost cross between cadence 3 and 6.
+    /// byte-identical for every value (see [`crate::snap`]). On the
+    /// exhausted depth-36 widened search, every capture costs more than
+    /// the cadence-1 forks save, and the wall is flat from cadence 2 to 8.
+    /// Since most runs are cut at their first new state, few live long
+    /// enough for the cadence to matter; 4 stays the default.
     pub snapshot_every: usize,
     /// Resident-snapshot cap, enforced at wave boundaries: while the live
     /// census is at or over this, the next wave runs with capture paused
@@ -163,6 +190,23 @@ pub(crate) struct EventInfo {
     persistent_only: bool,
 }
 
+/// A run's counters as they stood at one hashed boundary: what its record
+/// would hold had it been pruned there. The wave's merge cuts runs back
+/// to one of these.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Mark {
+    /// Decisions taken before the boundary (its event decision's index).
+    taken: usize,
+    /// Top-level events executed (`RunRecord::events`).
+    depth: usize,
+    states: usize,
+    polls: u32,
+    injected: u32,
+    preemptions: u64,
+    responses: usize,
+    max_latency: Cycles,
+}
+
 /// Everything observed during a single run.
 #[derive(Clone, Debug, Default)]
 pub struct RunRecord {
@@ -193,6 +237,15 @@ pub struct RunRecord {
     /// Canonical state hashes newly expanded by this run, each with the
     /// sleep-set signature in force at the expansion.
     pub hashes: Vec<(u64, Vec<u32>)>,
+    /// The counters at each boundary of `hashes`, aligned with it.
+    pub(crate) marks: Vec<Mark>,
+    /// Stopped at the last boundary of `hashes`, which a lower-indexed
+    /// run of the wave had claimed (see `Claims`).
+    pub(crate) stopped: bool,
+    /// Set when the wave's merge cut this run where the stored sleep
+    /// signature (held here) was not a subset of the run's own: the
+    /// alternatives asleep there but awake in this run still branch.
+    pub(crate) revisit: Option<SleepSig>,
     /// Oracle violations (run stops at the first failing state).
     pub violations: Vec<Violation>,
     /// Per-decision branch alternatives (POR bookkeeping).
@@ -222,7 +275,9 @@ pub struct ExploreReport {
     pub scenario: String,
     /// Distinct interleavings executed.
     pub interleavings: usize,
-    /// Runs cut short at a duplicate state.
+    /// Runs cut short at a duplicate state: pruned against earlier waves
+    /// by a worker, or cut by the merge where an earlier run of the same
+    /// wave had expanded the state at no greater depth.
     pub pruned: usize,
     /// Runs that hit the depth bound.
     pub truncated: usize,
@@ -261,6 +316,10 @@ pub struct ExploreReport {
     /// 0). Not part of [`render_line`] — forked and rebuilt searches
     /// render byte-identically.
     pub snap: SnapStats,
+    /// Runs that stopped early at a claimed state which the merge did
+    /// not cut at or before the stop, so they ran again in full on the
+    /// coordinating thread. Expected to stay 0; not rendered.
+    pub reexecutions: usize,
 }
 
 impl ExploreReport {
@@ -286,6 +345,7 @@ impl ExploreReport {
             counterexample: None,
             capped: false,
             snap: SnapStats::default(),
+            reexecutions: 0,
         }
     }
 
@@ -507,6 +567,9 @@ fn check_state(
     v
 }
 
+/// Executes one run. `claims` holds the wave's claim table and this
+/// run's index in frontier order: the run stops early at a state a
+/// lower-indexed run of the wave has claimed.
 fn execute_inner(
     sc: &Scenario,
     branch: &Branch,
@@ -514,6 +577,7 @@ fn execute_inner(
     cfg: &ExploreConfig,
     visited: Option<&SharedVisited>,
     snapctx: Option<&SnapCtx<'_>>,
+    claims: Option<(&Claims, usize)>,
 ) -> RunRecord {
     let mut rec = RunRecord::default();
     let mut checked_responses = 0usize;
@@ -678,7 +742,24 @@ fn execute_inner(
                     rec.pruned = true;
                     break;
                 }
+                let g = ctl.borrow();
+                rec.marks.push(Mark {
+                    taken: g.taken.len(),
+                    depth: rec.events,
+                    states: rec.states,
+                    polls: g.polls,
+                    injected: g.injected,
+                    preemptions: kernel.stats.preemptions,
+                    responses: rec.responses,
+                    max_latency: rec.max_latency,
+                });
+                drop(g);
+                let stop = claims.is_some_and(|(c, i)| c.yield_or_claim(h, i, rec.events, &sig));
                 rec.hashes.push((h, sig));
+                if stop {
+                    rec.stopped = true;
+                    break;
+                }
             }
             // Capture a resume point at this boundary: the kernel is
             // quiescent (pending lines drained, no operation on the
@@ -820,7 +901,7 @@ pub fn execute(
         sleep0: Vec::new(),
         snap: None,
     };
-    execute_inner(sc, &branch, rng, cfg, None, None)
+    execute_inner(sc, &branch, rng, cfg, None, None, None)
 }
 
 /// Replays `trace` against `sc` (no pruning, no extension randomness) and
@@ -890,17 +971,26 @@ fn tally(rep: &mut ExploreReport, r: &RunRecord) {
 /// Generates the child branches of one completed run: every untried
 /// alternative at every extension decision, minus what the reduction
 /// discharges (sleeping alternatives; all siblings at persistent
-/// singletons). Each child adopts the latest resume point at or before
-/// its divergence decision — falling back to the parent's own point (an
-/// `Arc` fork, so inherited chains cost no extra memory, only a longer
-/// replay gap) when this run captured none, and to rebuild-from-boot when
-/// there is neither.
+/// singletons), plus the alternatives Godefroid's revisit rule re-expands
+/// at a cut (see `RunRecord::revisit`). Each child adopts the latest
+/// resume point at or before its divergence decision — falling back to
+/// the parent's own point (an `Arc` fork, so inherited chains cost no
+/// extra memory, only a longer replay gap) when this run captured none,
+/// and to rebuild-from-boot when there is neither.
 fn branch(
     rep: &mut ExploreReport,
     frontier: &mut VecDeque<Branch>,
     parent: &Branch,
     r: &RunRecord,
 ) {
+    let snap_at = |i: usize| {
+        r.snaps
+            .iter()
+            .rev()
+            .find(|&&(tl, _)| tl <= i)
+            .map(|(_, sp)| sp)
+            .or(parent.snap.as_ref())
+    };
     let prefix_len = parent.prefix.len();
     for i in prefix_len..r.taken.len() {
         let info = r.evinfo.get(i).and_then(|o| o.as_ref());
@@ -910,13 +1000,7 @@ fn branch(
                 continue;
             }
         }
-        let snap_i = r
-            .snaps
-            .iter()
-            .rev()
-            .find(|&&(tl, _)| tl <= i)
-            .map(|(_, sp)| sp)
-            .or(parent.snap.as_ref());
+        let snap_i = snap_at(i);
         // Non-sleeping siblings already branched at this site (option
         // `taken[i]` was executed by this very run).
         let mut explored: Vec<usize> = vec![r.taken[i] as usize];
@@ -957,6 +1041,110 @@ fn branch(
             });
         }
     }
+    // The revisit rule: the stored expansion left the alternatives asleep
+    // in `stored` unexplored, so those this run has awake branch here,
+    // each with (current ∩ stored) plus its earlier such siblings asleep.
+    // Option 0 is never one of them: the stored expansion executed it.
+    let i = r.taken.len();
+    let info = r.evinfo.get(i).and_then(|o| o.as_ref());
+    if let (Some(stored), Some(info)) = (&r.revisit, info.filter(|f| !f.persistent_only)) {
+        let mut asleep: Vec<SleepEntry> = info
+            .sleep
+            .iter()
+            .filter(|e| stored.contains(&e.desc))
+            .cloned()
+            .collect();
+        for (alt, (&desc, fp)) in info.descs.iter().zip(&info.fps).enumerate().skip(1) {
+            if !stored.contains(&desc) || info.sleep.iter().any(|e| e.desc == desc) {
+                continue;
+            }
+            let sleep0 = asleep
+                .iter()
+                .filter(|e| independent(&e.fp, fp))
+                .cloned()
+                .collect();
+            asleep.push(SleepEntry {
+                desc,
+                fp: fp.clone(),
+            });
+            let mut prefix = r.taken.clone();
+            prefix.push(alt as Choice);
+            frontier.push_back(Branch {
+                prefix,
+                sleep0,
+                snap: snap_at(i).cloned(),
+            });
+        }
+    }
+}
+
+/// Where the wave's merge cuts a run: the index in its `hashes` of the
+/// first boundary that earlier runs of the wave expanded at no greater
+/// depth, and the intersection of their signatures there when it is not
+/// a subset of the run's own (the revisit case).
+struct Cut {
+    at: usize,
+    revisit: Option<SleepSig>,
+}
+
+/// Expansions merged so far in the current wave: per canonical hash, the
+/// depth and sleep signature of each.
+type WaveExpanded = HashMap<u64, Vec<(usize, SleepSig)>>;
+
+/// Finds `r`'s cut against the expansions earlier runs of its wave
+/// merged. Only expansions at a depth no greater than the run's count: a
+/// deeper one has less depth left, so cutting against it would lose the
+/// states the run's extra depth reaches.
+fn find_cut(expanded: &WaveExpanded, r: &RunRecord) -> Option<Cut> {
+    r.hashes
+        .iter()
+        .zip(&r.marks)
+        .enumerate()
+        .find_map(|(at, ((h, sig), m))| {
+            let stored = expanded
+                .get(h)?
+                .iter()
+                .filter(|(depth, _)| *depth <= m.depth)
+                .map(|(_, s)| s.clone())
+                .reduce(|a, b| sig_intersect(&a, &b))?;
+            let revisit = (!sig_subset(&stored, sig)).then_some(stored);
+            Some(Cut { at, revisit })
+        })
+}
+
+/// Rewinds `r` to the record a worker would have returned had it pruned
+/// the run at `cut`: counters from the boundary's mark, and only the
+/// decisions, snapshots and expansions before it (the cut boundary's own
+/// expansion too, under the revisit rule, which branches from it).
+/// Whatever the run found past the cut — violations included — lies on
+/// the default path an earlier run of the wave takes from the same
+/// canonical state.
+fn cut_run(r: &mut RunRecord, cut: Cut) {
+    let m = r.marks[cut.at];
+    let keep = cut.at + cut.revisit.is_some() as usize;
+    r.hashes.truncate(keep);
+    r.marks.truncate(keep);
+    r.taken.truncate(m.taken);
+    r.decisions.truncate(m.taken);
+    r.evinfo.truncate(m.taken + 1);
+    r.snaps.retain(|&(tl, _)| tl < m.taken);
+    r.events = m.depth;
+    r.states = m.states;
+    r.polls = m.polls;
+    r.injected = m.injected;
+    r.preemptions = m.preemptions;
+    r.responses = m.responses;
+    r.max_latency = m.max_latency;
+    r.preempt_decisions = r
+        .decisions
+        .iter()
+        .filter(|d| d.site == Site::PreemptPoll)
+        .count() as u32;
+    r.pruned = true;
+    r.truncated = false;
+    r.stopped = false;
+    r.violations.clear();
+    r.revisit = cut.revisit;
 }
 
 /// Runs per wave: bounds the memory spike of a wide frontier and the
@@ -987,6 +1175,7 @@ pub fn explore_with_states(
 ) -> (ExploreReport, Vec<u64>) {
     let mut rep = ExploreReport::new(&sc.name, cfg.latency_bound);
     let visited = SharedVisited::new();
+    let mut claims = Claims::new();
     let account = Arc::new(SnapAccount::default());
     let mut frontier: VecDeque<Branch> = VecDeque::from([Branch::default()]);
 
@@ -1023,25 +1212,27 @@ pub fn explore_with_states(
         // Execute the wave: chunks fan out over the pool (work stealing
         // hands whole chunks between idle workers); results come back in
         // frontier order regardless of who ran what. Workers only read
-        // the visited set during the wave. Branches are *moved* through
-        // the pool and returned beside their records — a wave can hold
-        // thousands of branches whose sleep sets carry footprint vectors,
-        // and deep-cloning them per wave was a measurable slice of the
-        // merge loop.
+        // the visited set during the wave, and claim states in the claim
+        // table as they reach them. Branches are *moved* through the pool
+        // and returned beside their records — a wave can hold thousands
+        // of branches whose sleep sets carry footprint vectors, and
+        // deep-cloning them per wave was a measurable slice of the merge
+        // loop.
         let mut iter = wave.into_iter();
-        let mut chunks: Vec<Vec<Branch>> = Vec::new();
+        let mut chunks: Vec<(usize, Vec<Branch>)> = Vec::new();
         loop {
             let c: Vec<Branch> = iter.by_ref().take(WAVE_CHUNK).collect();
             if c.is_empty() {
                 break;
             }
-            chunks.push(c);
+            chunks.push((chunks.len() * WAVE_CHUNK, c));
         }
-        let pairs: Vec<(Branch, RunRecord)> = pool
-            .parallel_map(chunks, |chunk| {
+        let mut pairs: Vec<(Branch, RunRecord)> = pool
+            .parallel_map(chunks, |(start, chunk)| {
                 chunk
                     .into_iter()
-                    .map(|b| {
+                    .enumerate()
+                    .map(|(k, b)| {
                         let r = execute_inner(
                             sc,
                             &b,
@@ -1049,6 +1240,7 @@ pub fn explore_with_states(
                             cfg,
                             Some(&visited),
                             snapping.then_some(&sctx),
+                            Some((&claims, start + k)),
                         );
                         (b, r)
                     })
@@ -1057,6 +1249,43 @@ pub fn explore_with_states(
             .into_iter()
             .flatten()
             .collect();
+        claims.clear();
+
+        // Deterministic cuts, in frontier order: each run is cut at the
+        // first state an earlier run of this wave expanded at no greater
+        // depth. A run the claim table stopped early is cut at or before
+        // its stop, so its record holds everything read here; should
+        // that ever fail, it runs again in full, without claims, against
+        // the visited set as it stood before the wave (whose merges wait
+        // until every cut is decided).
+        let mut expanded = WaveExpanded::new();
+        for (b, r) in &mut pairs {
+            let mut cut = find_cut(&expanded, r);
+            // A stop records no branch alternatives at its boundary, and
+            // a revisit cut there would need them.
+            let covered = cut
+                .as_ref()
+                .is_some_and(|c| c.at + 1 < r.hashes.len() || c.revisit.is_none());
+            if r.stopped && !covered {
+                *r = execute_inner(
+                    sc,
+                    b,
+                    None,
+                    cfg,
+                    Some(&visited),
+                    snapping.then_some(&sctx),
+                    None,
+                );
+                rep.reexecutions += 1;
+                cut = find_cut(&expanded, r);
+            }
+            if let Some(c) = cut {
+                cut_run(r, c);
+            }
+            for ((h, sig), m) in r.hashes.iter().zip(&r.marks) {
+                expanded.entry(*h).or_default().push((m.depth, sig.clone()));
+            }
+        }
 
         // Deterministic merge, in frontier order: visited-set updates,
         // counters, and child branches.

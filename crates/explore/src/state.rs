@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 
 use rt_hw::IrqLine;
 use rt_kernel::kernel::Kernel;
@@ -292,6 +292,12 @@ pub(crate) type SleepSig = Vec<u32>;
 
 const VISITED_SHARDS: usize = 64;
 
+/// Shard of `hash` in a [`SharedVisited`] or [`Claims`] table.
+#[inline]
+fn shard_of(hash: u64) -> usize {
+    (hash & (VISITED_SHARDS as u64 - 1)) as usize
+}
+
 /// Sharded, lock-striped visited set shared across rt-pool workers.
 ///
 /// Within one frontier wave every worker only *reads* the set (taking
@@ -315,7 +321,7 @@ impl SharedVisited {
 
     #[inline]
     fn shard(&self, hash: u64) -> &RwLock<HashMap<u64, SleepSig>> {
-        &self.shards[(hash & (VISITED_SHARDS as u64 - 1)) as usize]
+        &self.shards[shard_of(hash)]
     }
 
     /// Whether a run reaching `hash` with `sleep` asleep may be pruned:
@@ -362,6 +368,72 @@ impl SharedVisited {
             .collect();
         all.sort_unstable();
         all
+    }
+}
+
+/// One run's claim on a state: its index in the wave's frontier order,
+/// its depth there and the sleep-set signature it reached the state with.
+struct Claim {
+    index: usize,
+    depth: usize,
+    sig: SleepSig,
+}
+
+/// The wave-local claim table: which runs of the current wave have
+/// reached each canonical state so far, sharded like [`SharedVisited`].
+///
+/// Workers read and write it while the wave runs, so its contents depend
+/// on timing; only the decision to stop a run early is taken from it.
+/// A run that stops where a lower-indexed run already claimed the state
+/// (at no greater depth, with a sleep set no larger) would be cut there
+/// or earlier by the wave's merge anyway, which does not read this table
+/// (see `engine::explore_with_states`).
+pub(crate) struct Claims {
+    shards: Vec<Mutex<HashMap<u64, Vec<Claim>>>>,
+}
+
+impl Claims {
+    pub(crate) fn new() -> Claims {
+        Claims {
+            shards: (0..VISITED_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+        }
+    }
+
+    /// Whether the run at frontier `index`, reaching `hash` at `depth`
+    /// with `sig` asleep, should stop: a lower-indexed run claimed the
+    /// state at a depth no greater and with a signature that is a subset
+    /// of `sig`. When it should not, the run's own claim is recorded.
+    pub(crate) fn yield_or_claim(
+        &self,
+        hash: u64,
+        index: usize,
+        depth: usize,
+        sig: &[u32],
+    ) -> bool {
+        let mut shard = self.shards[shard_of(hash)].lock().unwrap();
+        let claims = shard.entry(hash).or_default();
+        if claims
+            .iter()
+            .any(|c| c.index < index && c.depth <= depth && sig_subset(&c.sig, sig))
+        {
+            return true;
+        }
+        claims.push(Claim {
+            index,
+            depth,
+            sig: sig.to_vec(),
+        });
+        false
+    }
+
+    /// Forgets every claim, keeping the shards' capacity for the next
+    /// wave.
+    pub(crate) fn clear(&mut self) {
+        for s in &mut self.shards {
+            s.get_mut().unwrap().clear();
+        }
     }
 }
 
@@ -424,5 +496,39 @@ mod tests {
         assert!(w.would_prune(42, &[1]));
         assert!(!w.would_prune(42, &[3]));
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn claims_yield_to_lower_index_only() {
+        let c = Claims::new();
+        assert!(!c.yield_or_claim(7, 5, 3, &[]));
+        // A higher index yields; a lower one claims beside it.
+        assert!(c.yield_or_claim(7, 6, 3, &[]));
+        assert!(!c.yield_or_claim(7, 2, 3, &[]));
+        assert!(c.yield_or_claim(7, 5, 3, &[]));
+        // Other states are unclaimed.
+        assert!(!c.yield_or_claim(8, 9, 3, &[]));
+    }
+
+    #[test]
+    fn claims_never_yield_to_the_same_index() {
+        let c = Claims::new();
+        assert!(!c.yield_or_claim(7, 4, 1, &[]));
+        assert!(!c.yield_or_claim(7, 4, 5, &[]));
+        assert!(!c.yield_or_claim(7, 4, 5, &[1, 2]));
+    }
+
+    #[test]
+    fn claims_guard_depth_and_signature() {
+        let mut c = Claims::new();
+        assert!(!c.yield_or_claim(7, 0, 4, &[2]));
+        // Shallower than the claim: its extra depth may reach more.
+        assert!(!c.yield_or_claim(7, 3, 3, &[2]));
+        // Neither claim's sleep set is a subset of this run's.
+        assert!(!c.yield_or_claim(7, 5, 6, &[1]));
+        // No shallower, with a superset signature: yields.
+        assert!(c.yield_or_claim(7, 6, 4, &[1, 2]));
+        c.clear();
+        assert!(!c.yield_or_claim(7, 6, 4, &[1, 2]));
     }
 }

@@ -1,10 +1,12 @@
 //! Integration tests for the exploration engine: exhaustiveness,
-//! seeded-bug detection with minimized repro, worker-count determinism,
-//! random-walk reproducibility, and the latency-soundness oracle.
+//! seeded-bug detection with minimized repro, worker-count determinism
+//! (early stops included), random-walk reproducibility, and the
+//! latency-soundness oracle.
 
-use rt_explore::scenario::by_name;
+use rt_explore::scenario::{all, by_name, smp_all};
 use rt_explore::{
-    execute, explore, minimize, random_walk, replay, wcet_latency_bound, ExploreConfig, SeededBug,
+    execute, explore, minimize, random_walk, replay, wcet_latency_bound, ExploreConfig,
+    ExploreReport, PorMode, SeededBug, SnapStats,
 };
 use rt_pool::Pool;
 use rt_wcet::AnalysisCache;
@@ -131,6 +133,56 @@ fn reports_are_identical_across_worker_counts() {
         let one = format!("{:?}", explore(&sc, &cfg, &Pool::new(1)));
         let four = format!("{:?}", explore(&sc, &cfg, &Pool::new(4)));
         assert_eq!(one, four, "{name} diverged across worker counts");
+    }
+}
+
+/// Runs stop early only where the wave's merge cuts them anyway. One
+/// worker claims states in frontier order and so stops the most runs,
+/// yet on every scenario, clean and with a seeded bug, the report is the
+/// same at 1, 2 and 4 workers and, but for the snapshot counters, at
+/// every snapshot cadence; no stopped run ever has to run again.
+#[test]
+fn early_stops_leave_reports_unchanged() {
+    let strip = |r: &ExploreReport| {
+        let mut r = r.clone();
+        r.snap = SnapStats::default();
+        format!("{r:?}")
+    };
+    for sc in all().into_iter().chain(smp_all()) {
+        let bug = if sc.name.starts_with("smp-") {
+            SeededBug::LostIpi
+        } else {
+            SeededBug::DropRunnable
+        };
+        for seeded_bug in [None, Some(bug)] {
+            let mut cadences = Vec::new();
+            for snapshot_every in [0usize, 1, 4] {
+                let cfg = ExploreConfig {
+                    max_depth: 7,
+                    por: PorMode::Sleep,
+                    seeded_bug,
+                    snapshot_every,
+                    ..ExploreConfig::default()
+                };
+                let one = explore(&sc, &cfg, &Pool::new(1));
+                assert_eq!(one.reexecutions, 0, "{} (bug {seeded_bug:?})", sc.name);
+                for workers in [2usize, 4] {
+                    let rep = explore(&sc, &cfg, &Pool::new(workers));
+                    assert_eq!(
+                        format!("{one:?}"),
+                        format!("{rep:?}"),
+                        "{} (bug {seeded_bug:?}, every {snapshot_every}): {workers} workers",
+                        sc.name
+                    );
+                }
+                cadences.push(strip(&one));
+            }
+            assert!(
+                cadences.windows(2).all(|w| w[0] == w[1]),
+                "{} (bug {seeded_bug:?}): reports diverged across cadences",
+                sc.name
+            );
+        }
     }
 }
 
