@@ -114,17 +114,20 @@ awk '
     }
 ' "$tmp/explore_off" "$tmp/explore_por_4"
 
-# Scale gate: the widened small-scope scenario must push at least a
+# Scale gate: a widened small-scope scenario must push at least a
 # million oracle-checked states through the reduced frontier search
-# within the smoke budget (the recorded BENCH_sweep.json explore block
-# carries the 1e7-state run of the same configuration), and the
-# snapshot-fork engine must clear it in at most half the wall the
-# rebuild-from-boot engine needs — `--baseline-rebuild` runs both in one
-# process (also asserting byte-identical renders) and records both walls
-# in the JSON. The recorded margin is ~4x, so 2x still catches a fork
-# path that has quietly degenerated into replay without flaking on noise.
+# within the smoke budget, and the snapshot-fork engine must clear it in
+# at most half the wall the rebuild-from-boot engine needs —
+# `--baseline-rebuild` runs both in one process (also asserting
+# byte-identical renders) and records both walls in the JSON. The gate
+# runs ep-delete-wider (16 queued senders): the merge cuts leave
+# ep-delete-wide (12) only ~0.59M state checks in its whole space, the
+# exhausted depth-36 run the recorded BENCH_sweep.json explore block
+# carries. The recorded fork margin there is ~3.7x, and ~3x here, so 2x
+# still catches a fork path that has quietly degenerated into replay
+# without flaking on noise.
 RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
-    explore --depth 20 --scenario ep-delete-wide --por sleep --budget-states 1050000 --workers 4 \
+    explore --depth 64 --scenario ep-delete-wider --por sleep --budget-states 1050000 --workers 4 \
     --baseline-rebuild 2>/dev/null | awk '
     /interleavings=/ {
         ok = 1; st = -1; cex = -1

@@ -396,14 +396,15 @@ fn irq_response() -> Instance {
     }
 }
 
-/// Widened-scope endpoint deletion for the 10⁶–10⁷-state searches: a
-/// deeper send queue and triple arrival budgets on both lines, on a
+/// Widened-scope endpoint deletion: `senders` queued senders (every
+/// second one badged) and triple arrival budgets on both lines, on a
 /// 256-slot root CNode (see [`base_radix`]). Not part of [`all`] — the
 /// smoke report keeps the PR 5 scope; `repro explore --scenario
-/// ep-delete-wide` and the CI budget gate drive this one.
-fn ep_delete_wide() -> Instance {
+/// ep-delete-wide` (12 senders) and the CI scale gate (`ep-delete-wider`,
+/// 16 senders) drive these.
+fn ep_delete_wide(senders: u32) -> Instance {
     let mut b = base_radix(8);
-    let _ep = queued_ep(&mut b, 12, 2, false);
+    let _ep = queued_ep(&mut b, senders, 2, false);
     let (driver, driver_script) = add_driver(&mut b);
     let deleter = start(&mut b, "deleter", 100);
     let irqs = vec![(DRIVER_LINE, 6), (FREE_LINE, 6)];
@@ -748,16 +749,22 @@ pub fn smp_all() -> Vec<Scenario> {
 }
 
 /// Scenarios addressable by name: the report set, the SMP set, plus the
-/// widened-scope search target.
+/// two widened-scope search targets.
 pub fn by_name(name: &str) -> Option<Scenario> {
-    if name == "ep-delete-wide" {
-        return Some(Scenario::new(
+    match name {
+        "ep-delete-wide" => Some(Scenario::new(
             "ep-delete-wide",
-            "widened §3.3 deletion: 6-deep queue, 3+3 arrivals (10⁷-state search target)",
-            ep_delete_wide,
-        ));
+            "widened §3.3 deletion: 12 queued senders, 6+6 arrivals \
+             (exhausted in ~0.59M state checks)",
+            || ep_delete_wide(12),
+        )),
+        "ep-delete-wider" => Some(Scenario::new(
+            "ep-delete-wider",
+            "widened §3.3 deletion: 16 queued senders, 6+6 arrivals (≥10⁶-state scale target)",
+            || ep_delete_wide(16),
+        )),
+        _ => all().into_iter().chain(smp_all()).find(|s| s.name == name),
     }
-    all().into_iter().chain(smp_all()).find(|s| s.name == name)
 }
 
 #[cfg(test)]
