@@ -412,7 +412,9 @@ impl Claims {
         depth: usize,
         sig: &[u32],
     ) -> bool {
-        let mut shard = self.shards[shard_of(hash)].lock().unwrap();
+        let mut shard = self.shards[shard_of(hash)]
+            .lock()
+            .expect("a worker panicked holding a claim shard");
         let claims = shard.entry(hash).or_default();
         if claims
             .iter()
@@ -432,7 +434,9 @@ impl Claims {
     /// wave.
     pub(crate) fn clear(&mut self) {
         for s in &mut self.shards {
-            s.get_mut().unwrap().clear();
+            s.get_mut()
+                .expect("a worker panicked holding a claim shard")
+                .clear();
         }
     }
 }
