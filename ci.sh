@@ -120,12 +120,12 @@ awk '
 # at most half the wall the rebuild-from-boot engine needs —
 # `--baseline-rebuild` runs both in one process (also asserting
 # byte-identical renders) and records both walls in the JSON. The gate
-# runs ep-delete-wider (16 queued senders): the merge cuts leave
-# ep-delete-wide (12) only ~0.59M state checks in its whole space, the
-# exhausted depth-36 run the recorded BENCH_sweep.json explore block
-# carries. The recorded fork margin there is ~3.7x, and ~3x here, so 2x
-# still catches a fork path that has quietly degenerated into replay
-# without flaking on noise.
+# runs ep-delete-wider (16 queued senders): with in-wave duplicate runs
+# cut (DESIGN.md §12), ep-delete-wide (12 senders) has only ~0.59M state
+# checks in its whole space, the exhausted depth-36 run that the
+# recorded BENCH_sweep.json explore block carries. The recorded fork
+# margin there is ~3.7x, and ~3x here, so 2x still catches a fork path
+# that has quietly degenerated into replay without flaking on noise.
 RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \
     explore --depth 64 --scenario ep-delete-wider --por sleep --budget-states 1050000 --workers 4 \
     --baseline-rebuild 2>/dev/null | awk '

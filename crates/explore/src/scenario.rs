@@ -797,6 +797,16 @@ mod tests {
     }
 
     #[test]
+    fn widened_scenarios_build_clean() {
+        for (name, senders) in [("ep-delete-wide", 12), ("ep-delete-wider", 16)] {
+            let inst = (by_name(name).expect("widened scenario").build)();
+            let v = rt_kernel::invariants::check_all(&inst.kernel);
+            assert!(v.is_empty(), "{name}: {v:?}");
+            assert_eq!(blocked_senders(&inst.kernel).len(), senders, "{name}");
+        }
+    }
+
+    #[test]
     fn builders_are_deterministic() {
         for sc in all() {
             let a = (sc.build)();

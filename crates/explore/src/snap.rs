@@ -139,7 +139,9 @@ impl fmt::Debug for SnapPoint {
 /// [`ExploreReport`]: crate::engine::ExploreReport
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapStats {
-    /// Snapshots captured across all runs.
+    /// Snapshots captured across all runs, up to each run's cut point:
+    /// captures past it are discarded with the rest of the run, and
+    /// whether a run got that far depends on timing.
     pub captured: u64,
     /// Branches resumed from a snapshot instead of boot.
     pub forks: u64,
