@@ -122,8 +122,8 @@ awk '
 # byte-identical renders) and records both walls in the JSON. The gate
 # runs ep-delete-wider (16 queued senders): with in-wave duplicate runs
 # cut (DESIGN.md §12), ep-delete-wide (12 senders) has only ~0.59M state
-# checks in its whole space, the exhausted depth-36 run that the
-# recorded BENCH_sweep.json explore block carries. The recorded fork
+# checks in its whole space; the recorded BENCH_sweep.json explore block
+# carries its depth-36 run, which takes 586,256. The recorded fork
 # margin there is ~3.7x, and ~3x here, so 2x still catches a fork path
 # that has quietly degenerated into replay without flaking on noise.
 RT_BENCH_OUT="$tmp/explore_json" cargo run --release -q -p rt-bench --bin repro -- \

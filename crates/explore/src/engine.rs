@@ -126,9 +126,9 @@ pub struct ExploreConfig {
     /// from boot and replays its prefix, the pre-fork engine. Reports are
     /// byte-identical for every value (see [`crate::snap`]). Most runs
     /// are cut at their first new state, so few live long enough for the
-    /// cadence to matter: on the exhausted depth-36 widened search at one
-    /// worker, the wall falls from cadence 1 to 3 and then stays within
-    /// 5% up to cadence 8. 4 stays the default.
+    /// cadence to matter: on the depth-36 widened search at one worker,
+    /// the wall falls from cadence 1 to 3 and then stays within 5% up to
+    /// cadence 8. 4 stays the default.
     pub snapshot_every: usize,
     /// Resident-snapshot cap, enforced at wave boundaries: while the live
     /// census is at or over this, the next wave runs with capture paused
