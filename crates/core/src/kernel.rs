@@ -22,14 +22,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rt_hw::{Addr, Cycles, HwConfig, InstrClass, IrqLine, Machine};
+use rt_hw::{Addr, Cycles, HwConfig, IrqLine, Machine};
 
 use crate::cap::{CapType, SlotRef};
 use crate::cnode::CNode;
 use crate::decision::DecisionSource;
 use crate::ep::Endpoint;
 use crate::irqk::IrqTable;
-use crate::kprog::{self, Block, Ik, Layout, D};
+use crate::kprog::{self, Block, Layout};
 use crate::ntfn::{self, Notification};
 use crate::obj::{BootAlloc, ObjId, ObjKind, ObjStore};
 use crate::preempt::{PreemptResult, Preempted};
@@ -562,8 +562,10 @@ impl Kernel {
 
     // --- The block executor ------------------------------------------------
 
-    /// Executes (charges) one kernel basic block. `objs` supplies the data
-    /// address for each object-class memory operand, in order.
+    /// Executes (charges) one kernel basic block: its ops, lowered once
+    /// by [`kprog::compiled`], in one [`Machine::run_block`] call. `objs`
+    /// supplies the data address for each object-class memory operand, in
+    /// order.
     ///
     /// # Panics
     ///
@@ -574,86 +576,15 @@ impl Kernel {
             t.push(b);
         }
         let profile_t0 = self.profile.is_some().then(|| self.machine.now());
-        let spec = b.spec();
+        let code = kprog::compiled(b);
         assert_eq!(
             objs.len() as u32,
-            spec.obj_ops(),
+            code.obj_ops,
             "{b:?}: expected {} object operands, got {}",
-            spec.obj_ops(),
+            code.obj_ops,
             objs.len()
         );
-        let mut pc = self.layout.addr_of(b);
-        let mut oi = 0usize;
-        let mut auto_i = 0u32; // index for stack/global slot assignment
-        for ik in spec.instrs {
-            match *ik {
-                Ik::A(n) => {
-                    self.machine.exec_straight(pc, n as u32);
-                    pc += 4 * n as u32;
-                }
-                Ik::Z => {
-                    self.machine.exec(InstrClass::Clz, pc);
-                    pc += 4;
-                }
-                Ik::M => {
-                    self.machine.exec(InstrClass::Mul, pc);
-                    pc += 4;
-                }
-                Ik::L(d, n) => {
-                    for _ in 0..n {
-                        match d {
-                            D::Ob => {
-                                let a = objs[oi];
-                                oi += 1;
-                                self.machine.touch_read(pc, a);
-                            }
-                            D::St => {
-                                self.machine.touch_read(pc, kprog::stack_addr(auto_i));
-                                auto_i += 1;
-                            }
-                            D::Gl => {
-                                self.machine.touch_read(pc, kprog::global_addr(b, auto_i));
-                                auto_i += 1;
-                            }
-                            D::Dv => {
-                                // Uncached device register: fixed latency.
-                                self.machine.exec(InstrClass::Alu, pc);
-                                self.machine.advance(kprog::DEVICE_ACCESS_CYCLES - 1);
-                            }
-                        }
-                        pc += 4;
-                    }
-                }
-                Ik::S(d, n) => {
-                    for _ in 0..n {
-                        match d {
-                            D::Ob => {
-                                let a = objs[oi];
-                                oi += 1;
-                                self.machine.touch_write(pc, a);
-                            }
-                            D::St => {
-                                self.machine.touch_write(pc, kprog::stack_addr(auto_i));
-                                auto_i += 1;
-                            }
-                            D::Gl => {
-                                self.machine.touch_write(pc, kprog::global_addr(b, auto_i));
-                                auto_i += 1;
-                            }
-                            D::Dv => {
-                                self.machine.exec(InstrClass::Alu, pc);
-                                self.machine.advance(kprog::DEVICE_ACCESS_CYCLES - 1);
-                            }
-                        }
-                        pc += 4;
-                    }
-                }
-                Ik::B => {
-                    self.machine.exec_branch(pc, true);
-                    pc += 4;
-                }
-            }
-        }
+        self.machine.run_block(&code.ops, objs);
         if let Some(t0) = profile_t0 {
             let dt = self.machine.now() - t0;
             let p = self.profile.as_mut().expect("profiling was on at entry");

@@ -7,10 +7,11 @@
 //! list of abstract instructions ([`Ik`]) laid out at concrete code
 //! addresses. The same tables are used twice:
 //!
-//! * the **runtime** ([`crate::kernel::Kernel::blk`]) walks a block's
+//! * the **runtime** ([`crate::kernel::Kernel::blk`]) runs a block's
 //!   instruction list as the Rust control flow passes through it, charging
 //!   every instruction fetch and data access to the `rt_hw` machine — this
-//!   is what produces *observed* execution times;
+//!   is what produces *observed* execution times. Each list is lowered
+//!   once, at its laid-out address, into `rt_hw` ops ([`compiled`]);
 //! * the **static analysis** (`rt-wcet`) walks the same lists with its
 //!   pessimistic cache model and a control-flow graph over the same blocks
 //!   — this is what produces *computed* bounds.
@@ -26,7 +27,9 @@
 //! object accesses ([`D::Ob`]) depend on runtime placement and are the
 //! analysis's unknowable, always-miss traffic.
 
-use rt_hw::Addr;
+use std::sync::OnceLock;
+
+use rt_hw::{Addr, CacheGeometry, Op, OpKind, Operand};
 
 /// Kernel code is linked at the top of the virtual address space.
 pub const KERNEL_CODE_BASE: Addr = 0xf000_0000;
@@ -636,6 +639,99 @@ impl Default for Layout {
     }
 }
 
+/// A block lowered to rt-hw ops at its laid-out address.
+#[derive(Debug)]
+pub struct CompiledBlock {
+    /// The ops, in execution order, for [`rt_hw::Machine::run_block`].
+    pub ops: Box<[Op]>,
+    /// Object operands the ops read: [`BlockSpec::obj_ops`].
+    pub obj_ops: u32,
+}
+
+/// `b` lowered to rt-hw ops. Every block is lowered once per process
+/// into one table: [`Layout::new`] takes no input, so the table never
+/// varies.
+pub fn compiled(b: Block) -> &'static CompiledBlock {
+    static PROGRAM: OnceLock<Vec<CompiledBlock>> = OnceLock::new();
+    let program = PROGRAM.get_or_init(|| {
+        let layout = Layout::new();
+        Block::ALL.iter().map(|&b| lower(&layout, b)).collect()
+    });
+    &program[b.index()]
+}
+
+/// Lowers `b`'s instruction list, as laid out by `layout`. ALU runs are
+/// split at L1I line boundaries; stack and global operands get their
+/// addresses here, object operands their index into the runtime's list.
+fn lower(layout: &Layout, b: Block) -> CompiledBlock {
+    let line = CacheGeometry::L1.line;
+    let mut ops = Vec::new();
+    let mut last_line = None;
+    // Appends an op at `pc`, probing the L1I unless `pc` lies in the line
+    // the previous instruction was fetched from.
+    let mut push = |pc: Addr, kind: OpKind| {
+        let l = pc & !(line - 1);
+        ops.push(Op {
+            pc,
+            fetch: last_line != Some(l),
+            kind,
+        });
+        last_line = Some(l);
+    };
+    let mut pc = layout.addr_of(b);
+    let mut obj = 0u32;
+    let mut auto_i = 0u32; // index for stack/global slot assignment
+    for &ik in b.spec().instrs {
+        match ik {
+            Ik::A(n) => {
+                let mut left = u32::from(n);
+                while left > 0 {
+                    let run = ((line - (pc & (line - 1))) / 4).min(left);
+                    push(pc, OpKind::Alu(run));
+                    pc += 4 * run;
+                    left -= run;
+                }
+            }
+            Ik::Z | Ik::M | Ik::B => {
+                let kind = match ik {
+                    Ik::Z => OpKind::Clz,
+                    Ik::M => OpKind::Mul,
+                    _ => OpKind::Branch(true),
+                };
+                push(pc, kind);
+                pc += 4;
+            }
+            Ik::L(d, n) | Ik::S(d, n) => {
+                let data = |o| match ik {
+                    Ik::L(..) => OpKind::Load(o),
+                    _ => OpKind::Store(o),
+                };
+                for _ in 0..n {
+                    let kind = match d {
+                        D::Ob => data(Operand::Obj(post_inc(&mut obj))),
+                        D::St => data(Operand::At(stack_addr(post_inc(&mut auto_i)))),
+                        D::Gl => data(Operand::At(global_addr(b, post_inc(&mut auto_i)))),
+                        // Uncached device register: fixed latency.
+                        D::Dv => OpKind::Device(DEVICE_ACCESS_CYCLES as u32 - 1),
+                    };
+                    push(pc, kind);
+                    pc += 4;
+                }
+            }
+        }
+    }
+    CompiledBlock {
+        ops: ops.into(),
+        obj_ops: obj,
+    }
+}
+
+/// Returns `*i` and increments it.
+fn post_inc(i: &mut u32) -> u32 {
+    *i += 1;
+    *i - 1
+}
+
 /// Address of the stack slot used by the `i`-th stack operand of a block
 /// (rotates within the pinned first 256 bytes below the stack top).
 pub fn stack_addr(op_index: u32) -> Addr {
@@ -779,6 +875,46 @@ mod tests {
         let spec = Block::ResolveLevel.spec();
         assert_eq!(spec.obj_ops(), 3);
         assert_eq!(Block::CaseEp.spec().obj_ops(), 0);
+    }
+
+    #[test]
+    fn compiled_ops_cover_each_block_in_order() {
+        let layout = Layout::new();
+        let line_of = |a: Addr| a & !(CacheGeometry::L1.line - 1);
+        for &b in Block::ALL {
+            let spec = b.spec();
+            let code = compiled(b);
+            let mut pc = layout.addr_of(b);
+            let mut last_line = None;
+            let mut objs = Vec::new();
+            for op in code.ops.iter() {
+                assert_eq!(op.pc, pc, "{b:?}: ops not contiguous");
+                let n = op.instructions();
+                assert!(n > 0, "{b:?}: empty op");
+                assert_eq!(
+                    line_of(pc + 4 * (n - 1)),
+                    line_of(pc),
+                    "{b:?}: {op:?} crosses a line"
+                );
+                assert_eq!(op.fetch, last_line != Some(line_of(pc)), "{b:?}: {op:?}");
+                if let OpKind::Load(Operand::Obj(i)) | OpKind::Store(Operand::Obj(i)) = op.kind {
+                    objs.push(i);
+                }
+                last_line = Some(line_of(pc));
+                pc += 4 * n;
+            }
+            assert_eq!(
+                pc,
+                layout.addr_of(b) + spec.code_bytes(),
+                "{b:?}: instruction count"
+            );
+            assert_eq!(code.obj_ops, spec.obj_ops(), "{b:?}");
+            assert_eq!(
+                objs,
+                (0..spec.obj_ops()).collect::<Vec<_>>(),
+                "{b:?}: object operands"
+            );
+        }
     }
 
     #[test]

@@ -74,12 +74,9 @@ pub enum Replacement {
     },
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u32,
-}
+/// The tag of an empty way. Tags are addresses shifted right by at least
+/// the line offset's width, so no line's tag equals it.
+const INVALID: u32 = u32::MAX;
 
 /// Result of a cache access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,9 +99,11 @@ pub struct Cache {
     line_shift: u32,
     /// `log2(geom.sets())`: the line-number shift to the tag.
     set_shift: u32,
-    /// `sets * ways` lines, row-major by set. Ways `0..locked_ways` are the
-    /// locked region.
-    lines: Vec<Line>,
+    /// The tag of each of the `sets * ways` lines, row-major by set, or
+    /// [`INVALID`]. Ways `0..locked_ways` are the locked region.
+    tags: Vec<u32>,
+    /// Whether each line is dirty, indexed as `tags`.
+    dirty: Vec<bool>,
     locked_ways: u32,
     policy: Replacement,
     /// Per-set round-robin pointers (into the unlocked region).
@@ -116,16 +115,29 @@ impl Cache {
     /// Overwrites `self` with `src`, reusing the line and round-robin
     /// buffers — the allocation-free half of the explorer's
     /// snapshot-restore fast path (geometry is process-constant, so the
-    /// buffers always fit).
+    /// buffers always fit). `src` is destructured, so a field added to
+    /// `Cache` and not copied here fails to compile.
     pub fn copy_from(&mut self, src: &Cache) {
-        self.geom = src.geom;
-        self.line_shift = src.line_shift;
-        self.set_shift = src.set_shift;
-        self.lines.clone_from(&src.lines);
-        self.locked_ways = src.locked_ways;
-        self.policy = src.policy;
-        self.rr.clone_from(&src.rr);
-        self.lfsr = src.lfsr;
+        let Cache {
+            geom,
+            line_shift,
+            set_shift,
+            tags,
+            dirty,
+            locked_ways,
+            policy,
+            rr,
+            lfsr,
+        } = src;
+        self.geom = *geom;
+        self.line_shift = *line_shift;
+        self.set_shift = *set_shift;
+        self.tags.clone_from(tags);
+        self.dirty.clone_from(dirty);
+        self.locked_ways = *locked_ways;
+        self.policy = *policy;
+        self.rr.clone_from(rr);
+        self.lfsr = *lfsr;
     }
 
     /// Creates an empty (all-invalid) cache.
@@ -134,6 +146,8 @@ impl Cache {
             geom.line.is_power_of_two(),
             "line size must be a power of two"
         );
+        // A tag then drops at least one address bit, so none is `INVALID`.
+        assert!(geom.line > 1, "line size must exceed one byte");
         assert!(
             geom.size.is_multiple_of(geom.ways * geom.line),
             "cache size must be a whole number of sets"
@@ -150,7 +164,8 @@ impl Cache {
             geom,
             line_shift: geom.line.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
-            lines: vec![Line::default(); sets * geom.ways as usize],
+            tags: vec![INVALID; sets * geom.ways as usize],
+            dirty: vec![false; sets * geom.ways as usize],
             locked_ways: 0,
             policy,
             rr: vec![0; sets],
@@ -184,15 +199,14 @@ impl Cache {
             self.geom.ways - 1
         );
         self.locked_ways = n;
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
+        self.tags.fill(INVALID);
+        self.dirty.fill(false);
         for p in &mut self.rr {
             *p = 0;
         }
     }
 
-    /// `addr`'s set and the index of that set's first line in `lines`,
+    /// `addr`'s set and the index of that set's first line in `tags`,
     /// and `addr`'s tag; equal to `geom.set_of(addr)` and
     /// `geom.tag_of(addr)`.
     fn locate(&self, addr: Addr) -> (usize, usize, u32) {
@@ -214,20 +228,14 @@ impl Cache {
     pub fn pin(&mut self, addr: Addr) -> bool {
         let (_, base, tag) = self.locate(addr);
         // Already pinned?
-        for w in 0..self.locked_ways as usize {
-            let l = &self.lines[base + w];
-            if l.valid && l.tag == tag {
-                return true;
-            }
+        let locked = base..base + self.locked_ways as usize;
+        if self.tags[locked.clone()].contains(&tag) {
+            return true;
         }
-        for w in 0..self.locked_ways as usize {
-            let l = &mut self.lines[base + w];
-            if !l.valid {
-                *l = Line {
-                    valid: true,
-                    dirty: false,
-                    tag,
-                };
+        for i in locked {
+            if self.tags[i] == INVALID {
+                self.tags[i] = tag;
+                self.dirty[i] = false;
                 return true;
             }
         }
@@ -237,8 +245,7 @@ impl Cache {
     /// Returns `true` if the line containing `addr` is pinned.
     pub fn is_pinned(&self, addr: Addr) -> bool {
         let (_, base, tag) = self.locate(addr);
-        (0..self.locked_ways as usize)
-            .any(|w| self.lines[base + w].valid && self.lines[base + w].tag == tag)
+        self.tags[base..base + self.locked_ways as usize].contains(&tag)
     }
 
     /// Looks up `addr`, allocating on miss. `write` marks the line dirty.
@@ -252,26 +259,33 @@ impl Cache {
     pub fn probe(&mut self, addr: Addr, write: bool) -> (Lookup, bool) {
         let (set, base, tag) = self.locate(addr);
         let ways = self.geom.ways as usize;
+        let locked = self.locked_ways as usize;
+        let tags = &mut self.tags[base..base + ways];
 
-        // Hit in any way (locked or not)?
-        for w in 0..ways {
-            let l = &mut self.lines[base + w];
-            if l.valid && l.tag == tag {
-                if write {
-                    l.dirty = true;
-                }
-                return (Lookup::Hit, w < self.locked_ways as usize);
-            }
+        // Compare every way, one bit per match: no branch per way. The
+        // lowest matching way is the first a way-by-way search would
+        // stop at, so locked ways still win.
+        let mut hits = 0u32;
+        for (w, &t) in tags.iter().enumerate() {
+            hits |= u32::from(t == tag) << w;
+        }
+        if hits != 0 {
+            let w = hits.trailing_zeros() as usize;
+            self.dirty[base + w] |= write;
+            return (Lookup::Hit, w < locked);
         }
 
         // Miss: pick a victim among the unlocked ways.
-        let unlocked = ways - self.locked_ways as usize;
+        let unlocked = ways - locked;
         debug_assert!(unlocked > 0);
         let victim_off = match self.policy {
             Replacement::RoundRobin => {
-                let v = self.rr[set] as usize % unlocked;
-                self.rr[set] = (self.rr[set] + 1) % unlocked as u32;
-                v
+                // The pointer starts at 0 (`new`, `lock_ways`) and wraps
+                // here, so it is always below `unlocked`.
+                let v = self.rr[set];
+                debug_assert!((v as usize) < unlocked);
+                self.rr[set] = if v as usize + 1 == unlocked { 0 } else { v + 1 };
+                v as usize
             }
             Replacement::PseudoRandom { .. } => {
                 let v = self.lfsr as usize % unlocked;
@@ -284,13 +298,11 @@ impl Cache {
                 v
             }
         };
-        let victim = base + self.locked_ways as usize + victim_off;
-        let writeback = self.lines[victim].valid && self.lines[victim].dirty;
-        self.lines[victim] = Line {
-            valid: true,
-            dirty: write,
-            tag,
-        };
+        let victim = locked + victim_off;
+        // An empty way is never dirty.
+        let writeback = self.dirty[base + victim];
+        tags[victim] = tag;
+        self.dirty[base + victim] = write;
         (Lookup::Miss { writeback }, false)
     }
 
@@ -300,7 +312,8 @@ impl Cache {
         let ways = self.geom.ways as usize;
         for set in 0..self.geom.sets() as usize {
             for w in self.locked_ways as usize..ways {
-                self.lines[set * ways + w] = Line::default();
+                self.tags[set * ways + w] = INVALID;
+                self.dirty[set * ways + w] = false;
             }
         }
     }
@@ -320,27 +333,35 @@ impl Cache {
     /// caches are polluted *clean* (I-lines are never written, so evicting
     /// them costs no writeback on real hardware).
     pub fn pollute(&mut self, pollution_base: Addr, dirty: bool) {
-        let ways = self.geom.ways as usize;
-        let sets = self.geom.sets();
-        for set in 0..sets {
-            for w in self.locked_ways..self.geom.ways {
+        let Cache {
+            geom,
+            line_shift,
+            set_shift,
+            tags,
+            dirty: dirty_bits,
+            locked_ways,
+            ..
+        } = self;
+        let ways = geom.ways as usize;
+        let rows = tags
+            .chunks_exact_mut(ways)
+            .zip(dirty_bits.chunks_exact_mut(ways));
+        for (set, (tag_row, dirty_row)) in (0u32..).zip(rows) {
+            for w in *locked_ways..geom.ways {
                 // A distinct tag per way, far away from normal traffic.
                 let addr = pollution_base
-                    .wrapping_add(set * self.geom.line)
-                    .wrapping_add(w * self.geom.size);
-                let tag = self.geom.tag_of(addr);
-                self.lines[set as usize * ways + w as usize] = Line {
-                    valid: true,
-                    dirty,
-                    tag,
-                };
+                    .wrapping_add(set * geom.line)
+                    .wrapping_add(w * geom.size);
+                // `geom.tag_of(addr)`, by the shifts `locate` uses.
+                tag_row[w as usize] = addr >> *line_shift >> *set_shift;
+                dirty_row[w as usize] = dirty;
             }
         }
     }
 
     /// Number of valid lines (diagnostics / tests).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }
 
@@ -482,6 +503,34 @@ mod tests {
         assert!(c.pin(0x9000_0000));
         c.pollute_dirty(0x4000_0000);
         assert_eq!(c.access(0x9000_0000, false), Lookup::Hit);
+    }
+
+    #[test]
+    fn pollute_tags_equal_tag_of() {
+        for geom in [CacheGeometry::L1, CacheGeometry::L2] {
+            for locked in [0, 1, geom.ways - 1] {
+                let mut c = Cache::new(geom, Replacement::RoundRobin);
+                c.lock_ways(locked);
+                // A base whose set bits are non-zero, and one that wraps.
+                for base in [0x4000_0120, 0xffff_ffe0] {
+                    c.pollute(base, true);
+                    for set in 0..geom.sets() {
+                        for w in 0..geom.ways {
+                            let i = (set * geom.ways + w) as usize;
+                            if w < locked {
+                                assert_eq!(c.tags[i], INVALID, "locked way {w} polluted");
+                                continue;
+                            }
+                            let addr = base
+                                .wrapping_add(set * geom.line)
+                                .wrapping_add(w * geom.size);
+                            assert!(c.dirty[i]);
+                            assert_eq!(c.tags[i], geom.tag_of(addr), "{geom:?} set {set} way {w}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod cache;
 pub mod irq;
 pub mod machine;
@@ -48,6 +49,7 @@ pub mod predictor;
 pub mod smp;
 pub mod trace;
 
+pub use block::{Op, OpKind, Operand};
 pub use cache::{Cache, CacheGeometry, Replacement};
 pub use irq::{IrqController, IrqLine};
 pub use machine::{HwConfig, InstrClass, Machine};

@@ -229,57 +229,6 @@ impl Machine {
         self.charge(c);
     }
 
-    /// Executes `n` sequential ALU instructions starting at `pc` (word
-    /// addresses `pc, pc+4, ...`).
-    ///
-    /// Charges exactly what `n` calls of [`Machine::exec`] with
-    /// [`InstrClass::Alu`] would, but probes the I-cache once per line:
-    /// only a line's first fetch can miss, since it leaves the line
-    /// resident and the rest of the run touches no other address. Each
-    /// later fetch is a hit that changes nothing but the hit counter, and
-    /// hits a locked way exactly when the first one did. Interrupts are
-    /// ticked once at the end: `tick` stamps each raise with its scheduled
-    /// cycle and nothing reads the controller mid-run. With tracing on,
-    /// every fetch still records its own `Access` event.
-    pub fn exec_straight(&mut self, pc: Addr, n: u32) {
-        if n == 0 {
-            return;
-        }
-        let line = self.mem.l1i.geometry().line;
-        let mut i = 0;
-        while i < n {
-            let first = pc + 4 * i;
-            // Fetches left in `first`'s line, this one included.
-            let run = ((line - (first & (line - 1))).div_ceil(4)).min(n - i);
-            let at = self.pmu.cycles;
-            let report = self.mem_access(AccessKind::IFetch, first);
-            let hits = run - 1;
-            self.mem.l1i_stats.hits += u64::from(hits);
-            if self.trace.is_enabled() {
-                let hit = AccessReport {
-                    l1_hit: true,
-                    locked_hit: report.locked_hit,
-                    ..AccessReport::default()
-                };
-                let after_first = at + report.cost() + InstrClass::Alu.base_cost();
-                for k in 0..hits {
-                    self.trace.push(TraceEvent::Access {
-                        at: after_first + Cycles::from(k),
-                        kind: AccessKind::IFetch,
-                        addr: first + 4 * (k + 1),
-                        report: hit,
-                    });
-                }
-            }
-            let base = Cycles::from(run) * InstrClass::Alu.base_cost();
-            self.accounts.pipeline += base;
-            self.pmu.instructions += u64::from(run);
-            self.pmu.cycles += report.cost() + base;
-            i += run;
-        }
-        self.irq.tick(self.pmu.cycles);
-    }
-
     /// Executes a load at `pc` from data address `addr`; returns the loaded
     /// word from physical memory.
     pub fn exec_load(&mut self, pc: Addr, addr: Addr) -> u32 {
@@ -293,19 +242,6 @@ impl Machine {
         self.phys.read_word(addr & !3)
     }
 
-    /// Charges a load's timing without touching memory contents (for
-    /// metadata the simulator keeps in host structures rather than in
-    /// simulated RAM; the *timing* is identical).
-    pub fn touch_read(&mut self, pc: Addr, addr: Addr) {
-        let c = self.ifetch(pc)
-            + InstrClass::Load.base_cost()
-            + self.mem_access(AccessKind::Read, addr).cost();
-        self.accounts.pipeline += InstrClass::Load.base_cost();
-        self.pmu.instructions += 1;
-        self.pmu.data_accesses += 1;
-        self.charge(c);
-    }
-
     /// Executes a store at `pc` of `value` to data address `addr`.
     pub fn exec_store(&mut self, pc: Addr, addr: Addr, value: u32) {
         let c = self.ifetch(pc)
@@ -316,17 +252,6 @@ impl Machine {
         self.pmu.data_accesses += 1;
         self.charge(c);
         self.phys.write_word(addr & !3, value);
-    }
-
-    /// Charges a store's timing without touching memory contents.
-    pub fn touch_write(&mut self, pc: Addr, addr: Addr) {
-        let c = self.ifetch(pc)
-            + InstrClass::Store.base_cost()
-            + self.mem_access(AccessKind::Write, addr).cost();
-        self.accounts.pipeline += InstrClass::Store.base_cost();
-        self.pmu.instructions += 1;
-        self.pmu.data_accesses += 1;
-        self.charge(c);
     }
 
     /// Executes a branch at `pc` with outcome `taken`.
@@ -405,17 +330,25 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{Op, OpKind, Operand};
+
+    /// `n` ALU instructions from `pc`, one at a time.
+    fn straight(m: &mut Machine, pc: Addr, n: u32) {
+        for i in 0..n {
+            m.exec(InstrClass::Alu, pc + 4 * i);
+        }
+    }
 
     #[test]
     fn straight_line_cost_is_fetch_plus_base() {
         let mut m = Machine::new(HwConfig::default());
         let t0 = m.now();
         // 8 ALU instructions in one 32-byte line: 1 I-miss (60) + 8 * 1.
-        m.exec_straight(0xf000_0000, 8);
+        straight(&mut m, 0xf000_0000, 8);
         assert_eq!(m.now() - t0, 60 + 8);
         // Re-running the same line is all hits.
         let t1 = m.now();
-        m.exec_straight(0xf000_0000, 8);
+        straight(&mut m, 0xf000_0000, 8);
         assert_eq!(m.now() - t1, 8);
     }
 
@@ -438,7 +371,7 @@ mod tests {
     #[test]
     fn branch_cost_constant_when_disabled() {
         let mut m = Machine::new(HwConfig::default());
-        m.exec_straight(0xf000_0000, 1); // warm the line
+        m.exec(InstrClass::Alu, 0xf000_0000); // warm the line
         let t0 = m.now();
         m.exec_branch(0xf000_0004, true);
         assert_eq!(m.now() - t0, 5);
@@ -451,7 +384,7 @@ mod tests {
         // must agree on every observable (the snapshot contract stateful
         // exploration relies on).
         let mut m = Machine::new(HwConfig::default());
-        m.exec_straight(0xf000_0000, 8);
+        straight(&mut m, 0xf000_0000, 8);
         m.exec_store(0xf000_0020, 0x8000_0100, 41);
         m.irq.schedule(m.now() + 10, crate::IrqLine(3));
         let mut f = m.clone();
@@ -505,13 +438,24 @@ mod tests {
             });
             m.trace.enable();
             m.pollute(0x4000_0000);
-            m.exec_straight(0xf000_0000, 12);
+            straight(&mut m, 0xf000_0000, 12);
             m.exec_load(0xf000_0030, 0x8000_0000);
             m.exec_store(0xf000_0034, 0x8000_0040, 1);
             m.exec_branch(0xf000_0038, true);
             m.advance(17);
-            m.touch_read(0xf000_003c, 0x8000_0080);
-            m.touch_write(0xf000_0040, 0x8000_00c0);
+            let block = [
+                Op {
+                    pc: 0xf000_003c,
+                    fetch: true,
+                    kind: OpKind::Load(Operand::At(0x8000_0080)),
+                },
+                Op {
+                    pc: 0xf000_0040,
+                    fetch: true,
+                    kind: OpKind::Store(Operand::Obj(0)),
+                },
+            ];
+            m.run_block(&block, &[0x8000_00c0]);
             assert_eq!(m.accounts.total(), m.pmu.cycles, "l2={l2}");
             assert!(m.accounts.ifetch_miss > 0 && m.accounts.dmiss > 0);
             assert_eq!(m.accounts.l2 > 0, l2, "L2 bucket only exists with L2");

@@ -18,10 +18,11 @@ use crate::Cycles;
 /// let mut m = Machine::new(HwConfig::default());
 /// let snap = m.pmu.snapshot();
 /// // 8 ALU instructions in one cold 32-byte line: 60-cycle fill + 8 * 1.
-/// m.exec_straight(0xf000_0000, 8);
+/// for i in 0..8 {
+///     m.exec(InstrClass::Alu, 0xf000_0000 + 4 * i);
+/// }
 /// assert_eq!(m.pmu.cycles_since(snap), 68);
 /// assert_eq!(m.pmu.instructions_since(snap), 8);
-/// # let _ = InstrClass::Alu;
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Pmu {
@@ -69,11 +70,13 @@ impl Pmu {
     /// pair instead of four separate subtractions.
     ///
     /// ```
-    /// use rt_hw::{HwConfig, Machine};
+    /// use rt_hw::{HwConfig, InstrClass, Machine};
     ///
     /// let mut m = Machine::new(HwConfig::default());
     /// let snap = m.pmu.snapshot();
-    /// m.exec_straight(0xf000_0000, 8);
+    /// for i in 0..8 {
+    ///     m.exec(InstrClass::Alu, 0xf000_0000 + 4 * i);
+    /// }
     /// let d = m.pmu.delta_since(snap);
     /// assert_eq!(d.cycles, 68);
     /// assert_eq!(d.instructions, 8);

@@ -267,7 +267,9 @@ mod tests {
         let mut m = two_core_l2_machine();
 
         // Core 0 warms a kernel line into L1 and (via the miss) the L2.
-        m.exec_straight(0xf000_0000, 8);
+        for i in 0..8 {
+            m.exec(InstrClass::Alu, 0xf000_0000 + 4 * i);
+        }
         let core0_cycles = m.now();
         assert!(core0_cycles > 0);
 
@@ -294,7 +296,7 @@ mod tests {
     fn cross_core_l2_eviction_is_real() {
         let mut m = two_core_l2_machine();
 
-        m.exec_straight(0xf000_0000, 1); // core 0: line now in L1+L2
+        m.exec(InstrClass::Alu, 0xf000_0000); // core 0: line now in L1+L2
         m.switch_core(1);
         m.pollute(0x4000_0000); // core 1 thrashes the shared L2
         m.switch_core(0);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rt_hw::cache::{Cache, CacheGeometry, Lookup, Replacement};
 use rt_hw::irq::NUM_LINES;
 use rt_hw::mem::{AccessKind, MemSystem};
-use rt_hw::{HwConfig, InstrClass, IrqController, IrqLine, Machine, PhysMem};
+use rt_hw::{HwConfig, InstrClass, IrqController, IrqLine, Machine, Op, OpKind, Operand, PhysMem};
 
 fn addr_stream() -> impl Strategy<Value = Vec<(u32, bool)>> {
     // Addresses spread over a few conflicting 4 KiB pages so sets contend.
@@ -88,7 +88,7 @@ proptest! {
         let mut m = Machine::new(HwConfig::default());
         let mut last = m.now();
         for i in 0..n {
-            m.exec_straight(0xf000_0000 + 4 * i, 1);
+            m.exec(InstrClass::Alu, 0xf000_0000 + 4 * i);
             let now = m.now();
             prop_assert!(now > last);
             last = now;
@@ -110,35 +110,37 @@ fn l2_locked_machine_serves_kernel_lines_at_l2_hit_latency() {
     // instruction — never a 96-cycle memory trip, and no writeback because
     // instruction lines are always clean.
     let t0 = m.now();
-    m.exec_straight(0xf000_0000, 1);
+    m.exec(InstrClass::Alu, 0xf000_0000);
     let dt = m.now() - t0;
     assert_eq!(dt, 26 + 1, "got {dt}");
 }
 
-/// One step of a machine script for the straight-line differential.
+/// One instruction of a generated block, before lowering to [`Op`]s.
 #[derive(Clone, Copy, Debug)]
-enum Op {
-    /// `n` ALU instructions from `pc`.
-    Straight {
-        pc: u32,
-        n: u32,
-    },
-    Load {
-        pc: u32,
-        addr: u32,
-    },
-    Store {
-        pc: u32,
-        addr: u32,
-        value: u32,
-    },
-    Branch {
-        pc: u32,
-        taken: bool,
-    },
+enum Instr {
+    /// `n` ALU instructions.
+    Alu(u32),
+    Clz,
+    Mul,
+    /// A load from an operand: `Some(i)` is object operand `i`, `None`
+    /// the fixed `addr`.
+    Load(Option<u32>, u32),
+    /// A store, operands as for `Load`.
+    Store(Option<u32>, u32),
+    Device(u32),
+    Branch(bool),
+    /// Moves the next instruction to another code address.
+    Jump(u32),
+}
+
+/// One step of a machine script for the block differential.
+#[derive(Clone, Debug)]
+enum Step {
+    /// A block: its ops and its object operands.
+    Block(Vec<Op>, Vec<u32>),
     Advance(u64),
     /// Schedule `line` to be raised `delay` cycles from now, so that it
-    /// often lands in the middle of the next straight run.
+    /// often lands in the middle of the next block.
     Irq {
         delay: u64,
         line: u8,
@@ -147,10 +149,10 @@ enum Op {
     Ack,
 }
 
-/// Code addresses: half-word steps across six I-cache-conflicting pages,
-/// so runs start mid-line, cross lines, and evict each other.
+/// Code addresses: word steps across six I-cache-conflicting pages, so
+/// blocks start mid-line, cross lines, and evict each other.
 fn code_addr() -> impl Strategy<Value = u32> {
-    (0u32..6, 0u32..64).prop_map(|(page, h)| 0xf000_0000 + page * 4096 + 2 * h)
+    (0u32..6, 0u32..32).prop_map(|(page, w)| 0xf000_0000 + page * 4096 + 4 * w)
 }
 
 /// Data addresses over five D-cache-conflicting pages.
@@ -158,38 +160,105 @@ fn data_addr() -> impl Strategy<Value = u32> {
     (0u32..5, 0u32..32).prop_map(|(page, w)| 0x8000_0000 + page * 4096 + 4 * w)
 }
 
-fn op() -> impl Strategy<Value = Op> {
+fn instr() -> impl Strategy<Value = Instr> {
+    let operand = || (proptest::option::of(0u32..6), data_addr());
     prop_oneof![
-        // Listed twice: straight runs are the path under test.
-        (code_addr(), 0u32..40).prop_map(|(pc, n)| Op::Straight { pc, n }),
-        (code_addr(), 0u32..40).prop_map(|(pc, n)| Op::Straight { pc, n }),
-        (code_addr(), data_addr()).prop_map(|(pc, addr)| Op::Load { pc, addr }),
-        (code_addr(), data_addr(), any::<u32>()).prop_map(|(pc, addr, value)| Op::Store {
+        // Listed twice: ALU runs are most of the kernel's code.
+        (1u32..24).prop_map(Instr::Alu),
+        (1u32..24).prop_map(Instr::Alu),
+        Just(Instr::Clz),
+        Just(Instr::Mul),
+        operand().prop_map(|(o, a)| Instr::Load(o, a)),
+        operand().prop_map(|(o, a)| Instr::Store(o, a)),
+        (0u32..30).prop_map(Instr::Device),
+        any::<bool>().prop_map(Instr::Branch),
+        code_addr().prop_map(Instr::Jump),
+    ]
+}
+
+/// Lowers `instrs` from `pc` as `kprog` does: ALU runs split at line
+/// boundaries, and an op skips its probe only when it shares the previous
+/// instruction's line. Where `probe` says so, an op probes anyway, which
+/// is also exact.
+fn lower(mut pc: u32, instrs: &[Instr], probe: &[bool]) -> Vec<Op> {
+    let line = CacheGeometry::L1.line;
+    let mut ops = Vec::new();
+    let mut last_line = None;
+    let mut push = |pc: u32, kind: OpKind| {
+        let l = pc & !(line - 1);
+        let force = probe[ops.len() % probe.len()];
+        ops.push(Op {
             pc,
-            addr,
-            value
-        }),
-        (code_addr(), any::<bool>()).prop_map(|(pc, taken)| Op::Branch { pc, taken }),
-        (0u64..300).prop_map(Op::Advance),
-        (0u64..400, 0u8..NUM_LINES).prop_map(|(delay, line)| Op::Irq { delay, line }),
-        Just(Op::Ack),
+            fetch: force || last_line != Some(l),
+            kind,
+        });
+        last_line = Some(l);
+    };
+    let operand = |o: Option<u32>, a| o.map_or(Operand::At(a), Operand::Obj);
+    for &i in instrs {
+        let kind = match i {
+            Instr::Alu(mut n) => {
+                while n > 0 {
+                    let run = ((line - (pc & (line - 1))) / 4).min(n);
+                    push(pc, OpKind::Alu(run));
+                    pc += 4 * run;
+                    n -= run;
+                }
+                continue;
+            }
+            Instr::Jump(to) => {
+                pc = to;
+                continue;
+            }
+            Instr::Clz => OpKind::Clz,
+            Instr::Mul => OpKind::Mul,
+            Instr::Load(o, a) => OpKind::Load(operand(o, a)),
+            Instr::Store(o, a) => OpKind::Store(operand(o, a)),
+            Instr::Device(stall) => OpKind::Device(stall),
+            Instr::Branch(taken) => OpKind::Branch(taken),
+        };
+        push(pc, kind);
+        pc += 4;
+    }
+    ops
+}
+
+fn block() -> impl Strategy<Value = Step> {
+    (
+        code_addr(),
+        proptest::collection::vec(instr(), 1..24),
+        proptest::collection::vec(any::<bool>(), 1..8),
+        proptest::collection::vec(data_addr(), 6..7),
+    )
+        .prop_map(|(pc, instrs, probe, objs)| Step::Block(lower(pc, &instrs, &probe), objs))
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        // Listed twice: blocks are the path under test.
+        block(),
+        block(),
+        (0u64..300).prop_map(Step::Advance),
+        (0u64..400, 0u8..NUM_LINES).prop_map(|(delay, line)| Step::Irq { delay, line }),
+        Just(Step::Ack),
     ]
 }
 
 /// Machine configuration: L2 on/off, 0-3 locked L1 ways, 0-2 locked L2
-/// ways, either replacement policy, tracing on/off, and lines to pin.
+/// ways, either replacement policy, the branch predictor on/off, tracing
+/// on/off, and lines to pin.
 fn setup() -> impl Strategy<Value = (HwConfig, bool, Vec<u32>)> {
     (
         (any::<bool>(), 0u32..4, 0u32..3),
-        (any::<bool>(), any::<u16>()),
+        (any::<bool>(), any::<u16>(), any::<bool>()),
         any::<bool>(),
         proptest::collection::vec(prop_oneof![code_addr(), data_addr()], 0..8),
     )
         .prop_map(
-            |((l2, l1_locked, l2_locked), (random, seed), trace, pins)| {
+            |((l2, l1_locked, l2_locked), (random, seed, bpred), trace, pins)| {
                 let cfg = HwConfig {
                     l2_enabled: l2,
-                    bpred_enabled: seed % 2 == 0,
+                    bpred_enabled: bpred,
                     replacement: if random {
                         Replacement::PseudoRandom { seed }
                     } else {
@@ -220,61 +289,77 @@ fn build(cfg: HwConfig, trace: bool, pins: &[u32]) -> Machine {
     m
 }
 
-/// Applies `op` to `m`; `Straight` runs through `straight`. Returns the
-/// raise stamp an `Ack` returned.
-fn apply(m: &mut Machine, op: Op, straight: fn(&mut Machine, u32, u32)) -> Option<u64> {
-    match op {
-        Op::Straight { pc, n } => straight(m, pc, n),
-        Op::Load { pc, addr } => {
-            m.exec_load(pc, addr);
+/// The one-instruction reference: every instruction of `ops` through
+/// `exec`, `exec_load`, `exec_store`, `exec_branch`, and `advance` for
+/// a device's stall.
+fn single_steps(m: &mut Machine, ops: &[Op], objs: &[u32]) {
+    let addr = |o| match o {
+        Operand::At(a) => a,
+        Operand::Obj(i) => objs[i as usize],
+    };
+    for op in ops {
+        match op.kind {
+            OpKind::Alu(n) => (0..n).for_each(|k| m.exec(InstrClass::Alu, op.pc + 4 * k)),
+            OpKind::Clz => m.exec(InstrClass::Clz, op.pc),
+            OpKind::Mul => m.exec(InstrClass::Mul, op.pc),
+            OpKind::Load(o) => {
+                m.exec_load(op.pc, addr(o));
+            }
+            OpKind::Store(o) => m.exec_store(op.pc, addr(o), 0),
+            OpKind::Device(stall) => {
+                m.exec(InstrClass::Alu, op.pc);
+                m.advance(u64::from(stall));
+            }
+            OpKind::Branch(taken) => m.exec_branch(op.pc, taken),
         }
-        Op::Store { pc, addr, value } => m.exec_store(pc, addr, value),
-        Op::Branch { pc, taken } => m.exec_branch(pc, taken),
-        Op::Advance(c) => m.advance(c),
-        Op::Irq { delay, line } => {
-            let at = m.now() + delay;
-            m.irq.schedule(at, IrqLine(line));
-        }
-        Op::Ack => return m.irq.pending_unmasked().and_then(|l| m.irq.ack(l)),
     }
-    None
 }
 
-fn one_by_one(m: &mut Machine, pc: u32, n: u32) {
-    for i in 0..n {
-        m.exec(InstrClass::Alu, pc + 4 * i);
+/// Applies `step` to `m`, blocks through `run`. Returns the raise stamp
+/// an `Ack` returned.
+fn apply(m: &mut Machine, step: &Step, run: fn(&mut Machine, &[Op], &[u32])) -> Option<u64> {
+    match step {
+        Step::Block(ops, objs) => run(m, ops, objs),
+        Step::Advance(c) => m.advance(*c),
+        Step::Irq { delay, line } => {
+            let at = m.now() + delay;
+            m.irq.schedule(at, IrqLine(*line));
+        }
+        Step::Ack => return m.irq.pending_unmasked().and_then(|l| m.irq.ack(l)),
     }
+    None
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `exec_straight(pc, n)` charges exactly what `n` single `exec(Alu)`
-    /// calls do: same cycles, counters, buckets, per-level statistics,
-    /// cache contents, pending interrupts with their raise stamps, and
+    /// `run_block` charges exactly what the one-instruction entry points
+    /// do, instruction by instruction: same cycles, counters, buckets,
+    /// per-level statistics, cache contents and later probe outcomes,
+    /// predictor state, pending interrupts with their raise stamps, and
     /// trace events.
     #[test]
-    fn exec_straight_matches_single_steps(
+    fn run_block_matches_single_steps(
         (cfg, trace, pins) in setup(),
-        script in proptest::collection::vec(op(), 1..48),
+        script in proptest::collection::vec(step(), 1..32),
     ) {
         let mut fast = build(cfg, trace, &pins);
         let mut slow = build(cfg, trace, &pins);
-        for (i, &op) in script.iter().enumerate() {
-            let acked = apply(&mut fast, op, Machine::exec_straight);
-            prop_assert_eq!(acked, apply(&mut slow, op, one_by_one), "step {} {:?}", i, op);
-            prop_assert_eq!(fast.pmu, slow.pmu, "step {} {:?}", i, op);
-            prop_assert_eq!(fast.accounts, slow.accounts, "step {} {:?}", i, op);
+        for (i, step) in script.iter().enumerate() {
+            let acked = apply(&mut fast, step, Machine::run_block);
+            prop_assert_eq!(acked, apply(&mut slow, step, single_steps), "step {} {:?}", i, step);
+            prop_assert_eq!(fast.pmu, slow.pmu, "step {} {:?}", i, step);
+            prop_assert_eq!(fast.accounts, slow.accounts, "step {} {:?}", i, step);
             prop_assert_eq!(fast.accounts.total(), fast.pmu.cycles);
-            prop_assert_eq!(fast.mem.l1i_stats, slow.mem.l1i_stats, "step {} {:?}", i, op);
-            prop_assert_eq!(fast.mem.l1d_stats, slow.mem.l1d_stats, "step {} {:?}", i, op);
-            prop_assert_eq!(fast.mem.l2_stats, slow.mem.l2_stats, "step {} {:?}", i, op);
+            prop_assert_eq!(fast.mem.l1i_stats, slow.mem.l1i_stats, "step {} {:?}", i, step);
+            prop_assert_eq!(fast.mem.l1d_stats, slow.mem.l1d_stats, "step {} {:?}", i, step);
+            prop_assert_eq!(fast.mem.l2_stats, slow.mem.l2_stats, "step {} {:?}", i, step);
             prop_assert_eq!(
                 format!("{:?}", fast.irq),
                 format!("{:?}", slow.irq),
                 "step {} {:?}",
                 i,
-                op
+                step
             );
             prop_assert_eq!(fast.trace.events().len(), slow.trace.events().len());
         }
@@ -283,6 +368,21 @@ proptest! {
         let (mem, bpred) = (format!("{:?}", fast.mem), format!("{:?}", fast.bpred));
         prop_assert!(mem == format!("{:?}", slow.mem), "caches diverged");
         prop_assert!(bpred == format!("{:?}", slow.bpred), "predictors diverged");
+        // And they go on to answer every later access alike.
+        for page in 0..6 {
+            for w in (0..1024).step_by(9) {
+                let (code, data) = (0xf000_0000 + page * 4096 + 4 * w, 0x8000_0000 + page * 4096 + 4 * w);
+                for (kind, addr) in [(AccessKind::IFetch, code), (AccessKind::Read, data), (AccessKind::Write, code)] {
+                    prop_assert_eq!(
+                        fast.mem.access_report(kind, addr),
+                        slow.mem.access_report(kind, addr),
+                        "{:?} {:#x}",
+                        kind,
+                        addr
+                    );
+                }
+            }
+        }
     }
 
     /// Scheduling raises one at a time and as one batch fires the same
