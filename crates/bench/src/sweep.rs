@@ -764,15 +764,16 @@ pub fn extract_json_block(json: &str, key: &str) -> Option<String> {
 
 /// Inserts or replaces a top-level block in a JSON object string.
 /// `block` is the full entry (`  "key": { ... }`, indent included, no
-/// trailing comma). Any existing entry for `key` is removed first; the
-/// block lands as the last entry, commas normalised either way.
+/// trailing comma). An existing entry for `key` is replaced where it
+/// stands, so every other byte keeps its place; a new key lands as the
+/// last entry, commas normalised.
 pub fn upsert_json_block(json: &str, key: &str, block: &str) -> String {
-    let without = match find_top_block(json, key) {
-        Some((start, end)) => format!("{}{}", &json[..start], &json[end..]),
-        None => json.to_string(),
-    };
-    let close = without.rfind('}').expect("artifact must be a JSON object");
-    let mut head = without[..close].trim_end().to_string();
+    if let Some((start, end)) = find_top_block(json, key) {
+        let comma = if json[..end].ends_with(',') { "," } else { "" };
+        return format!("{}\n{block}{comma}{}", &json[..start], &json[end..]);
+    }
+    let close = json.rfind('}').expect("artifact must be a JSON object");
+    let mut head = json[..close].trim_end().to_string();
     if head.ends_with(',') {
         head.pop();
     }
@@ -804,6 +805,12 @@ mod tests {
         assert_eq!(extract_json_block(&with2, "load").as_deref(), Some(block2));
         assert!(!with2.contains("\"sound\": true"));
         assert_eq!(with2.matches("\"load\"").count(), 1);
+        // Re-upserting a block that is no longer last keeps its place and
+        // every other byte.
+        let three = upsert_json_block(&with2, "tail", "  \"tail\": {\n    \"z\": 3\n  }");
+        let block3 = "  \"load\": {\n    \"sound\": true,\n    \"n\": 2\n  }";
+        let with3 = upsert_json_block(&three, "load", block3);
+        assert_eq!(with3, three.replacen(block2, block3, 1));
         // A nested "load" key deeper in the object is not confused for a
         // top-level one.
         let nested = "{\n  \"outer\": {\n    \"load\": {\"x\": 1}\n  }\n}\n";
