@@ -734,13 +734,13 @@ fn post_inc(i: &mut u32) -> u32 {
 
 /// Address of the stack slot used by the `i`-th stack operand of a block
 /// (rotates within the pinned first 256 bytes below the stack top).
-pub fn stack_addr(op_index: u32) -> Addr {
+fn stack_addr(op_index: u32) -> Addr {
     KERNEL_STACK_TOP - KERNEL_STACK_SPAN + 4 * (op_index % (KERNEL_STACK_SPAN / 4))
 }
 
 /// Address of the global variable used by the `i`-th global operand of
 /// `block` (a deterministic per-block slot within the key data region).
-pub fn global_addr(block: Block, op_index: u32) -> Addr {
+fn global_addr(block: Block, op_index: u32) -> Addr {
     let slot = (block.index() as u32 * 7 + op_index) % (KERNEL_GLOBALS_SPAN / 4);
     KERNEL_GLOBALS_BASE + 4 * slot
 }

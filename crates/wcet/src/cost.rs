@@ -25,7 +25,7 @@
 use std::collections::HashSet;
 
 use rt_hw::mem::{DRAM_CYCLES_L2_OFF, DRAM_CYCLES_L2_ON, L2_HIT_CYCLES};
-use rt_hw::{Addr, CycleAccounts};
+use rt_hw::{Addr, CycleAccounts, OpKind, Operand};
 use rt_kernel::kprog::{self, Block, Ik, Layout, D};
 
 /// Branch cost with the predictor disabled (§5.1).
@@ -147,7 +147,7 @@ impl CostModel {
         let mut cost = CycleAccounts::default();
         let mut pc = layout.addr_of(block);
         let mut seen_i: HashSet<Addr> = HashSet::new();
-        let mut auto_i = 0u32;
+        let mut statics = static_operands(block);
         let ifetch = self.ifetch_miss_split();
         let fetch = |pc: Addr, cost: &mut CycleAccounts, seen_i: &mut HashSet<Addr>| {
             let line = pc & !31;
@@ -188,12 +188,9 @@ impl CostModel {
                         match d {
                             D::Dv => cost.pipeline += kprog::DEVICE_ACCESS_CYCLES,
                             D::St | D::Gl => {
-                                let addr = if d == D::St {
-                                    kprog::stack_addr(auto_i)
-                                } else {
-                                    kprog::global_addr(block, auto_i)
-                                };
-                                auto_i += 1;
+                                let addr = statics
+                                    .next()
+                                    .expect("every stack or global operand is lowered");
                                 if !self.pinned_d.contains(&(addr & !31)) {
                                     cost = cost.add(self.static_data_miss_split());
                                 }
@@ -232,14 +229,27 @@ pub fn i_lines_of(layout: &Layout, blocks: &[Block]) -> HashSet<Addr> {
     layout.code_lines(blocks).into_iter().collect()
 }
 
+/// The stack and global addresses `block` accesses, in program order:
+/// the ones the executor's lowered ops carry ([`kprog::compiled`]).
+fn static_operands(block: Block) -> impl Iterator<Item = Addr> {
+    kprog::compiled(block)
+        .ops
+        .iter()
+        .filter_map(|op| match op.kind {
+            OpKind::Load(Operand::At(a)) | OpKind::Store(Operand::At(a)) => Some(a),
+            _ => None,
+        })
+}
+
 /// Whether pinning can affect `block`'s cost at all: true iff any
 /// instruction line the block fetches is in `pinned_i` or any static data
-/// address it touches is in `pinned_d`. Walks exactly the addresses
-/// [`CostModel::block_cost_split`] prices — instruction lines `pc & !31`
-/// and the stack/global lines of `St`/`Gl` accesses (object and device
-/// accesses never consult the pinned sets). A `false` over every node of
-/// a graph proves the pinned and unpinned cost vectors are identical,
-/// including loop-persistence entry charges, whose lines are code lines of
+/// address it touches is in `pinned_d`. Walks the executor's lowered ops,
+/// which carry exactly the addresses [`CostModel::block_cost_split`]
+/// prices: each op lies in one instruction line, and the stack/global
+/// operands are the same ones (object and device accesses never consult
+/// the pinned sets). A `false` over every node of a graph proves the
+/// pinned and unpinned cost vectors are identical, including
+/// loop-persistence entry charges, whose lines are code lines of
 /// loop-member blocks and therefore covered by the instruction scan.
 pub fn block_touches_pinned(
     layout: &Layout,
@@ -247,35 +257,11 @@ pub fn block_touches_pinned(
     pinned_i: &HashSet<Addr>,
     pinned_d: &HashSet<Addr>,
 ) -> bool {
-    let spec = block.spec();
-    let mut pc = layout.addr_of(block);
-    let mut auto_i = 0u32;
-    for ik in spec.instrs {
-        let n = match *ik {
-            Ik::A(n) | Ik::L(_, n) | Ik::S(_, n) => n,
-            Ik::Z | Ik::M | Ik::B => 1,
-        };
-        for _ in 0..n {
-            if pinned_i.contains(&(pc & !31)) {
-                return true;
-            }
-            pc += 4;
-            if let Ik::L(d, _) | Ik::S(d, _) = *ik {
-                if matches!(d, D::St | D::Gl) {
-                    let addr = if d == D::St {
-                        kprog::stack_addr(auto_i)
-                    } else {
-                        kprog::global_addr(block, auto_i)
-                    };
-                    auto_i += 1;
-                    if pinned_d.contains(&(addr & !31)) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
+    let ops = &kprog::compiled(block).ops;
+    // The ops were lowered at `Layout::new`'s addresses.
+    debug_assert_eq!(ops.first().map(|op| op.pc), Some(layout.addr_of(block)));
+    ops.iter().any(|op| pinned_i.contains(&(op.pc & !31)))
+        || static_operands(block).any(|a| pinned_d.contains(&(a & !31)))
 }
 
 /// Checks whether a loop's instruction lines are conflict-free in the
