@@ -8,8 +8,7 @@
 //! replays and minimizes.
 //!
 //! The controller replays a *prefix* of scripted choices and then
-//! continues with defaults (choice 0) or, in random-walk mode, with draws
-//! from a seeded [`SplitMix`] generator. Each consultation is logged with
+//! continues with defaults (choice 0). Each consultation is logged with
 //! its option count so the exhaustive search knows where to branch.
 
 use std::cell::RefCell;
@@ -43,9 +42,8 @@ pub struct Decision {
     pub options: Choice,
 }
 
-/// A small deterministic PRNG (splitmix64) for the random-walk mode —
-/// self-contained so walks are reproducible from a single `u64` seed on
-/// any platform.
+/// A small deterministic PRNG (splitmix64), self-contained so a draw
+/// sequence is reproducible from a single `u64` seed on any platform.
 #[derive(Clone, Debug)]
 pub struct SplitMix {
     state: u64,
@@ -85,14 +83,12 @@ impl SplitMix {
 /// poll — millions per exploration — and is gone.
 #[derive(Debug)]
 pub(crate) struct RunCtl {
-    /// Choices to replay verbatim before extending with defaults/random.
+    /// Choices to replay verbatim before extending with defaults.
     pub prefix: Vec<Choice>,
     /// Every choice actually taken (prefix + extension).
     pub taken: Vec<Choice>,
     /// One entry per consultation, aligned with `taken`.
     pub log: Vec<Decision>,
-    /// Extension policy: `Some` = random walk, `None` = default 0.
-    pub rng: Option<SplitMix>,
     /// Remaining injections per interrupt line.
     pub budgets: Vec<(IrqLine, u32)>,
     /// Total lines injected (polls + top-level arrivals).
@@ -102,16 +98,11 @@ pub(crate) struct RunCtl {
 }
 
 impl RunCtl {
-    pub(crate) fn new(
-        prefix: Vec<Choice>,
-        rng: Option<SplitMix>,
-        budgets: Vec<(IrqLine, u32)>,
-    ) -> RunCtl {
+    pub(crate) fn new(prefix: Vec<Choice>, budgets: Vec<(IrqLine, u32)>) -> RunCtl {
         RunCtl {
             prefix,
             taken: Vec::new(),
             log: Vec::new(),
-            rng,
             budgets,
             injected: 0,
             polls: 0,
@@ -136,7 +127,6 @@ impl RunCtl {
             prefix,
             taken,
             log,
-            rng: None,
             budgets,
             injected,
             polls,
@@ -144,7 +134,7 @@ impl RunCtl {
     }
 
     /// Takes the next choice among `options` alternatives at `site`:
-    /// scripted while the prefix lasts, then random or default-0.
+    /// scripted while the prefix lasts, then default-0.
     ///
     /// # Panics
     ///
@@ -161,8 +151,6 @@ impl RunCtl {
                 "replay diverged at decision {i} ({site:?}): trace says {p}, {options} enabled"
             );
             p
-        } else if let Some(rng) = self.rng.as_mut() {
-            rng.below(options as u64) as Choice
         } else {
             0
         };
@@ -244,7 +232,7 @@ mod tests {
 
     #[test]
     fn prefix_replays_then_defaults() {
-        let mut ctl = RunCtl::new(vec![2, 1], None, Vec::new());
+        let mut ctl = RunCtl::new(vec![2, 1], Vec::new());
         assert_eq!(ctl.choose(Site::Event, 3), 2);
         assert!(!ctl.in_extension());
         assert_eq!(ctl.choose(Site::Event, 2), 1);
@@ -257,7 +245,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "replay diverged")]
     fn out_of_range_prefix_choice_panics() {
-        let mut ctl = RunCtl::new(vec![3], None, Vec::new());
+        let mut ctl = RunCtl::new(vec![3], Vec::new());
         ctl.choose(Site::Event, 2);
     }
 }

@@ -1,5 +1,5 @@
 //! The exploration engine: partial-order-reduced frontier search,
-//! random walks, replay and counterexample minimization.
+//! replay and counterexample minimization.
 //!
 //! A *run* executes a scenario instance from boot under a scripted choice
 //! trace (see [`crate::choice`]). The engine's event loop mirrors the
@@ -87,7 +87,7 @@ use rt_kernel::tcb::ThreadState;
 use rt_pool::Pool;
 use rt_wcet::{smp_latency_margin, AnalysisCache, AnalysisConfig, SmpParams};
 
-use crate::choice::{Choice, Decision, RunCtl, ScriptedSource, Site, SplitMix};
+use crate::choice::{Choice, Decision, RunCtl, ScriptedSource, Site};
 use crate::oracle;
 use crate::por::{
     desc_raise, desc_run, filter_sleep, independent, raise_footprint, run_footprint, sig_intersect,
@@ -573,7 +573,6 @@ fn check_state(
 fn execute_inner(
     sc: &Scenario,
     branch: &Branch,
-    rng: Option<SplitMix>,
     cfg: &ExploreConfig,
     visited: Option<&SharedVisited>,
     snapctx: Option<&SnapCtx<'_>>,
@@ -581,9 +580,7 @@ fn execute_inner(
 ) -> RunRecord {
     let mut rec = RunRecord::default();
     let mut checked_responses = 0usize;
-    // POR bookkeeping is meaningful only for default-extension runs (the
-    // exploration mode); random walks skip it.
-    let track_por = cfg.por.on() && rng.is_none();
+    let track_por = cfg.por.on();
     // Boot the scenario, or restore the branch's resume point and
     // pre-seed every counter with what the replayed prefix would have
     // re-accumulated — the two paths are indistinguishable downstream.
@@ -601,11 +598,10 @@ fn execute_inner(
                 kernel.smp.drop_resched_ipis = true;
             }
             let cursors = vec![0usize; scripts.len()];
-            let ctl = RunCtl::new(branch.prefix.clone(), rng, irqs);
+            let ctl = RunCtl::new(branch.prefix.clone(), irqs);
             (kernel, Arc::new(scripts), cursors, ctl)
         }
         Some(sp) => {
-            debug_assert!(rng.is_none(), "random walks never fork");
             // Restore into the worker's scratch kernel when one is
             // parked: `restore_into` overwrites every field, so this is
             // bit-identical to `restore()` but reuses the scratch's heap
@@ -886,26 +882,21 @@ thread_local! {
     static SCRATCH: RefCell<Option<Kernel>> = const { RefCell::new(None) };
 }
 
-/// Executes one run of `sc` under `prefix` (+ default or random
-/// extension), checking every oracle at every event boundary. No
-/// duplicate-state pruning (the exploration driver handles that); the
-/// direct entry point for tests and one-off runs.
-pub fn execute(
-    sc: &Scenario,
-    prefix: &[Choice],
-    rng: Option<SplitMix>,
-    cfg: &ExploreConfig,
-) -> RunRecord {
+/// Executes one run of `sc` under `prefix` (+ default extension),
+/// checking every oracle at every event boundary. No duplicate-state
+/// pruning (the exploration driver handles that); the direct entry point
+/// for tests and one-off runs.
+pub fn execute(sc: &Scenario, prefix: &[Choice], cfg: &ExploreConfig) -> RunRecord {
     let branch = Branch {
         prefix: prefix.to_vec(),
         sleep0: Vec::new(),
         snap: None,
     };
-    execute_inner(sc, &branch, rng, cfg, None, None, None)
+    execute_inner(sc, &branch, cfg, None, None, None)
 }
 
-/// Replays `trace` against `sc` (no pruning, no extension randomness) and
-/// returns the full record — the repro entry point for counterexamples.
+/// Replays `trace` against `sc` (no pruning) and returns the full record
+/// — the repro entry point for counterexamples.
 ///
 /// Always the rebuild path: a compact `Vec<Choice>` plus the scenario is
 /// a complete, self-contained reproduction — replaying (and minimizing)
@@ -913,7 +904,7 @@ pub fn execute(
 pub fn replay(sc: &Scenario, trace: &[Choice], cfg: &ExploreConfig) -> RunRecord {
     let mut c = cfg.clone();
     c.prune = false;
-    execute(sc, trace, None, &c)
+    execute(sc, trace, &c)
 }
 
 /// Minimizes a failing trace by lexicographic descent: repeatedly try to
@@ -1236,7 +1227,6 @@ pub fn explore_with_states(
                         let r = execute_inner(
                             sc,
                             &b,
-                            None,
                             cfg,
                             Some(&visited),
                             snapping.then_some(&sctx),
@@ -1267,15 +1257,7 @@ pub fn explore_with_states(
                 .as_ref()
                 .is_some_and(|c| c.at + 1 < r.hashes.len() || c.revisit.is_none());
             if r.stopped && !covered {
-                *r = execute_inner(
-                    sc,
-                    b,
-                    None,
-                    cfg,
-                    Some(&visited),
-                    snapping.then_some(&sctx),
-                    None,
-                );
+                *r = execute_inner(sc, b, cfg, Some(&visited), snapping.then_some(&sctx), None);
                 rep.reexecutions += 1;
                 cut = find_cut(&expanded, r);
             }
@@ -1335,44 +1317,6 @@ pub fn explore_with_states(
             .minimized = minimized;
     }
     (rep, visited.hashes())
-}
-
-/// Seeded random-walk mode for scopes too large to enumerate: `walks`
-/// independent runs whose choices are drawn from per-walk deterministic
-/// generators derived from `seed`. Identical seeds give identical
-/// reports.
-pub fn random_walk(sc: &Scenario, cfg: &ExploreConfig, seed: u64, walks: usize) -> ExploreReport {
-    let mut rep = ExploreReport::new(&sc.name, cfg.latency_bound);
-    let visited = SharedVisited::new();
-    let mut no_prune = cfg.clone();
-    no_prune.prune = false;
-    no_prune.por = PorMode::Off;
-    for w in 0..walks {
-        let rng = SplitMix::new(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let r = execute(sc, &[], Some(rng), &no_prune);
-        tally(&mut rep, &r);
-        for (h, sig) in &r.hashes {
-            visited.merge(*h, sig);
-        }
-        if !r.violations.is_empty() {
-            rep.counterexample = Some(Counterexample {
-                trace: r.taken.clone(),
-                minimized: Vec::new(),
-                violations: r.violations.clone(),
-            });
-            break;
-        }
-    }
-    rep.distinct_states = visited.len();
-    if let Some(cex) = rep.counterexample.as_mut() {
-        let trace = cex.trace.clone();
-        let minimized = minimize(sc, &trace, cfg);
-        rep.counterexample
-            .as_mut()
-            .expect("counterexample present")
-            .minimized = minimized;
-    }
-    rep
 }
 
 /// Renders one scenario report as the `key=value` summary line the CI

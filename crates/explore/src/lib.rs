@@ -14,7 +14,7 @@
 //! The moving parts:
 //!
 //! * [`choice`] — compact choice traces (`Vec<Choice>`), the scripted
-//!   decision controller, and the splitmix generator for random walks;
+//!   decision controller, and a splitmix generator;
 //! * [`scenario`] — small-scope instances, one per preemptible operation
 //!   of §3.3–§3.6 plus an IRQ-latency scenario;
 //! * [`oracle`] — incremental-consistency checks over in-object resume
@@ -28,8 +28,8 @@
 //!   that let a branch fork a live state in O(1) instead of replaying
 //!   its prefix from boot, with intrusive residency accounting;
 //! * [`engine`] — bounded-depth search as deterministic frontier waves
-//!   fanned across an `rt_pool::Pool`, seeded random walks, replay, and
-//!   counterexample minimization.
+//!   fanned across an `rt_pool::Pool`, replay, and counterexample
+//!   minimization.
 //!
 //! The kernel side of the hook is `rt_kernel::decision::DecisionSource`;
 //! with no source installed (or the run-to-completion source) the kernel
@@ -49,8 +49,8 @@ pub mod state;
 
 pub use choice::{Choice, Decision, Site, SplitMix};
 pub use engine::{
-    execute, explore, explore_scenario, explore_with_states, minimize, random_walk, render_line,
-    replay, scenario_line_bounds, wcet_latency_bound, BoundMemo, Counterexample, ExploreConfig,
+    execute, explore, explore_scenario, explore_with_states, minimize, render_line, replay,
+    scenario_line_bounds, wcet_latency_bound, BoundMemo, Counterexample, ExploreConfig,
     ExploreReport, RunRecord, SeededBug,
 };
 pub use por::PorMode;

@@ -1,12 +1,12 @@
 //! Integration tests for the exploration engine: exhaustiveness,
 //! seeded-bug detection with minimized repro, worker-count determinism
-//! (early stops included), random-walk reproducibility, and the
-//! latency-soundness oracle.
+//! (early stops included), trace replay, and the latency-soundness
+//! oracle.
 
 use rt_explore::scenario::{all, by_name, smp_all};
 use rt_explore::{
-    execute, explore, minimize, random_walk, replay, wcet_latency_bound, ExploreConfig,
-    ExploreReport, PorMode, SeededBug, SnapStats,
+    execute, explore, minimize, replay, wcet_latency_bound, ExploreConfig, ExploreReport, PorMode,
+    SeededBug, SnapStats,
 };
 use rt_pool::Pool;
 use rt_wcet::AnalysisCache;
@@ -194,26 +194,9 @@ fn recorded_traces_replay_exactly() {
         prune: false, // replay() never prunes; keep the records comparable
         ..ExploreConfig::default()
     };
-    let first = execute(&sc, &[1, 1], None, &cfg);
+    let first = execute(&sc, &[1, 1], &cfg);
     let again = replay(&sc, &first.taken, &cfg);
     assert_eq!(format!("{first:?}"), format!("{again:?}"));
-}
-
-/// Random walks are reproducible from their seed and distinct across
-/// seeds.
-#[test]
-fn random_walks_are_seed_deterministic() {
-    let sc = by_name("irq-response").expect("scenario");
-    let cfg = ExploreConfig {
-        max_depth: 12,
-        ..ExploreConfig::default()
-    };
-    let a = format!("{:?}", random_walk(&sc, &cfg, 0xDEAD_BEEF, 40));
-    let b = format!("{:?}", random_walk(&sc, &cfg, 0xDEAD_BEEF, 40));
-    assert_eq!(a, b);
-    let rep = random_walk(&sc, &cfg, 0xDEAD_BEEF, 40);
-    assert!(rep.counterexample.is_none());
-    assert!(rep.states > 40, "walks did not get anywhere");
 }
 
 /// The latency oracle with the *real* WCET-derived bound holds on every
