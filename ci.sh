@@ -35,6 +35,7 @@ cargo run --release -q -p rt-bench --bin repro -- table1 --jobs 4 | diff -u test
 cargo run --release -q -p rt-bench --bin repro -- table2 --jobs 4 | diff -u tests/goldens/table2.txt -
 cargo run --release -q -p rt-bench --bin repro -- fig9 --reps 2 --jobs 4 | diff -u tests/goldens/fig9.txt -
 cargo run --release -q -p rt-bench --bin repro -- l2lock --reps 2 --jobs 4 | diff -u tests/goldens/l2lock.txt -
+cargo run --release -q -p rt-bench --bin repro -- micro | diff -u tests/goldens/micro.txt -
 
 # Explorer smoke gate: at depth 6 every scenario must genuinely branch
 # (strictly more interleavings than preemption-point decision sites) and

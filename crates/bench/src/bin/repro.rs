@@ -6,6 +6,7 @@
 //! cargo run --release -p rt-bench --bin repro -- fig8
 //! cargo run --release -p rt-bench --bin repro -- fig9
 //! cargo run --release -p rt-bench --bin repro -- attribution
+//! cargo run --release -p rt-bench --bin repro -- micro
 //! cargo run --release -p rt-bench --bin repro -- overhead
 //! cargo run --release -p rt-bench --bin repro -- latency-bound
 //! cargo run --release -p rt-bench --bin repro -- explore [--depth N] [--por off|sleep|full] \
@@ -647,6 +648,7 @@ fn main() {
             tables::render_restart_overhead(&tables::restart_overhead())
         ),
         "fig9" => print!("{}", tables::render_fig9(&tables::fig9_with(ctx, reps))),
+        "micro" => print!("{}", tables::render_micro(&tables::micro())),
         "attribution" => print!("{}", attribution::attribution_report_with(ctx, reps)),
         "overhead" => print!("{}", overhead()),
         "latency-bound" => print!("{}", latency_bound(ctx)),
@@ -670,6 +672,8 @@ fn main() {
                 tables::render_restart_overhead(&tables::restart_overhead())
             );
             println!();
+            print!("{}", tables::render_micro(&tables::micro()));
+            println!();
             print!(
                 "{}",
                 tables::render_open_closed(&tables::open_closed_with(ctx))
@@ -685,7 +689,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown target {other:?}; expected table1|table2|fig8|fig9|l2lock|attribution|open-closed|restart-overhead|overhead|latency-bound|constraints|explore|bench|load|all"
+                "unknown target {other:?}; expected table1|table2|fig8|fig9|micro|l2lock|attribution|open-closed|restart-overhead|overhead|latency-bound|constraints|explore|bench|load|all"
             );
             std::process::exit(2);
         }

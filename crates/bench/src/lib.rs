@@ -12,8 +12,8 @@
 //! * [`observe`] measures observed worst cases on the simulated machine,
 //!   taking the maximum over repeated polluted runs as §6.2 does over
 //!   100 000 executions;
-//! * [`tables`] assembles Table 1, Table 2, Fig. 8 and Fig. 9 and formats
-//!   them like the paper;
+//! * [`tables`] assembles Table 1, Table 2, Fig. 8, Fig. 9 and the
+//!   Figs. 2/3 and 7 micro-measurements and formats them like the paper;
 //! * [`sweep`] runs those generators as one fan-out: a [`sweep::SweepCtx`]
 //!   (thread pool + shared [`rt_wcet::AnalysisCache`]) is threaded through
 //!   every table so common analyses are computed once, and `repro bench`

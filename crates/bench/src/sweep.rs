@@ -6,7 +6,7 @@
 //! so e.g. the after-kernel/L2-off analyses Table 1 and Table 2 share are
 //! computed once per `repro all` run instead of once per table.
 //!
-//! [`run_bench`] is the `repro bench` subcommand: it times the full
+//! [`run_bench_with`] is the `repro bench` subcommand: it times the full
 //! analysis sweep of `repro all` (the multiset of `analyze` calls in
 //! [`full_sweep_jobs`]) serially — one uncached [`analyze`] per job,
 //! exactly as the pre-cache code ran it — and then through
@@ -608,12 +608,6 @@ fn run_fleet(opts: &BenchOpts) -> FleetResult {
         stats,
         identical,
     }
-}
-
-/// Runs the `repro bench` measurement with default options (worker counts
-/// 1/2/4/8, full fleet).
-pub fn run_bench() -> BenchResult {
-    run_bench_with(&BenchOpts::default())
 }
 
 /// Runs the `repro bench` measurement (see the module docs) and returns

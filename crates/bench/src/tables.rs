@@ -6,7 +6,7 @@
 //! output (from the EuroSys'12 text) so the shape comparison is immediate.
 
 use rt_hw::{cycles_to_us, Cycles, HwConfig};
-use rt_kernel::kernel::{EntryPoint, KernelConfig};
+use rt_kernel::kernel::{EntryPoint, Kernel, KernelConfig, SchedKind};
 use rt_wcet::AnalysisConfig;
 
 use crate::observe::observe_entry_reps;
@@ -50,13 +50,8 @@ impl Table1Row {
 }
 
 /// Table 1: computed WCET per entry point, with vs without cache pinning
-/// (§4), after-kernel, L2 off.
-pub fn table1() -> Vec<Table1Row> {
-    table1_with(&SweepCtx::default())
-}
-
-/// [`table1`] on a shared sweep context: the eight analyses are batched
-/// across the context's pool and memoized in its cache.
+/// (§4), after-kernel, L2 off. The eight analyses are batched across the
+/// context's pool and memoized in its cache.
 pub fn table1_with(ctx: &SweepCtx) -> Vec<Table1Row> {
     let jobs: Vec<_> = EntryPoint::ALL
         .into_iter()
@@ -138,15 +133,10 @@ impl Table2Row {
 }
 
 /// Table 2: per entry point, the before/after computed bounds and the
-/// after-kernel observed worst cases, with both L2 settings.
-pub fn table2(reps: u32) -> Vec<Table2Row> {
-    table2_with(&SweepCtx::default(), reps)
-}
-
-/// [`table2`] on a shared sweep context. The twelve analyses go through
-/// the batch API (three of them are shared with Table 1 and dedupe when
-/// the same context generated both); the four per-entry observation runs
-/// fan out over the pool.
+/// after-kernel observed worst cases, with both L2 settings. The twelve
+/// analyses go through the batch API (three of them are shared with
+/// Table 1 and dedupe when the same context generated both); the four
+/// per-entry observation runs fan out over the pool.
 pub fn table2_with(ctx: &SweepCtx, reps: u32) -> Vec<Table2Row> {
     let jobs: Vec<_> = EntryPoint::ALL
         .into_iter()
@@ -448,6 +438,181 @@ pub fn render_restart_overhead(r: &RestartOverhead) -> String {
     s
 }
 
+/// Priority of the blocked threads in [`micro`]'s scheduler rows: above
+/// both chosen priorities, so lazy scheduling's scan meets them.
+const STALE_PRIO: u8 = 250;
+
+/// One row of [`micro`]'s scheduler measurement: the cycles of one
+/// `Yield` by the only runnable thread, which every design chooses again.
+#[derive(Clone, Debug)]
+pub struct YieldRow {
+    /// Priority of the yielding (and chosen) thread.
+    pub prio: u8,
+    /// Threads blocked at priority 250, above the chosen thread. Lazy
+    /// scheduling left them queued; Benno scheduling dequeued them when
+    /// they blocked.
+    pub stale: u32,
+    /// Cycles under lazy scheduling (Fig. 2).
+    pub lazy: Cycles,
+    /// Cycles under Benno scheduling (Fig. 3).
+    pub benno: Cycles,
+    /// Cycles under Benno scheduling with the priority bitmap (§3.2).
+    pub bitmap: Cycles,
+}
+
+/// The micro-measurements of Figs. 2/3 and 7, plus the solver work of the
+/// instance behind the headline bound.
+#[derive(Clone, Debug)]
+pub struct Micro {
+    /// `chooseThread` rows: chosen priority 200 and 10, each with 0, 64
+    /// and 256 blocked threads.
+    pub yields: Vec<YieldRow>,
+    /// Cycles of a polluted-cache capability decode, per cspace depth.
+    pub decode: Vec<(u32, Cycles)>,
+    /// Cold (from-scratch per node) solve of the after-kernel
+    /// system-call IPET instance, L2 off.
+    pub ilp_cold: rt_ilp::SolveStats,
+    /// Warm-started solve of the same instance.
+    pub ilp_warm: rt_ilp::SolveStats,
+}
+
+/// Simulated cycles of one `Yield` by the only runnable thread, at `prio`,
+/// with `stale` threads blocked above it (§3.1).
+fn yield_cycles(sched: SchedKind, prio: u8, stale: u32) -> Cycles {
+    use rt_kernel::syscall::Syscall;
+    use rt_kernel::tcb::ThreadState;
+    let cfg = KernelConfig {
+        sched,
+        ..KernelConfig::after()
+    };
+    let mut k = Kernel::new(cfg, HwConfig::default());
+    let yielder = k.boot_tcb("yielder", prio);
+    k.objs.tcb_mut(yielder).state = ThreadState::Running;
+    k.force_current_for_test(yielder);
+    for i in 0..stale {
+        let t = k.boot_tcb(&format!("stale{i}"), STALE_PRIO);
+        if sched == SchedKind::Lazy {
+            k.objs.tcb_mut(t).state = ThreadState::Running;
+            k.enqueue_on(0, t);
+        }
+        k.objs.tcb_mut(t).state = ThreadState::BlockedOnReply;
+    }
+    let t0 = k.machine.now();
+    let _ = k.handle_syscall(Syscall::Yield);
+    k.machine.now() - t0
+}
+
+/// Simulated cycles of a failing `Signal` on an endpoint cap at cspace
+/// `depth` (1 or 32) with polluted caches: the decode plus fixed
+/// overhead (Fig. 7).
+fn decode_cycles(depth: u32) -> Cycles {
+    use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
+    use rt_kernel::syscall::Syscall;
+    use rt_kernel::tcb::ThreadState;
+    let mut k = Kernel::new(KernelConfig::after(), HwConfig::default());
+    let ep = k.boot_endpoint();
+    let cap = CapType::Endpoint {
+        obj: ep,
+        badge: Badge::NONE,
+        rights: Rights::ALL,
+    };
+    let root = if depth == 1 {
+        let cn = k.boot_cnode(8);
+        insert_cap(&mut k.objs, SlotRef::new(cn, 1), cap, None);
+        CapType::CNode {
+            obj: cn,
+            guard_bits: 24,
+            guard: 0,
+        }
+    } else {
+        assert_eq!(depth, 32);
+        let mut cs = crate::workloads::DeepCspace::new(&mut k);
+        cs.insert(&mut k, 1, cap);
+        cs.root_cap
+    };
+    let tcb = k.boot_tcb("t", 10);
+    k.objs.tcb_mut(tcb).cspace_root = root;
+    k.objs.tcb_mut(tcb).state = ThreadState::Running;
+    k.force_current_for_test(tcb);
+    k.machine.pollute(crate::workloads::POLLUTION_BASE);
+    let t0 = k.machine.now();
+    let _ = k.handle_syscall(Syscall::Signal { cptr: 1 });
+    k.machine.now() - t0
+}
+
+/// Measures the scheduler rows, the decode rows and the solver work that
+/// [`render_micro`] prints. Every figure is simulated cycles or solver
+/// counts, never host time, so the output is deterministic.
+pub fn micro() -> Micro {
+    let mut yields = Vec::new();
+    for prio in [200, 10] {
+        for stale in [0, 64, 256] {
+            yields.push(YieldRow {
+                prio,
+                stale,
+                lazy: yield_cycles(SchedKind::Lazy, prio, stale),
+                benno: yield_cycles(SchedKind::Benno, prio, stale),
+                bitmap: yield_cycles(SchedKind::BennoBitmap, prio, stale),
+            });
+        }
+    }
+    let ilp = rt_wcet::ipet_ilp(EntryPoint::Syscall, &AnalysisConfig::after_l2_off());
+    Micro {
+        yields,
+        decode: [1, 32].map(|d| (d, decode_cycles(d))).to_vec(),
+        ilp_cold: ilp
+            .model
+            .solve_cold()
+            .expect("IPET instance solvable")
+            .stats,
+        ilp_warm: ilp.model.solve().expect("IPET instance solvable").stats,
+    }
+}
+
+/// Renders [`micro`].
+pub fn render_micro(m: &Micro) -> String {
+    let mut s = String::new();
+    s.push_str("Figs. 2/3: cycles of one Yield under each chooseThread design (cold caches)\n");
+    s.push_str(&format!(
+        "{:>11} {:>14} {:>9} {:>9} {:>9}\n",
+        "chosen prio",
+        format!("blocked at {STALE_PRIO}"),
+        "lazy",
+        "Benno",
+        "bitmap"
+    ));
+    for r in &m.yields {
+        s.push_str(&format!(
+            "{:>11} {:>14} {:>9} {:>9} {:>9}\n",
+            r.prio, r.stale, r.lazy, r.benno, r.bitmap
+        ));
+    }
+    s.push_str(
+        "paper (S3.1-3.2): lazy scheduling pays for every blocked thread still queued,\n\
+         Benno scheduling for every empty priority above the chosen thread, and the\n\
+         two-level bitmap (two loads, two CLZ) for neither.\n",
+    );
+    s.push_str("\nFig. 7: capability decode with polluted caches (failing Signal)\n");
+    for (depth, cycles) in &m.decode {
+        s.push_str(&format!("  depth {depth:>2}: {cycles} cycles\n"));
+    }
+    s.push_str("\nIPET ILP solver work, after-kernel system call (L2 off)\n");
+    let (c, w) = (&m.ilp_cold, &m.ilp_warm);
+    s.push_str(&format!(
+        "  cold: {} nodes, {} pivots\n",
+        c.nodes,
+        c.pivots()
+    ));
+    s.push_str(&format!(
+        "  warm: {} nodes, {} pivots ({} primal + {} dual)\n",
+        w.nodes,
+        w.pivots(),
+        w.primal_pivots,
+        w.dual_pivots
+    ));
+    s
+}
+
 /// One row of the §6.1 open-vs-closed comparison.
 #[derive(Clone, Debug)]
 pub struct OpenClosedRow {
@@ -533,12 +698,7 @@ pub struct Fig8Bar {
 /// Fig. 8: computed-vs-observed for *the same path* — the analysis is
 /// forced onto the path the workloads exercise by zeroing every other
 /// node (§6.2: "adding extra constraints to the ILP problem to force
-/// analysis of the desired path").
-pub fn fig8(reps: u32) -> Vec<Fig8Bar> {
-    fig8_with(&SweepCtx::default(), reps)
-}
-
-/// [`fig8`] on a shared sweep context: one pool task per entry point, each
+/// analysis of the desired path"). One pool task per entry point, each
 /// running its two forced-path analyses (layout/CFG/cost model come from
 /// the cache) and its two observation runs.
 pub fn fig8_with(ctx: &SweepCtx, reps: u32) -> Vec<Fig8Bar> {
@@ -671,13 +831,8 @@ pub struct Fig9Group {
 }
 
 /// Fig. 9: effect of the L2 cache and branch predictor on observed
-/// worst-case execution times.
-pub fn fig9(reps: u32) -> Vec<Fig9Group> {
-    fig9_with(&SweepCtx::default(), reps)
-}
-
-/// [`fig9`] on a shared sweep context (pure observation — one pool task
-/// per entry point).
+/// worst-case execution times (pure observation — one pool task per entry
+/// point).
 pub fn fig9_with(ctx: &SweepCtx, reps: u32) -> Vec<Fig9Group> {
     ctx.pool().parallel_map(EntryPoint::ALL.to_vec(), |e| {
         let base = observe_entry_reps(e, KernelConfig::after(), hw(false, false, 0), reps);
@@ -715,4 +870,36 @@ pub fn render_fig9(groups: &[Fig9Group]) -> String {
     s.push_str("paper: enabling the L2 *increased* some observed worst cases by up to 8%;\n");
     s.push_str("the branch predictor gave only a minor improvement on these cold paths.\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shape each figure must keep, so that re-recording
+    /// `tests/goldens/micro.txt` cannot flatten one.
+    #[test]
+    fn micro_figures_keep_their_shape() {
+        let m = micro();
+        let at = |prio: u8| m.yields.iter().filter(move |r| r.prio == prio);
+        for rows in [at(200).collect::<Vec<_>>(), at(10).collect()] {
+            assert_eq!(rows.len(), 3);
+            for w in rows.windows(2) {
+                assert!(w[0].stale < w[1].stale && w[0].lazy < w[1].lazy, "{w:?}");
+            }
+        }
+        for (high, low) in at(200).zip(at(10)) {
+            assert_eq!(high.stale, low.stale);
+            assert!(high.benno < low.benno, "{high:?} {low:?}");
+        }
+        let bitmap = m.yields[0].bitmap;
+        assert!(
+            m.yields.iter().all(|r| r.bitmap == bitmap),
+            "{:?}",
+            m.yields
+        );
+        assert_eq!(m.decode.iter().map(|d| d.0).collect::<Vec<_>>(), [1, 32]);
+        assert!(m.decode[0].1 < m.decode[1].1, "{:?}", m.decode);
+        assert!(m.ilp_warm.pivots() < m.ilp_cold.pivots());
+    }
 }

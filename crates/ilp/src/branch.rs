@@ -95,7 +95,7 @@ const WARM_SNAPSHOT_CAP: usize = 16;
 /// Reference driver replicating the seed solver: every node is solved cold
 /// from the base rows plus its branching path, with Bland's rule
 /// throughout (no warm starts, no Dantzig pricing, no presolve). Kept as
-/// the baseline for differential tests and the `ilp_solver` benchmark; not
+/// the baseline for differential tests and `repro micro`'s cold solve; not
 /// used by production callers.
 pub fn solve_cold(
     n_vars: usize,

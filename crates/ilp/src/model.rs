@@ -346,9 +346,9 @@ impl Model {
     /// LP rebuilt and solved from scratch with Bland's rule (no warm
     /// starts, no Dantzig pricing).
     ///
-    /// This is the reference baseline the differential tests and the
-    /// `ilp_solver` benchmark compare [`Model::solve`] against; production
-    /// callers should use [`Model::solve`].
+    /// This is the reference baseline the differential tests and `repro
+    /// micro` compare [`Model::solve`] against; production callers should
+    /// use [`Model::solve`].
     ///
     /// # Errors
     ///

@@ -412,7 +412,7 @@ pub fn analyze_batch_bounds_with(
 
 /// Builds the IPET ILP instance for one entry point without solving it.
 ///
-/// The `ilp_solver` benchmark uses this to compare [`rt_ilp::Model::solve`]
+/// `repro micro` uses this to compare [`rt_ilp::Model::solve`]
 /// (warm-started) against [`rt_ilp::Model::solve_cold`] on the real
 /// instance; the differential tests use it to check both agree.
 pub fn ipet_ilp(entry: EntryPoint, cfg: &AnalysisConfig) -> ipet::IpetIlp {

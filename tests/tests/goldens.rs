@@ -12,8 +12,14 @@
 //! separately), which is also what makes golden-pinning the observation
 //! columns legitimate.
 //!
-//! `ci.sh` additionally diffs the actual `repro table1|table2` stdout
-//! against the same files, covering the binary's argument plumbing.
+//! `ci.sh` additionally diffs the actual stdout of `repro table1`,
+//! `table2`, `fig9`, `l2lock` and `micro` against the same files,
+//! covering the binary's argument plumbing.
+//!
+//! `micro` pins the scheduler and decode figures (Figs. 2/3 and 7) in
+//! simulated cycles, and the cold and warm solver work on the instance
+//! behind the headline bound. It uses no pool or cache, so one run is the
+//! whole check.
 //!
 //! `load_small` and `explore_small` pin the simulated output of the load
 //! engine and the schedule explorer. Worker-count agreement alone cannot
@@ -93,6 +99,17 @@ fn l2lock_matches_golden() {
     check("l2lock", include_str!("../goldens/l2lock.txt"), |ctx| {
         tables::render_l2lock(&tables::l2lock_with(ctx, 2))
     });
+}
+
+#[test]
+fn micro_matches_golden() {
+    let golden = include_str!("../goldens/micro.txt");
+    let got = tables::render_micro(&tables::micro());
+    assert!(
+        got == golden,
+        "micro diverged from tests/goldens/micro.txt:\n\
+         --- golden ---\n{golden}\n--- got ---\n{got}"
+    );
 }
 
 #[test]
