@@ -5,6 +5,10 @@
 //! * the CNode in-use slot index — every slot it skips is null, and the
 //!   occupancy helpers and `is_final` agree with full-scan references
 //!   under random cap-operation scripts;
+//! * the CNode slot store — `slot`, the occupancy helpers and the in-use
+//!   list agree with a dense `Vec<CapSlot>` reference under random
+//!   `slot_mut` writes at radix 1–16, and writing a clone leaves the
+//!   original as it was;
 //! * the run-queue head mask — `nonempty` lists exactly the queues
 //!   `head` finds non-empty;
 //! * the buffer-reusing SMP restore — `restore_into` across 1-, 2- and
@@ -17,8 +21,9 @@ use proptest::prelude::*;
 use rt_explore::scenario;
 use rt_hw::HwConfig;
 use rt_kernel::cap::{
-    delete_cap, insert_cap, is_final, read_slot, Badge, CapType, Rights, SlotRef,
+    delete_cap, insert_cap, is_final, read_slot, Badge, CapSlot, CapType, Rights, SlotRef,
 };
+use rt_kernel::cnode::CNode;
 use rt_kernel::kernel::{Kernel, KernelConfig, KernelSnapshot};
 use rt_kernel::obj::{ObjId, ObjKind, ObjStore};
 use rt_kernel::sched::RunQueues;
@@ -223,6 +228,119 @@ proptest! {
             apply(&mut k, nodes, op);
             check_index(&k.objs)?;
         }
+    }
+}
+
+// --- CNode slots against a dense reference ----------------------------------
+
+/// One `slot_mut` step: `(kind, raw index, payload seed)`. Kinds 0–1 write
+/// a cap at `raw` or at the last index; 2–3 null or rewrite a slot already
+/// touched; 4 nulls `raw`, touched or not.
+type SlotOp = (u8, u32, u32);
+
+fn slot_ops(len: usize) -> impl Strategy<Value = Vec<SlotOp>> {
+    proptest::collection::vec((0u8..5, any::<u32>(), any::<u32>()), 0..len)
+}
+
+fn same_slot(a: &CapSlot, b: &CapSlot) -> bool {
+    a.cap == b.cap && a.parent == b.parent && a.children == b.children
+}
+
+/// Applies `op` to `cn` and to its dense reference alike.
+fn apply_slot_op(cn: &mut CNode, reference: &mut [CapSlot], touched: &mut Vec<u32>, op: SlotOp) {
+    let (kind, raw, seed) = op;
+    let n = cn.num_slots();
+    let pick = |touched: &Vec<u32>| match touched.len() {
+        0 => raw % n,
+        len => touched[raw as usize % len],
+    };
+    let (index, value) = match kind {
+        0 | 1 => {
+            let index = if kind == 0 { raw % n } else { n - 1 };
+            (index, Some(seed))
+        }
+        2 => (pick(touched), None),
+        3 => (pick(touched), Some(seed)),
+        _ => (raw % n, None),
+    };
+    let slot = match value {
+        None => CapSlot::null(),
+        Some(seed) => CapSlot {
+            cap: CapType::Endpoint {
+                obj: ObjId(seed % 7),
+                badge: Badge(seed),
+                rights: Rights::ALL,
+            },
+            parent: (seed % 3 == 0).then(|| SlotRef::new(ObjId(1), seed % n)),
+            children: (0..seed % 3).map(|c| SlotRef::new(ObjId(2), c)).collect(),
+        },
+    };
+    *cn.slot_mut(index) = slot.clone();
+    reference[index as usize] = slot;
+    touched.push(index);
+}
+
+/// Checks the CNode's helpers against the reference; with `every_slot`,
+/// also reads each of its `2^radix` slots.
+fn check_against(cn: &CNode, reference: &[CapSlot], every_slot: bool) -> Result<(), TestCaseError> {
+    let occupied: Vec<u32> = (0..cn.num_slots())
+        .filter(|&i| !reference[i as usize].cap.is_null())
+        .collect();
+    prop_assert_eq!(cn.first_occupied(), occupied.first().copied());
+    prop_assert_eq!(cn.occupied(), occupied.len() as u32);
+    let in_use: Vec<(u32, &CapSlot)> = cn.slots_in_use().collect();
+    prop_assert!(
+        in_use.windows(2).all(|w| w[0].0 < w[1].0),
+        "slots in use not strictly ascending"
+    );
+    for &(i, s) in &in_use {
+        prop_assert!(i < cn.num_slots(), "slot {i} in use beyond the node");
+        prop_assert!(
+            same_slot(s, &reference[i as usize]),
+            "in-use slot {i}: {s:?}"
+        );
+    }
+    for &i in &occupied {
+        prop_assert!(
+            in_use.binary_search_by_key(&i, |&(j, _)| j).is_ok(),
+            "occupied slot {i} not in use"
+        );
+    }
+    if every_slot {
+        for i in 0..cn.num_slots() {
+            let s = cn.slot(i);
+            prop_assert!(same_slot(s, &reference[i as usize]), "slot {i}: {s:?}");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cnode_slots_match_dense_reference(
+        radix in 1u8..=16,
+        ops in slot_ops(48),
+        clone_ops in slot_ops(12),
+    ) {
+        let mut cn = CNode::new(radix);
+        let mut reference = vec![CapSlot::null(); cn.num_slots() as usize];
+        let mut touched = Vec::new();
+        check_against(&cn, &reference, true)?;
+        for &op in &ops {
+            apply_slot_op(&mut cn, &mut reference, &mut touched, op);
+            check_against(&cn, &reference, false)?;
+        }
+        check_against(&cn, &reference, true)?;
+        // Writes to a clone leave the original as it was.
+        let mut copy = cn.clone();
+        let mut copy_reference = reference.clone();
+        for &op in &clone_ops {
+            apply_slot_op(&mut copy, &mut copy_reference, &mut touched, op);
+        }
+        check_against(&copy, &copy_reference, true)?;
+        check_against(&cn, &reference, true)?;
     }
 }
 
