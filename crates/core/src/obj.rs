@@ -147,19 +147,18 @@ impl ObjStore {
         }
     }
 
-    /// Removes an object, returning it.
+    /// Removes an object. A snapshot that still shares it keeps its copy.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live (double delete is a kernel bug).
-    pub fn remove(&mut self, id: ObjId) -> Object {
+    pub fn remove(&mut self, id: ObjId) {
         let slot = self
             .objs
             .get_mut(id.0 as usize)
             .expect("ObjId out of range");
-        let obj = slot.take().expect("double delete of kernel object");
+        slot.take().expect("double delete of kernel object");
         self.free.push(id.0);
-        Arc::try_unwrap(obj).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Returns `true` if `id` refers to a live object.
@@ -490,8 +489,7 @@ mod tests {
         assert!(s.is_live(id));
         assert_eq!(s.get(id).base, 0x8000_0000);
         assert_eq!(s.get(id).size(), 16);
-        let obj = s.remove(id);
-        assert_eq!(obj.base, 0x8000_0000);
+        s.remove(id);
         assert!(!s.is_live(id));
     }
 
@@ -518,7 +516,7 @@ mod tests {
         let mut s = ObjStore::new();
         let id = s.insert(0x8000_0000, 4, ep_kind());
         s.remove(id);
-        let _ = s.remove(id);
+        s.remove(id);
     }
 
     #[test]
