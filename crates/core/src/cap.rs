@@ -227,7 +227,7 @@ pub struct CapSlot {
 
 impl CapSlot {
     /// An empty slot.
-    pub fn null() -> CapSlot {
+    pub const fn null() -> CapSlot {
         CapSlot {
             cap: CapType::Null,
             parent: None,

@@ -15,14 +15,16 @@ use crate::obj::{ObjId, ObjStore};
 #[derive(Clone, Debug)]
 pub struct CNode {
     radix_bits: u8,
-    slots: Vec<CapSlot>,
-    /// Bit `i` is set once slot `i` has been handed out by
-    /// [`CNode::slot_mut`], the only mutable path to `slots`: every slot
-    /// outside the set still equals [`CapSlot::null`]. Whole-node scans
-    /// (canonical hashing, the CDT invariants, finality) visit only the
-    /// set — a few dozen slots instead of a 4,096-slot root CNode.
-    in_use: Vec<u64>,
+    /// Every slot ever handed out by [`CNode::slot_mut`], the only mutable
+    /// path to a slot, as `(index, slot)` sorted by index. A slot outside
+    /// the list was never written, so it equals [`CapSlot::null`]. Booting
+    /// a 4,096-slot root CNode allocates nothing per slot, and copying one
+    /// (a snapshot de-sharing it) copies only the few dozen slots in use.
+    slots: Vec<(u32, CapSlot)>,
 }
+
+/// What [`CNode::slot`] reads at an index outside the in-use list.
+static NULL_SLOT: CapSlot = CapSlot::null();
 
 impl CNode {
     /// Creates an empty CNode with `2^radix_bits` slots.
@@ -33,8 +35,7 @@ impl CNode {
         );
         CNode {
             radix_bits,
-            slots: vec![CapSlot::null(); 1usize << radix_bits],
-            in_use: vec![0; (1usize << radix_bits).div_ceil(64)],
+            slots: Vec::new(),
         }
     }
 
@@ -53,31 +54,47 @@ impl CNode {
         1u32 << self.radix_bits
     }
 
+    /// Position of `index` in the in-use list, or where it would go.
+    fn find(&self, index: u32) -> Result<usize, usize> {
+        assert!(
+            index < self.num_slots(),
+            "slot {index} out of range for a radix-{} CNode",
+            self.radix_bits
+        );
+        self.slots.binary_search_by_key(&index, |&(i, _)| i)
+    }
+
     /// Shared slot access.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range (decode validates indices).
     pub fn slot(&self, index: u32) -> &CapSlot {
-        &self.slots[index as usize]
+        match self.find(index) {
+            Ok(pos) => &self.slots[pos].1,
+            Err(_) => &NULL_SLOT,
+        }
     }
 
-    /// Exclusive slot access.
+    /// Exclusive slot access; the first access to `index` adds it to the
+    /// in-use list.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn slot_mut(&mut self, index: u32) -> &mut CapSlot {
-        let slot = &mut self.slots[index as usize];
-        self.in_use[index as usize / 64] |= 1 << (index % 64);
-        slot
+        let pos = self.find(index).unwrap_or_else(|pos| {
+            self.slots.insert(pos, (index, CapSlot::null()));
+            pos
+        });
+        &mut self.slots[pos].1
     }
 
     /// Every slot ever handed out by [`CNode::slot_mut`], as
     /// `(index, slot)` in ascending index order. A superset of the
     /// occupied slots; each slot it skips equals [`CapSlot::null`].
     pub fn slots_in_use(&self) -> impl Iterator<Item = (u32, &CapSlot)> + '_ {
-        crate::set_bits(self.in_use.iter().copied(), 64).map(|i| (i, &self.slots[i as usize]))
+        self.slots.iter().map(|(i, s)| (*i, s))
     }
 
     /// Index of the first occupied slot, if any (used by deletion paths).
@@ -406,5 +423,29 @@ mod tests {
         insert_cap(&mut s, SlotRef::new(cn, 2), cap, None);
         assert_eq!(s.cnode(cn).first_occupied(), Some(2));
         assert_eq!(s.cnode(cn).occupied(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slot_out_of_range_panics() {
+        let _ = CNode::new(4).slot(16);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slot_mut_out_of_range_panics() {
+        let _ = CNode::new(4).slot_mut(16);
+    }
+
+    #[test]
+    fn fresh_cnode_holds_no_slot_storage() {
+        let mut cn = CNode::new(16);
+        assert_eq!(cn.slots.capacity(), 0);
+        assert!(cn.slot(0xFFFF).cap.is_null());
+        assert_eq!(cn.slots_in_use().count(), 0);
+        // Reading never stores; the first exclusive access does.
+        cn.slot_mut(0xFFFF);
+        assert_eq!(cn.slots.len(), 1);
+        assert_eq!(cn.first_occupied(), None);
     }
 }

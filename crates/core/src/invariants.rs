@@ -263,8 +263,8 @@ fn check_bitmap(k: &Kernel, out: &mut Vec<Violation>) {
         let queued = queues.heads_mask();
         let set = queues.bitmap.buckets;
         // Visit only the priorities where the two disagree, ascending.
-        let diff = queued.iter().zip(&set).map(|(q, s)| u64::from(q ^ s));
-        for prio in crate::set_bits(diff, 32) {
+        let diff = queued.iter().zip(&set).map(|(q, s)| q ^ s);
+        for prio in crate::set_bits(diff) {
             let (b, i) = (prio as usize / 32, prio % 32);
             let queued = queued[b] >> i & 1 != 0;
             let bit = set[b] >> i & 1 != 0;

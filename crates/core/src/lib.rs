@@ -111,20 +111,17 @@ pub const MAX_XFER_CAPS: u32 = 3;
 /// space requires one lookup per bit (§6.1, Fig. 7).
 pub const CSPACE_DEPTH_BITS: u32 = 32;
 
-/// Indices of the set bits of `words`, `width` bits per word, ascending:
-/// the walk shared by the bitset indexes (CNode slots in use, non-empty
-/// run queues) and the invariant checks that read them.
-pub(crate) fn set_bits(
-    words: impl IntoIterator<Item = u64>,
-    width: u32,
-) -> impl Iterator<Item = u32> {
-    words.into_iter().enumerate().flat_map(move |(w, word)| {
+/// Indices of the set bits of `words`, 32 bits per word, ascending: the
+/// walk shared by the run queues' non-empty bitmap and the invariant
+/// checks that read it.
+pub(crate) fn set_bits(words: impl IntoIterator<Item = u32>) -> impl Iterator<Item = u32> {
+    words.into_iter().enumerate().flat_map(|(w, word)| {
         let mut bits = word;
         std::iter::from_fn(move || {
             if bits == 0 {
                 return None;
             }
-            let i = w as u32 * width + bits.trailing_zeros();
+            let i = w as u32 * 32 + bits.trailing_zeros();
             bits &= bits - 1;
             Some(i)
         })

@@ -129,8 +129,7 @@ impl RunQueues {
 
     /// `(prio, head)` of every non-empty queue, in ascending priority.
     pub fn nonempty(&self) -> impl Iterator<Item = (u8, ObjId)> + '_ {
-        crate::set_bits(self.heads_mask().map(u64::from), 32)
-            .filter_map(|p| Some((p as u8, self.heads[p as usize]?)))
+        crate::set_bits(self.heads_mask()).filter_map(|p| Some((p as u8, self.heads[p as usize]?)))
     }
 
     /// Appends `tcb` to the tail of its priority's queue.

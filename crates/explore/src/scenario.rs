@@ -110,8 +110,8 @@ fn base() -> Base {
 }
 
 /// As [`base`] but with a chosen root-CNode radix. The widened search
-/// scenario uses a 256-slot root. It predates the CNode in-use index,
-/// which makes whole-node scans independent of the radix; the radix
+/// scenario uses a 256-slot root. It predates the sparse CNode slot
+/// list, which makes whole-node scans independent of the radix; the radix
 /// stays because object placement, and so every recorded number of that
 /// search, depends on it. All scenario cptrs fit in 8 bits.
 fn base_radix(radix_bits: u8) -> Base {

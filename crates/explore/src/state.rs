@@ -174,7 +174,7 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
             }
             ObjKind::CNode(c) => {
                 // Only occupied slots stream their (index, payload); the
-                // in-use index skips the never-touched (null) ones.
+                // in-use list holds no never-touched (null) ones.
                 h.add(3);
                 h.add(c.radix_bits() as u64);
                 for (i, s) in c.slots_in_use() {
