@@ -460,8 +460,9 @@ pub struct YieldRow {
     pub bitmap: Cycles,
 }
 
-/// The micro-measurements of Figs. 2/3 and 7, plus the solver work of the
-/// instance behind the headline bound.
+/// The micro-measurements of Figs. 2/3 and 7, the solver work of the
+/// instance behind the headline bound, and the §6.1 fastpath and §3.5
+/// clear-chunk figures.
 #[derive(Clone, Debug)]
 pub struct Micro {
     /// `chooseThread` rows: chosen priority 200 and 10, each with 0, 64
@@ -474,6 +475,21 @@ pub struct Micro {
     pub ilp_cold: rt_ilp::SolveStats,
     /// Warm-started solve of the same instance.
     pub ilp_warm: rt_ilp::SolveStats,
+    /// Cycles of a warm fastpath `Call` (§6.1).
+    pub fastpath_warm: Cycles,
+    /// Cycles of an uninterrupted retype of a 4 KiB and of a 64 KiB frame,
+    /// the two smallest ARMv6 frame sizes. Their difference is the clearing
+    /// of 60 more 1 KiB chunks (§3.5).
+    pub retype_frame: [Cycles; 2],
+}
+
+impl Micro {
+    /// Marginal cycles of clearing one 1 KiB chunk: (64 KiB retype −
+    /// 4 KiB retype) / 60.
+    pub fn clear_chunk(&self) -> f64 {
+        let [small, large] = self.retype_frame;
+        (large - small) as f64 / 60.0
+    }
 }
 
 /// Simulated cycles of one `Yield` by the only runnable thread, at `prio`,
@@ -540,8 +556,27 @@ fn decode_cycles(depth: u32) -> Cycles {
     k.machine.now() - t0
 }
 
-/// Measures the scheduler rows, the decode rows and the solver work that
-/// [`render_micro`] prints. Every figure is simulated cycles or solver
+/// Simulated cycles of one uninterrupted retype of a `2^size_bits`-byte
+/// frame on [`crate::workloads::retype_kernel`] (after-kernel, L2 off).
+fn frame_retype_cycles(size_bits: u8) -> Cycles {
+    use rt_kernel::syscall::{Syscall, SyscallOutcome};
+    use rt_kernel::untyped::RetypeKind;
+    let (mut k, _task, ut, dest) =
+        crate::workloads::retype_kernel(KernelConfig::after(), HwConfig::default(), 20);
+    let t0 = k.machine.now();
+    let out = k.handle_syscall(Syscall::Retype {
+        untyped: ut,
+        kind: RetypeKind::Frame { size_bits },
+        count: 1,
+        dest_cnode: dest,
+        dest_offset: 16,
+    });
+    assert_eq!(out, SyscallOutcome::Completed(Ok(())));
+    k.machine.now() - t0
+}
+
+/// Measures the scheduler rows, the decode rows, the solver work and the
+/// fastpath and clear-chunk cycles that [`render_micro`] prints. Every figure is simulated cycles or solver
 /// counts, never host time, so the output is deterministic.
 pub fn micro() -> Micro {
     let mut yields = Vec::new();
@@ -566,6 +601,8 @@ pub fn micro() -> Micro {
             .expect("IPET instance solvable")
             .stats,
         ilp_warm: ilp.model.solve().expect("IPET instance solvable").stats,
+        fastpath_warm: rt_kernel::testutil::warm_fastpath_call_cycles(),
+        retype_frame: [12, 16].map(frame_retype_cycles),
     }
 }
 
@@ -609,6 +646,21 @@ pub fn render_micro(m: &Micro) -> String {
         w.pivots(),
         w.primal_pivots,
         w.dual_pivots
+    ));
+    s.push_str("\nS6.1: warm fastpath Call, 2-word message\n");
+    s.push_str(&format!(
+        "  {} cycles (paper: around 200-250 cycles on the ARM1136)\n",
+        m.fastpath_warm
+    ));
+    s.push_str("\nS3.5: one 1 KiB clear chunk = (64 KiB frame retype - 4 KiB frame retype) / 60\n");
+    let chunk = m.clear_chunk();
+    s.push_str(&format!(
+        "  4 KiB: {} cycles, 64 KiB: {} cycles\n",
+        m.retype_frame[0], m.retype_frame[1]
+    ));
+    s.push_str(&format!(
+        "  one chunk: {chunk:.1} cycles ({:.2} us; paper: ~20 us on the target)\n",
+        chunk / (rt_hw::CPU_HZ as f64 / 1e6)
     ));
     s
 }
@@ -901,5 +953,6 @@ mod tests {
         assert_eq!(m.decode.iter().map(|d| d.0).collect::<Vec<_>>(), [1, 32]);
         assert!(m.decode[0].1 < m.decode[1].1, "{:?}", m.decode);
         assert!(m.ilp_warm.pivots() < m.ilp_cold.pivots());
+        assert!(m.retype_frame[0] < m.retype_frame[1], "{m:?}");
     }
 }

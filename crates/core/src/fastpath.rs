@@ -191,13 +191,9 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{boot_two_threads_one_ep, ep_object};
-
-    fn park_server_receiving(k: &mut Kernel, server: ObjId, epobj: ObjId) {
-        k.objs.tcb_mut(server).state = ThreadState::BlockedOnRecv { ep: epobj };
-        k.objs.tcb_mut(server).caller = None;
-        ep::ep_append(&mut k.objs, epobj, server, EpState::Receiving);
-    }
+    use crate::testutil::{
+        boot_two_threads_one_ep, ep_object, park_server_receiving, warm_fastpath_call_cycles,
+    };
 
     #[test]
     fn fastpath_requires_waiting_receiver() {
@@ -256,23 +252,7 @@ mod tests {
 
     #[test]
     fn fastpath_call_is_a_few_hundred_cycles_warm() {
-        let (mut k, client, server, ep_cptr) = boot_two_threads_one_ep();
-        let epobj = ep_object(&k, client, ep_cptr);
-        let sys = Syscall::Call {
-            cptr: ep_cptr,
-            len: 2,
-            caps: vec![],
-        };
-        // Warm-up run.
-        park_server_receiving(&mut k, server, epobj);
-        assert!(k.try_fastpath(&sys).is_some());
-        // Reset IPC state, then measure a warm run.
-        k.objs.tcb_mut(client).state = ThreadState::Running;
-        park_server_receiving(&mut k, server, epobj);
-        k.force_current_for_test(client);
-        let before = k.machine.now();
-        assert!(k.try_fastpath(&sys).is_some());
-        let warm = k.machine.now() - before;
+        let warm = warm_fastpath_call_cycles();
         // §6.1: "around 200-250 cycles on the ARM1136"; allow a generous
         // band for model differences.
         assert!(

@@ -4,11 +4,14 @@
 //! These construct small running systems the way a root task would, so
 //! every experiment starts from the same well-formed state.
 
-use rt_hw::HwConfig;
+use rt_hw::{Cycles, HwConfig};
 
 use crate::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
+use crate::ep::{self, EpState};
 use crate::kernel::{Kernel, KernelConfig};
 use crate::obj::ObjId;
+use crate::syscall::Syscall;
+use crate::tcb::ThreadState;
 
 /// Builds a kernel with a client (prio 10) and a server (prio 11) sharing
 /// a 256-slot root CNode that holds an endpoint cap at cptr 1.
@@ -55,4 +58,44 @@ pub fn ep_object(k: &Kernel, tcb: ObjId, cptr: u32) -> ObjId {
         CapType::Endpoint { obj, .. } => obj,
         ref c => panic!("cptr {cptr} is not an endpoint: {c:?}"),
     }
+}
+
+/// Parks `server` receiving on `epobj`, as a server waiting for its next
+/// request is, so that a `Call` to it can take the fastpath.
+pub fn park_server_receiving(k: &mut Kernel, server: ObjId, epobj: ObjId) {
+    k.objs.tcb_mut(server).state = ThreadState::BlockedOnRecv { ep: epobj };
+    k.objs.tcb_mut(server).caller = None;
+    ep::ep_append(&mut k.objs, epobj, server, EpState::Receiving);
+}
+
+/// Cycles of a warm fastpath `Call` with a 2-word message (§6.1: "around
+/// 200-250 cycles on the ARM1136"). On [`boot_two_threads_one_ep`], a
+/// first `Call` warms the caches; the IPC state is then reset and a second
+/// `Call` is timed.
+///
+/// # Panics
+///
+/// Panics if either `Call` falls back to the slowpath.
+pub fn warm_fastpath_call_cycles() -> Cycles {
+    let (mut k, client, server, ep_cptr) = boot_two_threads_one_ep();
+    let epobj = ep_object(&k, client, ep_cptr);
+    let sys = Syscall::Call {
+        cptr: ep_cptr,
+        len: 2,
+        caps: vec![],
+    };
+    park_server_receiving(&mut k, server, epobj);
+    assert!(
+        k.try_fastpath(&sys).is_some(),
+        "warm-up Call left the fastpath"
+    );
+    k.objs.tcb_mut(client).state = ThreadState::Running;
+    park_server_receiving(&mut k, server, epobj);
+    k.force_current_for_test(client);
+    let before = k.machine.now();
+    assert!(
+        k.try_fastpath(&sys).is_some(),
+        "timed Call left the fastpath"
+    );
+    k.machine.now() - before
 }

@@ -16,8 +16,9 @@
 //! `table2`, `fig9`, `l2lock` and `micro` against the same files,
 //! covering the binary's argument plumbing.
 //!
-//! `micro` pins the scheduler and decode figures (Figs. 2/3 and 7) in
-//! simulated cycles, and the cold and warm solver work on the instance
+//! `micro` pins the scheduler and decode figures (Figs. 2/3 and 7), the
+//! warm fastpath `Call` (§6.1) and the marginal 1 KiB clear chunk (§3.5)
+//! in simulated cycles, and the cold and warm solver work on the instance
 //! behind the headline bound. It uses no pool or cache, so one run is the
 //! whole check.
 //!
