@@ -291,6 +291,18 @@ grep -q '"explore_smp": {' "$tmp/smp_json" || {
     echo "ci: explore --smp did not write the explore_smp JSON block" >&2
     exit 1
 }
+# Fork-vs-rebuild on SMP again at depth 14, the depth perfbench's
+# explore-smp searches to exhaustion: deeper restores of 2- and 4-core
+# snapshots (and the copy-on-write CNodes inside them) must still render
+# what a rebuild from boot renders. The pair takes well under a second.
+RT_BENCH_OUT="$tmp/smp_deep_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --smp --depth 14 --por sleep --workers 4 >"$tmp/smp_deep_fork" 2>/dev/null
+RT_BENCH_OUT="$tmp/smp_deep_json" cargo run --release -q -p rt-bench --bin repro -- \
+    explore --smp --depth 14 --por sleep --workers 4 --snapshot-every 0 >"$tmp/smp_deep_rebuild" 2>/dev/null
+diff -u "$tmp/smp_deep_fork" "$tmp/smp_deep_rebuild" || {
+    echo "ci: forked and rebuilt SMP explore reports differ at depth 14" >&2
+    exit 1
+}
 
 cargo fmt --check
 cargo clippy --all-targets -- -D warnings
