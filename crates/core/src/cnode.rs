@@ -56,11 +56,7 @@ impl CNode {
 
     /// Position of `index` in the in-use list, or where it would go.
     fn find(&self, index: u32) -> Result<usize, usize> {
-        assert!(
-            index < self.num_slots(),
-            "slot {index} out of range for a radix-{} CNode",
-            self.radix_bits
-        );
+        assert!(index < self.num_slots(), "slot {index} out of range");
         self.slots.binary_search_by_key(&index, |&(i, _)| i)
     }
 
