@@ -483,15 +483,6 @@ pub struct Micro {
     pub retype_frame: [Cycles; 2],
 }
 
-impl Micro {
-    /// Marginal cycles of clearing one 1 KiB chunk: (64 KiB retype −
-    /// 4 KiB retype) / 60.
-    pub fn clear_chunk(&self) -> f64 {
-        let [small, large] = self.retype_frame;
-        (large - small) as f64 / 60.0
-    }
-}
-
 /// Simulated cycles of one `Yield` by the only runnable thread, at `prio`,
 /// with `stale` threads blocked above it (§3.1).
 fn yield_cycles(sched: SchedKind, prio: u8, stale: u32) -> Cycles {
@@ -576,8 +567,9 @@ fn frame_retype_cycles(size_bits: u8) -> Cycles {
 }
 
 /// Measures the scheduler rows, the decode rows, the solver work and the
-/// fastpath and clear-chunk cycles that [`render_micro`] prints. Every figure is simulated cycles or solver
-/// counts, never host time, so the output is deterministic.
+/// fastpath and clear-chunk cycles that [`render_micro`] prints. Every
+/// figure is simulated cycles or solver counts, never host time, so the
+/// output is deterministic.
 pub fn micro() -> Micro {
     let mut yields = Vec::new();
     for prio in [200, 10] {
@@ -653,10 +645,10 @@ pub fn render_micro(m: &Micro) -> String {
         m.fastpath_warm
     ));
     s.push_str("\nS3.5: one 1 KiB clear chunk = (64 KiB frame retype - 4 KiB frame retype) / 60\n");
-    let chunk = m.clear_chunk();
+    let [small, large] = m.retype_frame;
+    let chunk = (large - small) as f64 / 60.0;
     s.push_str(&format!(
-        "  4 KiB: {} cycles, 64 KiB: {} cycles\n",
-        m.retype_frame[0], m.retype_frame[1]
+        "  4 KiB: {small} cycles, 64 KiB: {large} cycles\n"
     ));
     s.push_str(&format!(
         "  one chunk: {chunk:.1} cycles ({:.2} us; paper: ~20 us on the target)\n",
