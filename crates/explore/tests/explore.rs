@@ -39,7 +39,9 @@ fn ep_delete_exhausts_a_thousand_interleavings() {
 }
 
 /// Pruned exploration reaches quiescence (frontier exhausted, nothing
-/// capped) on every scenario at the CI smoke depth.
+/// capped) on every scenario at the smoke depth, with no counterexample,
+/// and genuinely branches: more interleavings than the most
+/// preemption-point decision sites any one run met.
 #[test]
 fn all_scenarios_complete_at_smoke_depth() {
     for sc in rt_explore::scenario::all() {
@@ -56,6 +58,13 @@ fn all_scenarios_complete_at_smoke_depth() {
         );
         assert!(!rep.capped, "{}", sc.name);
         assert!(rep.interleavings > 1, "{}", sc.name);
+        assert!(
+            rep.interleavings > rep.preempt_sites as usize,
+            "{}: {} interleavings for {} preemption-point decision sites",
+            sc.name,
+            rep.interleavings,
+            rep.preempt_sites
+        );
         assert!(rep.injected > 0, "{}: nothing was ever injected", sc.name);
     }
 }

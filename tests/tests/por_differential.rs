@@ -13,11 +13,14 @@
 //! worker count with byte-identical reports.
 
 use proptest::prelude::*;
-use rt_explore::scenario::by_name;
+use rt_explore::scenario::{all, by_name, smp_all};
 use rt_explore::{
-    explore, explore_with_states, randomized, ExploreConfig, PorMode, RandomParams, SeededBug,
+    explore, explore_with_states, randomized, wcet_latency_bound, ExploreConfig, PorMode,
+    RandomParams, SeededBug,
 };
+use rt_kernel::kernel::EntryPoint;
 use rt_pool::Pool;
+use rt_wcet::{smp_latency_margin, AnalysisCache, AnalysisConfig, SmpParams};
 
 fn cfg(depth: usize, por: PorMode) -> ExploreConfig {
     ExploreConfig {
@@ -170,4 +173,52 @@ fn reduction_discharges_branches_on_ep_delete() {
         "persistent singletons made things worse"
     );
     assert_eq!(off.distinct_states, sleep.distinct_states);
+}
+
+/// At depth 8, on every single-core and SMP scenario, the sleep-set
+/// search expands exactly the unreduced search's canonical-state set in
+/// no more runs, and neither search finds a counterexample: every
+/// invariant holds and every response meets the §6 bound, widened by
+/// the SMP margin on multi-core scenarios.
+#[test]
+fn sleep_sets_preserve_every_scenario_state_set_at_depth_8() {
+    let cache = AnalysisCache::new();
+    let scalar = wcet_latency_bound(&cache);
+    let irq = cache
+        .analyze(EntryPoint::Interrupt, &AnalysisConfig::after_l2_off())
+        .cycles;
+    let pool = Pool::new(2);
+    for sc in all().into_iter().chain(smp_all()) {
+        let cores = (sc.build)().kernel.n_cores();
+        let search = |por| {
+            let c = ExploreConfig {
+                latency_bound: scalar + smp_latency_margin(irq, &SmpParams::new(cores)),
+                ..cfg(8, por)
+            };
+            explore_with_states(&sc, &c, &pool)
+        };
+        let (off, off_states) = search(PorMode::Off);
+        let (sleep, sleep_states) = search(PorMode::Sleep);
+        assert!(!off.capped && !sleep.capped, "{}: capped", sc.name);
+        assert_eq!(
+            off_states, sleep_states,
+            "{}: state sets diverged (off {} vs sleep {})",
+            sc.name, off.distinct_states, sleep.distinct_states
+        );
+        assert!(
+            sleep.interleavings <= off.interleavings,
+            "{}: reduction executed more runs ({} > {})",
+            sc.name,
+            sleep.interleavings,
+            off.interleavings
+        );
+        for rep in [&off, &sleep] {
+            assert!(
+                rep.counterexample.is_none(),
+                "{}: {:?}",
+                sc.name,
+                rep.counterexample
+            );
+        }
+    }
 }

@@ -146,6 +146,43 @@ fn seeded_bugs_caught_with_forking_at_every_worker_count() {
     }
 }
 
+/// Capture pauses at a wave boundary while the resident census is at or
+/// over `snapshot_budget`, and that wave's children then resume from the
+/// snapshot they inherit, replaying a longer gap. With a budget of one
+/// snapshot nearly every wave runs paused, yet the search still renders
+/// what the rebuild engine renders and expands the same state set, at 1
+/// and 4 workers.
+#[test]
+fn paused_capture_matches_the_rebuild_engine() {
+    for name in ["ep-delete", "smp-ipi-race"] {
+        let sc = by_name(name).expect("scenario");
+        let (rebuilt, rebuilt_states) = explore_with_states(&sc, &cfg(8, 0), &Pool::new(1));
+        let paused_cfg = ExploreConfig {
+            snapshot_budget: 1,
+            ..cfg(8, 1)
+        };
+        for workers in [1usize, 4] {
+            let (paused, paused_states) =
+                explore_with_states(&sc, &paused_cfg, &Pool::new(workers));
+            assert!(
+                paused.snap.capture_paused_waves > 0,
+                "{name}: capture never paused ({:?})",
+                paused.snap
+            );
+            assert!(paused.snap.forks > 0, "{name}: no branch resumed");
+            assert_eq!(
+                render_line(&rebuilt),
+                render_line(&paused),
+                "{name} ({workers} workers): renders diverged"
+            );
+            assert_eq!(
+                rebuilt_states, paused_states,
+                "{name} ({workers} workers): state sets diverged"
+            );
+        }
+    }
+}
+
 /// A minimized counterexample out of the *forking* search is a complete,
 /// self-contained reproduction: replaying it on a fresh kernel — always
 /// the rebuild-from-boot path, snapshots never involved — re-finds the
