@@ -9,7 +9,7 @@
 //! cargo run --release -p rt-bench --bin repro -- micro
 //! cargo run --release -p rt-bench --bin repro -- overhead
 //! cargo run --release -p rt-bench --bin repro -- latency-bound
-//! cargo run --release -p rt-bench --bin repro -- explore [--depth N] [--por off|sleep|full] \
+//! cargo run --release -p rt-bench --bin repro -- explore [--depth N] [--por off|sleep] \
 //!     [--workers a,b,c] [--budget-states N] [--scenario NAME] [--snapshot-every N] \
 //!     [--baseline-rebuild] [--smp]
 //! cargo run --release -p rt-bench --bin repro -- bench [--workers a,b,c] [--fleet-jobs N]
@@ -321,9 +321,8 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
     {
         None | Some("off") => PorMode::Off,
         Some("sleep") => PorMode::Sleep,
-        Some("full") => PorMode::Full,
         Some(other) => {
-            eprintln!("--por must be off|sleep|full, got {other:?}");
+            eprintln!("--por must be off|sleep, got {other:?}");
             std::process::exit(2);
         }
     };
@@ -536,14 +535,13 @@ fn explore_json_block(
         let _ = writeln!(
             s,
             "      {{\"name\": \"{}\", \"interleavings\": {}, \"states\": {}, \"distinct\": {}, \
-             \"sleep_skips\": {}, \"persistent_skips\": {}, \"reduction_ratio\": {:.4}, \
+             \"sleep_skips\": {}, \"reduction_ratio\": {:.4}, \
              \"waves\": {}, \"peak_frontier\": {}, \"counterexamples\": {}, \"capped\": {}}}{}",
             r.scenario,
             r.interleavings,
             r.states,
             r.distinct_states,
             r.sleep_skips,
-            r.persistent_skips,
             r.reduction_ratio(),
             r.waves,
             r.peak_frontier,

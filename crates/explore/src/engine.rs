@@ -34,9 +34,7 @@
 //!   canonical time-free hashes ([`crate::state`]) across waves, and
 //!   against the expansions of earlier runs of the same wave (below);
 //! * **Partial-order reduction** ([`crate::por`]): sleep sets skip
-//!   branches provably covered by a commuted sibling, and (in
-//!   [`PorMode::Full`]) persistent singletons skip all siblings of an
-//!   invisible, everywhere-independent thread step;
+//!   branches provably covered by a commuted sibling;
 //! * **Frontier waves over the worker pool**: the frontier drains in
 //!   deterministic fixed-size waves; within a wave, runs execute in
 //!   parallel over [`rt_pool::Pool`] (work-stealing hands branches
@@ -187,7 +185,6 @@ pub(crate) struct EventInfo {
     descs: Vec<u32>,
     fps: Vec<Footprint>,
     sleep: Vec<SleepEntry>,
-    persistent_only: bool,
 }
 
 /// A run's counters as they stood at one hashed boundary: what its record
@@ -287,8 +284,6 @@ pub struct ExploreReport {
     pub distinct_states: usize,
     /// Branches skipped by sleep-set reduction.
     pub sleep_skips: u64,
-    /// Branches skipped by persistent-singleton reduction.
-    pub persistent_skips: u64,
     /// Frontier waves processed.
     pub waves: usize,
     /// Largest single wave (runs).
@@ -332,7 +327,6 @@ impl ExploreReport {
             states: 0,
             distinct_states: 0,
             sleep_skips: 0,
-            persistent_skips: 0,
             waves: 0,
             peak_frontier: 0,
             preempt_sites: 0,
@@ -352,7 +346,7 @@ impl ExploreReport {
     /// Fraction of generated branches the reduction discharged without
     /// executing: `skipped / (executed + skipped)`.
     pub fn reduction_ratio(&self) -> f64 {
-        let skipped = (self.sleep_skips + self.persistent_skips) as f64;
+        let skipped = self.sleep_skips as f64;
         let total = self.interleavings as f64 + skipped;
         if total == 0.0 {
             0.0
@@ -706,21 +700,10 @@ fn execute_inner(
                         }
                     }
                 }
-                // Persistent singleton: an invisible thread step
-                // independent of every other enabled event (necessarily
-                // all free-line arrivals) may suppress its siblings
-                // entirely (Full mode; see crate::por).
-                let persistent_only = cfg.por == PorMode::Full
-                    && events.len() > 1
-                    && matches!(events[0], Event::Run(_))
-                    && fps[0].invisible_step()
-                    && !sleep.iter().any(|e| e.desc == descs[0])
-                    && fps[1..].iter().all(|f| independent(&fps[0], f));
                 Some(EventInfo {
                     descs,
                     fps,
                     sleep: sleep.clone(),
-                    persistent_only,
                 })
             } else {
                 None
@@ -960,9 +943,9 @@ fn tally(rep: &mut ExploreReport, r: &RunRecord) {
 }
 
 /// Generates the child branches of one completed run: every untried
-/// alternative at every extension decision, minus what the reduction
-/// discharges (sleeping alternatives; all siblings at persistent
-/// singletons), plus the alternatives Godefroid's revisit rule re-expands
+/// alternative at every extension decision, minus the sleeping
+/// alternatives the reduction discharges, plus the alternatives
+/// Godefroid's revisit rule re-expands
 /// at a cut (see `RunRecord::revisit`). Each child adopts the latest
 /// resume point at or before its divergence decision — falling back to
 /// the parent's own point (an `Arc` fork, so inherited chains cost no
@@ -985,12 +968,6 @@ fn branch(
     let prefix_len = parent.prefix.len();
     for i in prefix_len..r.taken.len() {
         let info = r.evinfo.get(i).and_then(|o| o.as_ref());
-        if let Some(info) = info {
-            if info.persistent_only {
-                rep.persistent_skips += (r.decisions[i].options - 1 - r.taken[i]) as u64;
-                continue;
-            }
-        }
         let snap_i = snap_at(i);
         // Non-sleeping siblings already branched at this site (option
         // `taken[i]` was executed by this very run).
@@ -1038,7 +1015,7 @@ fn branch(
     // Option 0 is never one of them: the stored expansion executed it.
     let i = r.taken.len();
     let info = r.evinfo.get(i).and_then(|o| o.as_ref());
-    if let (Some(stored), Some(info)) = (&r.revisit, info.filter(|f| !f.persistent_only)) {
+    if let (Some(stored), Some(info)) = (&r.revisit, info) {
         let mut asleep: Vec<SleepEntry> = info
             .sleep
             .iter()
@@ -1326,7 +1303,7 @@ pub fn explore_with_states(
 pub fn render_line(rep: &ExploreReport) -> String {
     let mut s = format!(
         "  {:<16} interleavings={} pruned={} truncated={} states={} distinct={} \
-         sleep-skips={} persistent-skips={} waves={} \
+         sleep-skips={} waves={} \
          preempt-pts={} polls={} injected={} preemptions={} responses={} \
          max-latency={}/{}",
         rep.scenario,
@@ -1336,7 +1313,6 @@ pub fn render_line(rep: &ExploreReport) -> String {
         rep.states,
         rep.distinct_states,
         rep.sleep_skips,
-        rep.persistent_skips,
         rep.waves,
         rep.preempt_sites,
         rep.polls,

@@ -23,7 +23,7 @@
 //! * [`state`] — canonical (time-free) state hashing and the sharded
 //!   visited set shared across exploration workers;
 //! * [`por`] — the independence relation, event footprints, and
-//!   sleep-set/persistent-set partial-order reduction;
+//!   sleep-set partial-order reduction;
 //! * [`snap`] — mid-run resume points (kernel snapshot + run counters)
 //!   that let a branch fork a live state in O(1) instead of replaying
 //!   its prefix from boot, with intrusive residency accounting;

@@ -5,8 +5,7 @@
 //! on a free line against a pure-compute thread step, reach the same
 //! canonical state in either order. The reduction machinery here prunes
 //! those redundant orders while provably preserving the set of reachable
-//! canonical states (sleep sets) or at least every oracle verdict
-//! (persistent-set reduction at invisible steps).
+//! canonical states (sleep sets).
 //!
 //! # The independence relation
 //!
@@ -50,7 +49,8 @@
 //! on `a` invalidates that argument — at which point `a` is dropped from
 //! the set. Sleep-set reduction skips only redundant *transitions*; the
 //! reachable canonical-state set is untouched, which is exactly what the
-//! reduced-vs-unreduced differential tests pin.
+//! reduced-vs-unreduced differential tests pin (`por_differential.rs`:
+//! every single-core and SMP scenario at depth 8, and randomized ones).
 //!
 //! Interaction with duplicate-state pruning needs one refinement
 //! (Godefroid's): a state first expanded with sleep set `S` only covered
@@ -58,21 +58,6 @@
 //! be pruned only if `S ⊆ T`; otherwise the state is re-expanded and the
 //! stored set shrinks to `S ∩ T`. `SharedVisited`
 //! implements that rule.
-//!
-//! # Persistent singletons ([`PorMode::Full`])
-//!
-//! At a state whose default event is an *invisible* thread step — a
-//! `Compute`/`Pollute` that writes no kernel object, no queue and no
-//! line — independent of every other enabled event (necessarily all
-//! unbound arrivals), the singleton `{step}` is a persistent set: every
-//! event reachable without taking the step stays independent of it, so
-//! all sibling branches can be skipped outright. Unlike sleep sets this
-//! *does* drop intermediate states (the arrival-before-step orderings),
-//! but every dropped state differs from a kept one only in the invisible
-//! step's own cursor, which no oracle reads — oracle verdicts are
-//! preserved, and the seeded-bug regression suite holds at every worker
-//! count. Scope-widening searches use `Full`; the differential suite
-//! that asserts state-set equality uses `Sleep`.
 
 use rt_hw::IrqLine;
 use rt_kernel::kernel::Kernel;
@@ -83,15 +68,13 @@ use rt_kernel::tcb::ThreadState;
 /// How much partial-order reduction the engine applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PorMode {
-    /// No reduction: the PR 5 behaviour, every alternative branches.
+    /// No reduction: every alternative branches. The unreduced reference
+    /// the differential tests hold `Sleep` to.
     #[default]
     Off,
-    /// Sleep sets only — preserves the reachable canonical-state set
-    /// exactly (transition-level reduction).
+    /// Sleep sets — preserves the reachable canonical-state set exactly
+    /// (transition-level reduction).
     Sleep,
-    /// Sleep sets plus persistent singletons at invisible steps —
-    /// preserves every oracle verdict; reachable-state sets may shrink.
-    Full,
 }
 
 impl PorMode {
@@ -158,14 +141,6 @@ impl Footprint {
             reads: Vec::new(),
             writes: Vec::new(),
         }
-    }
-
-    /// Whether this event writes any kernel-visible variable at all. An
-    /// event with an empty write set (or only its own thread's cursor)
-    /// still moves harness state; "invisible" here means: writes nothing
-    /// an oracle or another event's footprint can read.
-    pub(crate) fn invisible_step(&self) -> bool {
-        !self.universal && self.writes.iter().all(|&w| w & 0x0200_0000 != 0)
     }
 }
 

@@ -244,7 +244,7 @@ fn explore_states_deep_match_golden() {
 }
 
 /// Every seeded bug, and a 1-cycle latency bound that every response
-/// breaks, against every scenario under every POR mode at depth 6: the
+/// breaks, against every scenario under both POR modes at depth 6: the
 /// verdict, the failing trace, the minimized trace and the names of the
 /// violated oracles.
 fn render_explore_cex(ctx: &SweepCtx) -> String {
@@ -257,7 +257,7 @@ fn render_explore_cex(ctx: &SweepCtx) -> String {
     ];
     for bug in bugs {
         for sc in all().iter().chain(smp_all().iter()) {
-            for por in [PorMode::Off, PorMode::Sleep, PorMode::Full] {
+            for por in [PorMode::Off, PorMode::Sleep] {
                 let cfg = ExploreConfig {
                     max_depth: 6,
                     por,

@@ -3,14 +3,11 @@
 //! for.
 //!
 //! Sleep-set reduction skips transitions, never states — so for any
-//! scenario (here: randomized small-scope instances) the reduced search
-//! must expand exactly the same canonical-state set as the unreduced PR 5
-//! style search, while executing no more runs. Full reduction (sleep sets
-//! plus persistent singletons at invisible steps) may drop states whose
-//! only difference is an oracle-invisible script cursor, so it is held to
-//! the weaker — and operationally sufficient — contract: every oracle
-//! verdict agrees, including the seeded §3.4 bugs being caught at every
-//! worker count with byte-identical reports.
+//! scenario (every named single-core and SMP scenario, and randomized
+//! small-scope instances) the reduced search must expand exactly the same
+//! canonical-state set as the unreduced search, while executing no more
+//! runs, and the seeded §3.4 bugs stay caught at every worker count with
+//! byte-identical reports.
 
 use proptest::prelude::*;
 use rt_explore::scenario::{all, by_name, smp_all};
@@ -89,35 +86,11 @@ proptest! {
             off.interleavings
         );
     }
-
-    /// Full reduction (persistent singletons included) agrees with the
-    /// unreduced search on whether any oracle fires — both on clean
-    /// randomized kernels and with a seeded §3.4 bug armed.
-    #[test]
-    fn full_reduction_agrees_on_oracle_verdicts(p in arb_params()) {
-        let sc = randomized(p);
-        let pool = Pool::new(2);
-        for bug in [None, Some(SeededBug::AbortSkip)] {
-            let mut off_cfg = cfg(6, PorMode::Off);
-            off_cfg.seeded_bug = bug;
-            let mut full_cfg = cfg(6, PorMode::Full);
-            full_cfg.seeded_bug = bug;
-            let off = explore(&sc, &off_cfg, &pool);
-            let full = explore(&sc, &full_cfg, &pool);
-            prop_assert_eq!(
-                off.counterexample.is_some(),
-                full.counterexample.is_some(),
-                "{} (bug {:?}): verdicts diverged",
-                &sc.name,
-                bug
-            );
-        }
-    }
 }
 
-/// Both seeded PR 5 bugs stay caught with full POR on, at every worker
-/// count, with byte-identical reports — the determinism and soundness
-/// regression the parallel reduced search must never lose.
+/// Both seeded single-core bugs stay caught with sleep sets on, at every
+/// worker count, with byte-identical reports — the determinism and
+/// soundness regression the parallel reduced search must never lose.
 #[test]
 fn seeded_bugs_caught_with_por_at_every_worker_count() {
     for (name, bug, family) in [
@@ -125,7 +98,7 @@ fn seeded_bugs_caught_with_por_at_every_worker_count() {
         ("ep-delete", SeededBug::DropRunnable, ""),
     ] {
         let sc = by_name(name).expect("scenario");
-        let mut c = cfg(8, PorMode::Full);
+        let mut c = cfg(8, PorMode::Sleep);
         c.seeded_bug = Some(bug);
         let baseline = format!("{:?}", explore(&sc, &c, &Pool::new(1)));
         for workers in [2, 4] {
@@ -151,15 +124,14 @@ fn seeded_bugs_caught_with_por_at_every_worker_count() {
 }
 
 /// The reduction actually reduces: on the standard ep-delete scope the
-/// sleep-set search discharges a healthy share of branches without
-/// executing them, and full mode discharges at least as many.
+/// sleep-set search discharges branches without executing them and runs
+/// fewer interleavings than the unreduced search.
 #[test]
 fn reduction_discharges_branches_on_ep_delete() {
     let sc = by_name("ep-delete").expect("scenario");
     let pool = Pool::new(2);
     let off = explore(&sc, &cfg(8, PorMode::Off), &pool);
     let sleep = explore(&sc, &cfg(8, PorMode::Sleep), &pool);
-    let full = explore(&sc, &cfg(8, PorMode::Full), &pool);
     assert!(off.counterexample.is_none());
     assert!(sleep.sleep_skips > 0, "sleep sets never fired");
     assert!(
@@ -167,10 +139,6 @@ fn reduction_discharges_branches_on_ep_delete() {
         "no run reduction ({} vs {})",
         sleep.interleavings,
         off.interleavings
-    );
-    assert!(
-        full.interleavings <= sleep.interleavings,
-        "persistent singletons made things worse"
     );
     assert_eq!(off.distinct_states, sleep.distinct_states);
 }
