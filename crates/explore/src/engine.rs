@@ -1340,17 +1340,17 @@ pub fn render_line(rep: &ExploreReport) -> String {
 }
 
 /// Per-scenario latency-bound memo, keyed by a scenario's (sorted,
-/// deduplicated) injectable line set plus its SMP shape (core count and
-/// lock-hold cap — SMP instances carry the [`smp_latency_margin`] on
-/// every bound). Scenarios sharing a key share one rank-aware bound
-/// table; the underlying WCETs are memoized again inside
-/// [`AnalysisCache`], so a memo miss costs warm resolves only.
+/// deduplicated) injectable line set plus its core count (multi-core
+/// instances carry the [`smp_latency_margin`] on every bound). Scenarios
+/// sharing a key share one rank-aware bound table; the underlying WCETs
+/// are memoized again inside [`AnalysisCache`], so a memo miss costs
+/// warm resolves only.
 #[derive(Default)]
 pub struct BoundMemo {
     bounds: std::collections::HashMap<BoundKey, Vec<(IrqLine, Cycles)>>,
 }
 
-/// [`BoundMemo`] key: (sorted line set, SMP shape).
+/// [`BoundMemo`] key: (sorted line set, core count).
 type BoundKey = (Vec<u8>, SmpParams);
 
 /// Explores one scenario with the standard report configuration:

@@ -68,4 +68,4 @@ pub use analysis::{
 };
 pub use cache::{AnalysisCache, CacheStats, MemoStats, ResolveStats};
 pub use cfg::{Cfg, CfgBuilder, NodeId, UserConstraint};
-pub use smp::{analyze_smp, smp_irq_line_bounds, smp_latency_margin, SmpParams};
+pub use smp::{smp_irq_line_bounds, smp_latency_margin, SmpParams};
