@@ -17,12 +17,7 @@ use crate::workloads::{WorstFault, WorstInterrupt, WorstSyscall};
 pub const DEFAULT_REPS: u32 = 24;
 
 /// Observed worst case for `entry` on a machine with `hw`, running the
-/// `cfg` kernel: maximum over [`DEFAULT_REPS`] polluted runs.
-pub fn observe_entry(entry: EntryPoint, cfg: KernelConfig, hw: HwConfig) -> Cycles {
-    observe_entry_reps(entry, cfg, hw, DEFAULT_REPS)
-}
-
-/// As [`observe_entry`] with an explicit repetition count.
+/// `cfg` kernel: maximum over `reps` polluted runs.
 pub fn observe_entry_reps(entry: EntryPoint, cfg: KernelConfig, hw: HwConfig, reps: u32) -> Cycles {
     let mut max = 0;
     match entry {

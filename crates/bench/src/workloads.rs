@@ -508,13 +508,6 @@ pub fn badged_queue_kernel(
     (k, server, 2)
 }
 
-/// An endpoint with `n` queued waiters for the §3.3 deletion workload.
-/// Returns `(kernel, deleter, ep cap cptr)` where deleting cptr 1 (the
-/// original, final-after-revoke cap) drains the queue.
-pub fn delete_queue_kernel(cfg: KernelConfig, hw: HwConfig, n: u32) -> (Kernel, ObjId, u32) {
-    badged_queue_kernel(cfg, hw, n, 1)
-}
-
 /// A kernel with an untyped region ready for the §3.5 retype workload.
 /// Returns `(kernel, caller, untyped cptr, dest cnode cptr)`.
 pub fn retype_kernel(

@@ -59,11 +59,6 @@ impl IrqTable {
         self.bindings[line as usize] = Some(IrqBinding { ntfn, badge });
     }
 
-    /// Removes the binding for `line`.
-    pub fn unbind(&mut self, line: u8) {
-        self.bindings[line as usize] = None;
-    }
-
     /// The binding for `line`, if any — the single load on the interrupt
     /// delivery path.
     pub fn lookup(&self, line: u8) -> Option<IrqBinding> {

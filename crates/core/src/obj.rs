@@ -342,18 +342,6 @@ impl ObjStore {
         }
     }
 
-    /// Mutable frame payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a live frame.
-    pub fn frame_mut(&mut self, id: ObjId) -> &mut Frame {
-        match &mut self.get_mut(id).kind {
-            ObjKind::Frame(f) => f,
-            k => panic!("expected Frame, found {}", k.type_name()),
-        }
-    }
-
     /// The page-table payload of `id`.
     ///
     /// # Panics

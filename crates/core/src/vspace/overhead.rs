@@ -49,13 +49,6 @@ pub struct Overheads {
     pub shadow_pd: u64,
 }
 
-impl Overheads {
-    /// Total shadow-design overhead.
-    pub fn shadow_total(&self) -> u64 {
-        self.shadow_pt + self.shadow_pd
-    }
-}
-
 /// Computes both designs' overheads (ARMv6 geometry: 1 KiB page tables
 /// covering 1 MiB each, 16 KiB directories).
 pub fn compute(p: &OverheadParams) -> Overheads {

@@ -312,13 +312,6 @@ impl Machine {
             .pin(addr)
     }
 
-    /// Restores a cold machine: invalidates unlocked cache lines and
-    /// flushes the branch predictor. Pinned lines survive.
-    pub fn cold_reset(&mut self) {
-        self.mem.invalidate_unlocked();
-        self.bpred.flush();
-    }
-
     /// Worst-case preamble: fills all unlocked cache lines with dirty
     /// conflicting data and flushes the predictor (§5.4).
     pub fn pollute(&mut self, pollution_base: Addr) {

@@ -92,15 +92,6 @@ impl MemSystem {
         }
     }
 
-    /// Main-memory latency under the current L2 configuration.
-    pub fn dram_latency(&self) -> Cycles {
-        if self.l2.is_some() {
-            DRAM_CYCLES_L2_ON
-        } else {
-            DRAM_CYCLES_L2_OFF
-        }
-    }
-
     /// Performs one access and returns its cost in cycles *beyond* the
     /// instruction's base pipeline cost.
     pub fn access(&mut self, kind: AccessKind, addr: Addr) -> Cycles {
@@ -171,16 +162,6 @@ impl MemSystem {
                 }
                 report
             }
-        }
-    }
-
-    /// Restores a cold state: invalidates unlocked lines everywhere (pinned
-    /// lines survive, as on hardware where locked ways are not flushed).
-    pub fn invalidate_unlocked(&mut self) {
-        self.l1i.invalidate_unlocked();
-        self.l1d.invalidate_unlocked();
-        if let Some(l2) = &mut self.l2 {
-            l2.invalidate_unlocked();
         }
     }
 

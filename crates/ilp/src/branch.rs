@@ -92,6 +92,11 @@ impl Ord for Node {
 /// the warm path. Raising it would change the reported worst paths.
 const WARM_SNAPSHOT_CAP: usize = 16;
 
+/// Branch-and-bound node budget of every [`crate::Model`] solve; past it
+/// the solve fails with [`SolveError::NodeLimit`]. The costliest analysis
+/// `ilp_work.txt` pins takes 61 nodes.
+pub(crate) const NODE_LIMIT: usize = 200_000;
+
 /// Reference driver replicating the seed solver: every node is solved cold
 /// from the base rows plus its branching path, with Bland's rule
 /// throughout (no warm starts, no Dantzig pricing, no presolve). Kept as

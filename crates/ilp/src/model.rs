@@ -72,7 +72,6 @@ impl<C: Into<Rat>> Add<(C, VarId)> for LinExpr {
 }
 
 struct VarInfo {
-    name: String,
     integer: bool,
     lb: Rat,
     ub: Option<Rat>,
@@ -208,7 +207,6 @@ pub struct Model {
     vars: Vec<VarInfo>,
     rows: Vec<Row>,
     objective: LinExpr,
-    node_limit: usize,
 }
 
 impl Model {
@@ -224,13 +222,7 @@ impl Model {
             vars: Vec::new(),
             rows: Vec::new(),
             objective: LinExpr::new(),
-            node_limit: 200_000,
         }
-    }
-
-    /// Sets the branch-and-bound node budget (default 200 000).
-    pub fn set_node_limit(&mut self, limit: usize) {
-        self.node_limit = limit;
     }
 
     /// Adds an integer variable with bounds `lb..=ub` (`ub = None` means
@@ -254,17 +246,11 @@ impl Model {
         }
         let id = VarId(self.vars.len());
         self.vars.push(VarInfo {
-            name: name.to_owned(),
             integer,
             lb,
             ub,
         });
         id
-    }
-
-    /// Name of a variable (diagnostics).
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
     }
 
     /// Number of variables in the model.
@@ -335,7 +321,6 @@ impl Model {
             presolve::Outcome::Infeasible => Err(SolveError::Infeasible),
             presolve::Outcome::Reduced(p) => Ok(PresolvedModel {
                 negate: a.negate,
-                node_limit: self.node_limit,
                 reduced: p,
                 seed: OnceLock::new(),
             }),
@@ -361,7 +346,7 @@ impl Model {
             &a.objective,
             &a.rows,
             &a.integers,
-            self.node_limit,
+            branch::NODE_LIMIT,
         )?;
         out.stats.wall = start.elapsed();
         Ok(finish(out, a.negate))
@@ -451,7 +436,6 @@ fn finish(out: branch::IlpOut, negate: bool) -> Solution {
 /// pins it.
 pub struct PresolvedModel {
     negate: bool,
-    node_limit: usize,
     reduced: presolve::Presolved,
     /// Optimal tableau of the reduced LP relaxation under the model's
     /// *default* objective (the one set when [`Model::presolved`] ran),
@@ -485,7 +469,7 @@ impl PresolvedModel {
     /// Same conditions as [`Model::solve`].
     pub fn solve(&self) -> Result<Solution, SolveError> {
         let start = Instant::now();
-        let mut out = branch::solve_reduced(&self.reduced, self.node_limit)?;
+        let mut out = branch::solve_reduced(&self.reduced, branch::NODE_LIMIT)?;
         out.stats.wall = start.elapsed();
         Ok(finish(out, self.negate))
     }
@@ -577,7 +561,7 @@ impl PresolvedModel {
             &self.reduced,
             &reduced_obj,
             obj_const,
-            self.node_limit,
+            branch::NODE_LIMIT,
             &seed.tableau,
             seed.int_point.as_deref(),
         )?;

@@ -107,11 +107,6 @@ impl Rat {
         i64::try_from(self.num).expect("rt-ilp: rational exceeds i64 range")
     }
 
-    /// Approximate `f64` value (for diagnostics only; never used in solving).
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics

@@ -220,36 +220,6 @@ impl CfgBuilder {
         n
     }
 
-    /// Adds a multi-node loop: `blocks` in sequence, with a back edge from
-    /// the last to the first, every node bounded by `bound`. Returns the
-    /// last node of the body.
-    pub fn multi_loop(
-        &mut self,
-        prev: NodeId,
-        blocks: &[Block],
-        ctx: u16,
-        bound: u64,
-        semantics: Option<crate::loopbound::LoopSemantics>,
-    ) -> NodeId {
-        assert!(!blocks.is_empty());
-        let ids: Vec<NodeId> = blocks
-            .iter()
-            .map(|&b| self.node_bounded(b, ctx, bound))
-            .collect();
-        self.edge(prev, ids[0]);
-        for w in ids.windows(2) {
-            self.edge(w[0], w[1]);
-        }
-        self.edge(*ids.last().expect("nonempty"), ids[0]);
-        self.loops.push(LoopInfo {
-            nodes: ids.clone(),
-            preheader: prev,
-            bound,
-            semantics,
-        });
-        *ids.last().expect("nonempty")
-    }
-
     /// Marks an exit node.
     pub fn exit(&mut self, n: NodeId) {
         if !self.exits.contains(&n) {
