@@ -16,12 +16,12 @@ use std::collections::HashMap;
 
 use rt_hw::trace::TraceEvent;
 use rt_hw::{CycleAccounts, Cycles, HwConfig};
-use rt_kernel::kernel::{BlockStat, EntryPoint, Kernel, KernelConfig};
+use rt_kernel::kernel::{BlockStat, EntryPoint, KernelConfig};
 use rt_kernel::kprog::Block;
 use rt_wcet::AnalysisConfig;
 
 use crate::sweep::SweepCtx;
-use crate::workloads::{WorstFault, WorstInterrupt, WorstSyscall};
+use crate::workloads::WorstCase;
 
 /// How many hottest blocks an attribution report keeps.
 pub const HOT_BLOCKS: usize = 5;
@@ -79,25 +79,29 @@ pub struct ObservedAttribution {
     pub hottest: Vec<(Block, BlockStat)>,
 }
 
-/// One measured repetition, generic over the workload's kernel accessor
-/// and fire method.
-fn measure_reps<W>(
-    w: &mut W,
-    kernel: fn(&mut W) -> &mut Kernel,
-    fire: fn(&mut W) -> Cycles,
+/// Observed worst-case attribution for `entry`: the maximum-cycles run out
+/// of `reps` polluted repetitions, with breakdown, phase counters and
+/// hottest blocks. The measured cycle counts are identical to
+/// [`crate::observe::observe_entry_reps`] — tracing does not perturb
+/// timing.
+pub fn observe_attribution(
+    entry: EntryPoint,
+    cfg: KernelConfig,
+    hw: HwConfig,
     reps: u32,
 ) -> ObservedAttribution {
+    let mut w = WorstCase::new(entry, cfg, hw);
     let mut best: Option<ObservedAttribution> = None;
     for _ in 0..reps {
         {
-            let k = kernel(w);
+            let k = w.kernel();
             k.machine.trace.enable();
             let _ = k.machine.trace.take(); // discard pre-run events
             k.start_profile();
         }
-        let acc0 = kernel(w).machine.accounts;
-        let cycles = fire(w);
-        let k = kernel(w);
+        let acc0 = w.kernel().machine.accounts;
+        let cycles = w.fire();
+        let k = w.kernel();
         let breakdown = k.machine.accounts.since(acc0);
         let events = k.machine.trace.take();
         k.machine.trace.disable();
@@ -125,47 +129,6 @@ fn hottest_blocks(profile: &HashMap<Block, BlockStat>) -> Vec<(Block, BlockStat)
     v.sort_by_key(|&(b, s)| (std::cmp::Reverse(s.cycles), b));
     v.truncate(HOT_BLOCKS);
     v
-}
-
-/// Observed worst-case attribution for `entry`: the maximum-cycles run out
-/// of `reps` polluted repetitions, with breakdown, phase counters and
-/// hottest blocks. The measured cycle counts are identical to
-/// [`crate::observe::observe_entry_reps`] — tracing does not perturb
-/// timing.
-pub fn observe_attribution(
-    entry: EntryPoint,
-    cfg: KernelConfig,
-    hw: HwConfig,
-    reps: u32,
-) -> ObservedAttribution {
-    match entry {
-        EntryPoint::Syscall => {
-            let mut w = WorstSyscall::new(cfg, hw);
-            measure_reps(&mut w, |w| &mut w.kernel, |w| w.fire_polluted(), reps)
-        }
-        EntryPoint::Interrupt => {
-            let mut w = WorstInterrupt::new(cfg, hw);
-            measure_reps(&mut w, |w| &mut w.kernel, |w| w.fire_polluted(), reps)
-        }
-        EntryPoint::PageFault => {
-            let mut w = WorstFault::new(cfg, hw);
-            measure_reps(
-                &mut w,
-                |w| &mut w.kernel,
-                |w| w.fire_page_fault_polluted(),
-                reps,
-            )
-        }
-        EntryPoint::Undefined => {
-            let mut w = WorstFault::new(cfg, hw);
-            measure_reps(
-                &mut w,
-                |w| &mut w.kernel,
-                |w| w.fire_undefined_polluted(),
-                reps,
-            )
-        }
-    }
 }
 
 /// Observed and computed breakdowns for one entry point, side by side.

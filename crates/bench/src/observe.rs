@@ -10,43 +10,12 @@
 use rt_hw::{Cycles, HwConfig};
 use rt_kernel::kernel::{EntryPoint, KernelConfig};
 
-use crate::workloads::{WorstFault, WorstInterrupt, WorstSyscall};
-
-/// Number of repetitions per observed maximum (the paper used 100 000 on
-/// nondeterministic hardware; the model is deterministic per arming).
-pub const DEFAULT_REPS: u32 = 24;
+use crate::workloads::WorstCase;
 
 /// Observed worst case for `entry` on a machine with `hw`, running the
 /// `cfg` kernel: maximum over `reps` polluted runs.
 pub fn observe_entry_reps(entry: EntryPoint, cfg: KernelConfig, hw: HwConfig, reps: u32) -> Cycles {
-    let mut max = 0;
-    match entry {
-        EntryPoint::Syscall => {
-            let mut w = WorstSyscall::new(cfg, hw);
-            for _ in 0..reps {
-                max = max.max(w.fire_polluted());
-            }
-        }
-        EntryPoint::Interrupt => {
-            let mut w = WorstInterrupt::new(cfg, hw);
-            for _ in 0..reps {
-                max = max.max(w.fire_polluted());
-            }
-        }
-        EntryPoint::PageFault => {
-            let mut w = WorstFault::new(cfg, hw);
-            for _ in 0..reps {
-                max = max.max(w.fire_page_fault_polluted());
-            }
-        }
-        EntryPoint::Undefined => {
-            let mut w = WorstFault::new(cfg, hw);
-            for _ in 0..reps {
-                max = max.max(w.fire_undefined_polluted());
-            }
-        }
-    }
-    max
+    max_fired(&mut WorstCase::new(entry, cfg, hw), reps)
 }
 
 /// Observed worst case with the whole kernel locked into the L2 (§4/§8
@@ -58,42 +27,15 @@ pub fn observe_entry_l2locked(entry: EntryPoint, cfg: KernelConfig, reps: u32) -
         locked_l2_ways: 2,
         ..HwConfig::default()
     };
-    let mut max = 0;
-    match entry {
-        EntryPoint::Syscall => {
-            let mut w = WorstSyscall::new(cfg, hw);
-            let r = rt_kernel::pinning::apply_l2_kernel_lock(&mut w.kernel);
-            assert_eq!(r.rejected, 0);
-            for _ in 0..reps {
-                max = max.max(w.fire_polluted());
-            }
-        }
-        EntryPoint::Interrupt => {
-            let mut w = WorstInterrupt::new(cfg, hw);
-            let r = rt_kernel::pinning::apply_l2_kernel_lock(&mut w.kernel);
-            assert_eq!(r.rejected, 0);
-            for _ in 0..reps {
-                max = max.max(w.fire_polluted());
-            }
-        }
-        EntryPoint::PageFault => {
-            let mut w = WorstFault::new(cfg, hw);
-            let r = rt_kernel::pinning::apply_l2_kernel_lock(&mut w.kernel);
-            assert_eq!(r.rejected, 0);
-            for _ in 0..reps {
-                max = max.max(w.fire_page_fault_polluted());
-            }
-        }
-        EntryPoint::Undefined => {
-            let mut w = WorstFault::new(cfg, hw);
-            let r = rt_kernel::pinning::apply_l2_kernel_lock(&mut w.kernel);
-            assert_eq!(r.rejected, 0);
-            for _ in 0..reps {
-                max = max.max(w.fire_undefined_polluted());
-            }
-        }
-    }
-    max
+    let mut w = WorstCase::new(entry, cfg, hw);
+    let r = rt_kernel::pinning::apply_l2_kernel_lock(w.kernel());
+    assert_eq!(r.rejected, 0);
+    max_fired(&mut w, reps)
+}
+
+/// The largest of `reps` polluted runs of `w` (0 when `reps` is 0).
+fn max_fired(w: &mut WorstCase, reps: u32) -> Cycles {
+    (0..reps).map(|_| w.fire()).max().unwrap_or(0)
 }
 
 #[cfg(test)]

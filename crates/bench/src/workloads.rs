@@ -7,10 +7,10 @@
 //! and a dirty-cache preamble. These builders construct exactly those
 //! scenarios on the simulated machine.
 
-use rt_hw::{Addr, HwConfig};
+use rt_hw::{Addr, Cycles, HwConfig};
 use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
 use rt_kernel::ep::{ep_append, EpState};
-use rt_kernel::kernel::{Kernel, KernelConfig};
+use rt_kernel::kernel::{EntryPoint, Kernel, KernelConfig};
 use rt_kernel::obj::ObjId;
 use rt_kernel::syscall::Syscall;
 use rt_kernel::tcb::{MsgInfo, ThreadState};
@@ -441,6 +441,50 @@ impl WorstFault {
         let dt = self.kernel.machine.now() - t0;
         self.arm();
         dt
+    }
+}
+
+/// The worst-case workload of one entry point: the one place that maps an
+/// [`EntryPoint`] to its workload and fire method.
+pub enum WorstCase {
+    /// [`WorstSyscall`].
+    Syscall(WorstSyscall),
+    /// [`WorstInterrupt`].
+    Interrupt(WorstInterrupt),
+    /// [`WorstFault`], firing page faults.
+    PageFault(WorstFault),
+    /// [`WorstFault`], firing undefined instructions.
+    Undefined(WorstFault),
+}
+
+impl WorstCase {
+    /// Builds `entry`'s workload on a fresh `cfg` kernel with `hw`.
+    pub fn new(entry: EntryPoint, cfg: KernelConfig, hw: HwConfig) -> WorstCase {
+        match entry {
+            EntryPoint::Syscall => WorstCase::Syscall(WorstSyscall::new(cfg, hw)),
+            EntryPoint::Interrupt => WorstCase::Interrupt(WorstInterrupt::new(cfg, hw)),
+            EntryPoint::PageFault => WorstCase::PageFault(WorstFault::new(cfg, hw)),
+            EntryPoint::Undefined => WorstCase::Undefined(WorstFault::new(cfg, hw)),
+        }
+    }
+
+    /// The kernel under test.
+    pub fn kernel(&mut self) -> &mut Kernel {
+        match self {
+            WorstCase::Syscall(w) => &mut w.kernel,
+            WorstCase::Interrupt(w) => &mut w.kernel,
+            WorstCase::PageFault(w) | WorstCase::Undefined(w) => &mut w.kernel,
+        }
+    }
+
+    /// One polluted worst-case run; returns its cycle count.
+    pub fn fire(&mut self) -> Cycles {
+        match self {
+            WorstCase::Syscall(w) => w.fire_polluted(),
+            WorstCase::Interrupt(w) => w.fire_polluted(),
+            WorstCase::PageFault(w) => w.fire_page_fault_polluted(),
+            WorstCase::Undefined(w) => w.fire_undefined_polluted(),
+        }
     }
 }
 

@@ -245,11 +245,7 @@ impl Model {
             assert!(u >= lb, "rt-ilp: variable {name} has ub < lb");
         }
         let id = VarId(self.vars.len());
-        self.vars.push(VarInfo {
-            integer,
-            lb,
-            ub,
-        });
+        self.vars.push(VarInfo { integer, lb, ub });
         id
     }
 
