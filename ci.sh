@@ -203,7 +203,7 @@ grep -q '"violations": 0,' "$tmp/load_json" || {
 # cross-core wakes, IPI-vs-IRQ races, mid-revoke shootdowns, on 2 and 4
 # cores — must render byte-identical stdout from two separate processes
 # at 1 and 4 workers. At the same depth, tier-1 asserts that every
-# scenario holds every oracle and branches
+# scenario holds every invariant and branches
 # (`smp_scenarios_explore_clean_and_deterministically`), and the
 # explore_small golden pins `counterexamples=0` under the SMP-widened
 # latency bounds. JSON goes to a scratch path: the committed

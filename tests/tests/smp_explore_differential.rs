@@ -8,9 +8,10 @@
 //! * SMP scenario searches are byte-identical at 1, 2 and 4 workers,
 //!   with POR and snapshot-forking on — the same contract the
 //!   single-core report makes — and find no counterexamples on the
-//!   unmodified kernel (every observed IRQ response within the
-//!   interference-aware bound, every SMP invariant holding at every
-//!   explored interleaving).
+//!   unmodified kernel (every SMP invariant holding at every explored
+//!   interleaving; `por_differential.rs` and the `explore_small` golden
+//!   run the same scenarios under the interference-aware latency
+//!   bound).
 //! * Sleep-set reduction with core-id tokens preserves the reachable
 //!   canonical-state set exactly, as on single-core scenarios.
 //! * Fork-vs-rebuild identity carries over: cadence 0 (rebuild), 1 and
@@ -35,10 +36,9 @@ fn cfg(depth: usize, por: PorMode, snapshot_every: usize) -> ExploreConfig {
     }
 }
 
-/// Every SMP scenario explores clean (no counterexample: latency within
-/// the SMP margin-widened bound, invariants hold everywhere) and renders
-/// byte-identically at any worker count, expanding identical
-/// canonical-state sets.
+/// Every SMP scenario explores clean (no counterexample: invariants hold
+/// everywhere) and renders byte-identically at any worker count,
+/// expanding identical canonical-state sets.
 #[test]
 fn smp_scenarios_explore_clean_and_deterministically() {
     for sc in smp_all() {
