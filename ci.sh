@@ -48,6 +48,9 @@ repro table2 --jobs 4 | diff -u tests/goldens/table2.txt -
 repro fig9 --reps 2 --jobs 4 | diff -u tests/goldens/fig9.txt -
 repro l2lock --reps 2 --jobs 4 | diff -u tests/goldens/l2lock.txt -
 repro micro | diff -u tests/goldens/micro.txt -
+for target in overhead restart-overhead open-closed constraints latency-bound; do
+    repro "$target" --jobs 4 2>/dev/null | diff -u "tests/goldens/${target//-/_}.txt" -
+done
 
 # Explorer worker-count gate: the depth-8 sleep-set search must render
 # byte-identical reports at 1 and 4 workers — two separate invocations,

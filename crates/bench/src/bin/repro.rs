@@ -5,15 +5,19 @@
 //! cargo run --release -p rt-bench --bin repro -- table2
 //! cargo run --release -p rt-bench --bin repro -- fig8
 //! cargo run --release -p rt-bench --bin repro -- fig9
+//! cargo run --release -p rt-bench --bin repro -- l2lock
 //! cargo run --release -p rt-bench --bin repro -- attribution
 //! cargo run --release -p rt-bench --bin repro -- micro
+//! cargo run --release -p rt-bench --bin repro -- open-closed
+//! cargo run --release -p rt-bench --bin repro -- restart-overhead
 //! cargo run --release -p rt-bench --bin repro -- overhead
 //! cargo run --release -p rt-bench --bin repro -- latency-bound
+//! cargo run --release -p rt-bench --bin repro -- constraints
 //! cargo run --release -p rt-bench --bin repro -- explore [--depth N] [--por off|sleep] \
 //!     [--workers a,b,c] [--budget-states N] [--scenario NAME] [--snapshot-every N] \
-//!     [--baseline-rebuild] [--smp]
-//! cargo run --release -p rt-bench --bin repro -- bench [--workers a,b,c] [--fleet-jobs N]
-//! cargo run --release -p rt-bench --bin repro -- load [--events N --tenants N --shards N --seed N --cores N --workers a,b,c]
+//!     [--baseline-rebuild] [--smp] [--record]
+//! cargo run --release -p rt-bench --bin repro -- bench [--workers a,b,c] [--fleet-jobs N] [--record]
+//! cargo run --release -p rt-bench --bin repro -- load [--events N --tenants N --shards N --seed N --cores N --workers a,b,c] [--record]
 //! cargo run --release -p rt-bench --bin repro -- all
 //! ```
 //!
@@ -23,240 +27,156 @@
 //! matter how many tables need it. The output bytes are identical for any
 //! worker count.
 
+use rt_bench::json::Json;
+use rt_bench::obj;
 use rt_bench::sweep::{self, SweepCtx};
 use rt_bench::{attribution, tables};
-use rt_kernel::vspace::overhead::{compute, OverheadParams};
 
-fn overhead() -> String {
-    let o = compute(&OverheadParams::paper_example());
-    let mut s = String::new();
-    s.push_str(
-        "§3.6 memory-overhead comparison (256 MiB phys, 4 KiB frames, one dense 256 MiB AS)\n",
-    );
-    s.push_str(&format!(
-        "  frame table:              {:>8} KiB   (paper: 256 KiB)\n",
-        o.frame_table / 1024
-    ));
-    s.push_str(&format!(
-        "  shadow page tables:       {:>8} KiB   (paper: 256 KiB)\n",
-        o.shadow_pt / 1024
-    ));
-    s.push_str(&format!(
-        "  shadow page directory:    {:>8} KiB   (paper: 16 KiB per AS)\n",
-        o.shadow_pd / 1024
-    ));
-    s
-}
-
+/// Prints the §6/§8 bound; each solve's host wall time goes to stderr, so
+/// stdout is the same on every run.
 fn latency_bound(ctx: &SweepCtx) -> String {
-    use rt_kernel::kernel::{EntryPoint, KernelConfig};
-    use rt_wcet::AnalysisConfig;
-    let mut s = String::new();
-    let cfg = AnalysisConfig {
-        kernel: KernelConfig::after(),
-        l2: false,
-        pinning: false,
-        l2_kernel_locked: false,
-        manual_constraints: true,
-    };
-    let mut reports = ctx
-        .analyze_batch(&[(EntryPoint::Syscall, cfg), (EntryPoint::Interrupt, cfg)])
-        .into_iter();
-    let sys = reports.next().expect("syscall report");
-    let irq = reports.next().expect("interrupt report");
-    let total = sys.cycles + irq.cycles;
-    s.push_str("§6/§8 worst-case interrupt response bound (after-kernel, L2 off):\n");
-    s.push_str(&format!(
-        "  WCET(system call) = {} cycles ({:.1} us)\n",
-        sys.cycles, sys.us
-    ));
-    s.push_str(&format!(
-        "  WCET(interrupt)   = {} cycles ({:.1} us)\n",
-        irq.cycles, irq.us
-    ));
-    s.push_str(&format!(
-        "  bound             = {} cycles ({:.1} us)   [paper: 189,117 cycles]\n",
-        total,
-        rt_hw::cycles_to_us(total)
-    ));
-    s.push_str("\nDominant worst-path contributors (system call):\n");
-    for (block, ctx, n, c) in sys.worst_path.iter().take(8) {
-        s.push_str(&format!(
-            "  {block:?}(ctx {ctx}) x{n} @ {c} cycles = {}\n",
-            n * c
-        ));
+    let lb = tables::latency_bound_with(ctx);
+    for (name, r) in [("system call", &lb.syscall), ("interrupt", &lb.interrupt)] {
+        eprintln!(
+            "  latency-bound: {name} ILP solved in {:.1} ms (stderr only)",
+            r.phases.ilp_stats.wall.as_secs_f64() * 1e3
+        );
     }
-    s.push_str("\nILP solver effort (warm-started branch and bound):\n");
-    for (name, r) in [("system call", &sys), ("interrupt", &irq)] {
-        let st = r.phases.ilp_stats;
-        s.push_str(&format!(
-            "  {name:<11}: {} nodes, {} pivots ({} primal + {} dual), \
-             warm-start rate {:.0}%, {} presolved, {:.1} ms\n",
-            st.nodes,
-            st.pivots(),
-            st.primal_pivots,
-            st.dual_pivots,
-            st.warm_hit_rate() * 100.0,
-            st.presolve_eliminated,
-            st.wall.as_secs_f64() * 1e3
-        ));
-    }
-    s
+    tables::render_latency_bound(&lb)
 }
 
-fn constraints_demo(ctx: &SweepCtx) -> String {
-    use rt_kernel::kernel::{EntryPoint, KernelConfig};
-    use rt_wcet::AnalysisConfig;
-    let mut raw_cfg = AnalysisConfig {
-        kernel: KernelConfig::after(),
-        l2: false,
-        pinning: false,
-        l2_kernel_locked: false,
-        manual_constraints: false,
-    };
-    let raw = ctx.cache().analyze(EntryPoint::Syscall, &raw_cfg);
-    raw_cfg.manual_constraints = true;
-    let constrained = ctx.cache().analyze(EntryPoint::Syscall, &raw_cfg);
-    format!(
-        "§6 manual-constraint methodology (system call, after-kernel, L2 off):\n\
-         \x20 raw CFG bound:         {} cycles ({:.1} us)\n\
-         \x20 with constraints:      {} cycles ({:.1} us)\n\
-         \x20 infeasible-path slack: {:.1}%\n\
-         (paper: the first, infeasible solution exceeded 600k cycles; manual\n\
-         constraints brought the bound to 232,098 cycles with L2 enabled)\n",
-        raw.cycles,
-        raw.us,
-        constrained.cycles,
-        constrained.us,
-        100.0 * (raw.cycles as f64 - constrained.cycles as f64) / constrained.cycles as f64
-    )
+/// The positive integer after `flag`, if `flag` is given; exits 2 when
+/// its value is missing or not a positive integer.
+fn positive(args: &[String], flag: &str) -> Option<usize> {
+    let i = args.iter().position(|a| a == flag)?;
+    let n = args
+        .get(i + 1)
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0);
+    if n.is_none() {
+        eprintln!("{flag} requires a positive integer");
+        std::process::exit(2);
+    }
+    n
 }
 
-/// Parses a worker-count list like `1,2,4,8` (from `--workers` or
-/// `RT_BENCH_WORKERS`); every element must be a positive integer.
-fn parse_workers(spec: &str) -> Result<Vec<usize>, ()> {
-    let counts: Vec<usize> = spec
+/// The worker counts of `--workers 1,2,4`, else of `RT_BENCH_WORKERS`
+/// when `env` allows it; exits 2 unless every count is a positive integer.
+fn worker_counts(args: &[String], env: bool) -> Option<Vec<usize>> {
+    let spec = match args.iter().position(|a| a == "--workers") {
+        Some(i) => args.get(i + 1).cloned().unwrap_or_default(),
+        None if env => std::env::var("RT_BENCH_WORKERS").ok()?,
+        None => return None,
+    };
+    let counts = spec
         .split(',')
-        .map(|w| w.trim().parse::<usize>().map_err(|_| ()))
-        .collect::<Result<_, _>>()?;
-    if counts.is_empty() || counts.contains(&0) {
-        return Err(());
+        .map(|w| w.trim().parse().ok().filter(|&n| n > 0));
+    let counts: Option<Vec<usize>> = counts.collect();
+    if counts.is_none() {
+        let source = if env {
+            "--workers / RT_BENCH_WORKERS"
+        } else {
+            "--workers"
+        };
+        eprintln!("{source} requires a comma list of positive integers");
+        std::process::exit(2);
     }
-    Ok(counts)
+    counts
 }
 
 fn bench_opts(args: &[String]) -> sweep::BenchOpts {
-    let mut opts = sweep::BenchOpts::default();
-    // CLI flag wins over the environment; both parse identically.
-    let spec = args
-        .iter()
-        .position(|a| a == "--workers")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())
-        .or_else(|| std::env::var("RT_BENCH_WORKERS").ok());
-    if let Some(spec) = spec {
-        match parse_workers(&spec) {
-            Ok(counts) => opts.workers = counts,
-            Err(()) => {
-                eprintln!(
-                    "--workers / RT_BENCH_WORKERS requires a comma list of positive integers"
-                );
-                std::process::exit(2);
-            }
-        }
+    let default = sweep::BenchOpts::default();
+    sweep::BenchOpts {
+        workers: worker_counts(args, true).unwrap_or(default.workers),
+        fleet_cap: positive(args, "--fleet-jobs").unwrap_or(default.fleet_cap),
     }
-    match flag_value(args, "--fleet-jobs") {
-        None => {}
-        Some(Ok(n)) => opts.fleet_cap = n,
-        Some(Err(())) => {
-            eprintln!("--fleet-jobs requires a positive integer");
-            std::process::exit(2);
-        }
-    }
-    opts
 }
 
-/// Updates the bench record and returns the status line saying where.
-/// Only `--record` writes the committed `BENCH_sweep.json`;
-/// `RT_BENCH_OUT` sends the record to another file instead (CI smoke
-/// runs); with neither, nothing is written. `update` maps the record's
-/// current contents (an empty object when absent) to its new contents.
-fn record(args: &[String], update: impl FnOnce(&str) -> String) -> String {
-    let path = match std::env::var("RT_BENCH_OUT") {
-        Ok(path) => path,
-        Err(_) if args.iter().any(|a| a == "--record") => "BENCH_sweep.json".into(),
-        Err(_) => return "  not recorded (pass --record to update BENCH_sweep.json)".into(),
-    };
-    let old = std::fs::read_to_string(&path)
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .unwrap_or_else(|| "{\n}\n".into());
-    std::fs::write(&path, update(&old)).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    format!("  wrote {path}")
+/// The record `--record` updates.
+const RECORD: &str = "BENCH_sweep.json";
+
+/// The record as `--record` found it before any measurement ran, so that
+/// one which cannot be read costs no run and is never overwritten; `None`
+/// without `--record`, which writes nothing.
+struct Record(Option<Json>);
+
+impl Record {
+    /// Reads and parses the record; a missing one starts empty. An
+    /// unreadable or malformed record, or one that is not an object,
+    /// exits 2 and stays as it is.
+    fn open(args: &[String]) -> Record {
+        if !args.iter().any(|a| a == "--record") {
+            return Record(None);
+        }
+        let parsed = match std::fs::read_to_string(RECORD) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Json::Obj(Vec::new())),
+            Err(e) => Err(e.to_string()),
+            Ok(text) => Json::parse(&text).map_err(|e| e.to_string()),
+        };
+        let why = match parsed {
+            Ok(record @ Json::Obj(_)) => return Record(Some(record)),
+            Ok(_) => "not a JSON object".to_string(),
+            Err(e) => e,
+        };
+        eprintln!("{RECORD}: {why}; not overwriting it");
+        std::process::exit(2);
+    }
+
+    /// Sets each member of the object `update` in the record, where it
+    /// stands or appended, writes the record and returns the status line.
+    fn write(self, update: Json) -> String {
+        let Some(mut record) = self.0 else {
+            return format!("  not recorded (pass --record to update {RECORD})");
+        };
+        let Json::Obj(members) = update else {
+            panic!("a record update is an object")
+        };
+        for (key, value) in members {
+            record.set(&key, value);
+        }
+        std::fs::write(RECORD, record.print()).unwrap_or_else(|e| panic!("write {RECORD}: {e}"));
+        format!("  wrote {RECORD}")
+    }
 }
 
+/// The `repro bench` driver: measures, records the sweep's members (see
+/// [`Record`]) and returns the report. A batch or fleet report that
+/// differs from its serial reference exits 1 after recording.
 fn bench_report(args: &[String], opts: &sweep::BenchOpts) -> String {
+    let record = Record::open(args);
     let result = sweep::run_bench_with(opts);
-    let status = record(args, |old| {
-        let mut json = result.to_json();
-        // `repro bench` regenerates the sweep numbers but must not lose
-        // the `repro load` / `repro explore` blocks of previous runs —
-        // carry them forward.
-        for key in ["load", "explore", "explore_smp"] {
-            if let Some(block) = sweep::extract_json_block(old, key) {
-                json = sweep::upsert_json_block(&json, key, &block);
-            }
-        }
-        json
-    });
     let mut s = result.render();
-    s.push_str(&status);
+    s.push_str(&record.write(result.to_json()));
     s.push('\n');
+    if !result.identical {
+        eprint!("{s}");
+        eprintln!("bench: batch or fleet reports DIVERGED from serial analyze");
+        std::process::exit(1);
+    }
     s
 }
 
 /// The `repro load` driver: runs the rt-load heavy-traffic engine once
 /// per requested worker count, asserts the rendered reports are
-/// byte-identical, records the `"load"` block (see [`record`]),
+/// byte-identical, records the `"load"` block (see [`Record`]),
 /// and returns the (deterministic) report for stdout. Wall-clock and
 /// file-path chatter goes to stderr so stdout stays byte-comparable
 /// across invocations.
 fn load_report(args: &[String]) -> String {
-    let grab = |flag: &str, default: usize| -> usize {
-        match flag_value(args, flag) {
-            None => default,
-            Some(Ok(n)) => n,
-            Some(Err(())) => {
-                eprintln!("{flag} requires a positive integer");
-                std::process::exit(2);
-            }
-        }
-    };
-    let events = grab("--events", 1_000_000) as u64;
-    let tenants = grab("--tenants", 64) as u32;
-    let shards = grab("--shards", 32) as u32;
-    let seed = grab("--seed", 42) as u64;
-    let cores = grab("--cores", 1) as u8;
+    let events = positive(args, "--events").unwrap_or(1_000_000) as u64;
+    let tenants = positive(args, "--tenants").unwrap_or(64) as u32;
+    let shards = positive(args, "--shards").unwrap_or(32) as u32;
+    let seed = positive(args, "--seed").unwrap_or(42) as u64;
+    let cores = positive(args, "--cores").unwrap_or(1);
     if !(1..=8).contains(&cores) {
         eprintln!("--cores must be in 1..=8");
         std::process::exit(2);
     }
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())
-        .or_else(|| std::env::var("RT_BENCH_WORKERS").ok())
-        .map(|spec| {
-            parse_workers(&spec).unwrap_or_else(|()| {
-                eprintln!(
-                    "--workers / RT_BENCH_WORKERS requires a comma list of positive integers"
-                );
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(|| vec![1, 4]);
+    let workers = worker_counts(args, true).unwrap_or_else(|| vec![1, 4]);
+    let record = Record::open(args);
 
     let mut spec = rt_load::LoadSpec::standard(seed, events, tenants, shards);
-    spec.cores = cores;
+    spec.cores = cores as u8;
     let cfg = rt_wcet::AnalysisConfig::after_l2_off();
     // One shared analysis cache: the per-line bounds are computed once
     // and every worker-count run reuses the memo.
@@ -278,11 +198,8 @@ fn load_report(args: &[String]) -> String {
         eprintln!("  load: {w} workers -> {ms} ms (wall; stderr only)");
     }
 
-    let block = result.to_json_block(&walls, identical);
-    eprintln!(
-        "{}",
-        record(args, |old| sweep::upsert_json_block(old, "load", &block))
-    );
+    let block = load_json(&result, &walls, identical);
+    eprintln!("{}", record.write(obj! {"load": block}));
 
     if !identical {
         eprintln!("load: reports DIVERGED across worker counts {workers:?}");
@@ -296,10 +213,52 @@ fn load_report(args: &[String]) -> String {
     renders.into_iter().next().expect("one render per run")
 }
 
+/// The `"load"` block: the run's shape, per-line quantiles against their
+/// bounds, the kernel-visit distribution, the worst sample with its
+/// attribution and the oracle's verdict, then what
+/// [`rt_load::LoadResult::render`] leaves out because it depends on the
+/// host: the worker counts, their walls and whether their renders agreed.
+fn load_json(r: &rt_load::LoadResult, walls: &[(usize, u128)], identical: bool) -> Json {
+    let lines = r
+        .lines
+        .iter()
+        .zip(&r.line_violations)
+        .map(|((line, h), &v)| {
+            obj! {"line": *line, "n": h.count(), "p50": h.quantile(1, 2), "p90": h.quantile(9, 10),
+            "p99": h.quantile(99, 100), "p999": h.quantile(999, 1000), "max": h.max(),
+            "bound": r.bound_for(*line).unwrap_or(0), "violations": v}
+        });
+    let sys = &r.syscalls;
+    let mut block = obj! {
+        "seed": r.seed,
+        "events": r.events,
+        "shards": r.shards,
+        "tenants": r.tenants,
+        "threads": r.threads,
+        "lines": Json::Arr(lines.collect()),
+        "syscall": obj! {"n": sys.count(), "p50": sys.quantile(1, 2),
+        "p99": sys.quantile(99, 100), "p999": sys.quantile(999, 1000), "max": sys.max(),
+        "wcet": r.syscall_wcet},
+    };
+    if let (Some(w), Some(a)) = (r.worst, r.attribution) {
+        let worst = obj! {"shard": w.shard, "line": w.line, "latency": w.latency,
+        "pipeline": a.pipeline, "ifetch_miss": a.ifetch_miss, "dmiss": a.dmiss, "l2": a.l2,
+        "replay_matches": a.replay_matches};
+        block.set("worst", worst);
+    }
+    let (workers, wall_ms) = walls.iter().map(|&(w, ms)| (w.into(), ms.into())).unzip();
+    block.set("violations", r.violations_total.into());
+    block.set("sound", r.sound().into());
+    block.set("workers", Json::Arr(workers));
+    block.set("wall_ms", Json::Arr(wall_ms));
+    block.set("identical_across_workers", identical.into());
+    block
+}
+
 /// The `repro explore` driver: runs the reduced frontier search once per
 /// requested worker count, asserts the rendered reports (header plus one
 /// `key=value` line per scenario) are byte-identical across counts,
-/// records the `"explore"` block (see [`record`]), and returns the
+/// records the `"explore"` block (see [`Record`]), and returns the
 /// deterministic report for stdout. Wall-clock, snapshot-engine stats and
 /// file-path chatter go to stderr, as with `repro load` — the snapshot
 /// cadence must never leak into stdout, because forked and rebuilt
@@ -310,8 +269,7 @@ fn load_report(args: &[String]) -> String {
 /// rebuild-replay engine). `--baseline-rebuild` additionally re-runs the
 /// first worker count with snapshotting off, asserts the rebuilt render
 /// is byte-identical to the forked one, and records the rebuild
-/// wall/throughput beside the fork numbers — the CI scale gate reads the
-/// ratio from the artifact.
+/// wall/throughput beside the fork numbers.
 fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
     use rt_explore::PorMode;
     let por = match args
@@ -326,15 +284,8 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
             std::process::exit(2);
         }
     };
-    let budget_states = match flag_value(args, "--budget-states") {
-        None => None,
-        Some(Ok(n)) => Some(n),
-        Some(Err(())) => {
-            eprintln!("--budget-states requires a positive integer");
-            std::process::exit(2);
-        }
-    };
-    // 0 is meaningful here (rebuild engine), so not `flag_value`.
+    let budget_states = positive(args, "--budget-states");
+    // 0 is meaningful here (rebuild engine), so not `positive`.
     let snapshot_every = match args.iter().position(|a| a == "--snapshot-every") {
         None => 4,
         Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
@@ -365,17 +316,8 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
             }
         },
     };
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())
-        .map(|spec| {
-            parse_workers(&spec).unwrap_or_else(|()| {
-                eprintln!("--workers requires a comma list of positive integers");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(|| vec![ctx.pool().jobs()]);
+    let workers = worker_counts(args, false).unwrap_or_else(|| vec![ctx.pool().jobs()]);
+    let record = Record::open(args);
 
     let cache = ctx.cache();
     let bound = rt_explore::wcet_latency_bound(cache);
@@ -425,8 +367,9 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         last_reports = reports;
     }
     let mut identical = renders.windows(2).all(|w| w[0] == w[1]);
-    for (w, ms, states) in &walls {
-        let rate = *states as f64 / (*ms as f64 / 1e3).max(1e-9);
+    let rate = |states: usize, ms: u128| states as f64 / (ms as f64 / 1e3).max(1e-9);
+    for &(w, ms, states) in &walls {
+        let rate = rate(states, ms);
         eprintln!("  explore: {w} workers -> {ms} ms, {states} states ({rate:.0} states/sec; stderr only)");
     }
     let snap = last_reports
@@ -458,7 +401,7 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
     if baseline_rebuild && snapshot_every > 0 {
         let w = workers[0];
         let (ms, states, s, _) = run_all(0, w);
-        let rate = states as f64 / (ms as f64 / 1e3).max(1e-9);
+        let rate = rate(states, ms);
         eprintln!(
             "  explore: rebuild baseline: {w} workers -> {ms} ms, {states} states \
              ({rate:.0} states/sec; stderr only)"
@@ -469,23 +412,53 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         rebuild = Some((ms, states));
     }
 
+    // The `"explore"` (or `"explore_smp"`) block: search shape, host
+    // parallelism (so recorded throughput is never read against an
+    // unknown machine), per-scenario frontier and reduction stats,
+    // per-worker wall/throughput measurements, and the snapshot-engine
+    // sub-block (with the rebuild baseline and speedup when
+    // `--baseline-rebuild` measured one).
+    let host_cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let scenarios = last_reports.iter().map(|r| {
+        obj! {"name": r.scenario.as_str(), "interleavings": r.interleavings,
+        "states": r.states, "distinct": r.distinct_states, "sleep_skips": r.sleep_skips,
+        "reduction_ratio": Json::fixed(r.reduction_ratio(), 4), "waves": r.waves,
+        "peak_frontier": r.peak_frontier,
+        "counterexamples": u8::from(r.counterexample.is_some()), "capped": r.capped}
+    });
+    let runs = walls.iter().map(|&(w, ms, states)| {
+        obj! {"workers": w, "wall_ms": ms, "states": states,
+        "states_per_sec": Json::fixed(rate(states, ms), 0)}
+    });
+    let (fork_workers, fork_ms, fork_states) = walls[0];
+    let rebuild_rate = rebuild.map(|(ms, states)| rate(states, ms));
+    let mut snapshot = obj! {"every": snapshot_every, "captured": snap.captured,
+    "forks": snap.forks, "replays_avoided": snap.replays_avoided,
+    "peak_resident": snap.peak_resident, "capture_paused_waves": snap.capture_paused_waves};
+    if rebuild.is_some() {
+        snapshot.set("rebuild_workers", fork_workers.into());
+    }
+    snapshot.set("rebuild_wall_ms", rebuild.map(|(ms, _)| ms).into());
+    snapshot.set(
+        "rebuild_states_per_sec",
+        rebuild_rate.map(|r| Json::fixed(r, 0)).into(),
+    );
+    let speedup = rebuild_rate.map(|r| Json::fixed(rate(fork_states, fork_ms) / r.max(1e-9), 2));
+    snapshot.set("speedup_vs_rebuild", speedup.into());
+    let block = obj! {
+        "depth": depth,
+        "por": format!("{por:?}").as_str(),
+        "budget_states": budget_states,
+        "host_cpus": host_cpus,
+        "identical_across_workers": identical,
+        "scenarios": Json::Arr(scenarios.collect()),
+        "runs": Json::Arr(runs.collect()),
+        "snapshot": snapshot,
+    };
     let key = if smp_set { "explore_smp" } else { "explore" };
-    let block = explore_json_block(
-        key,
-        depth,
-        por,
-        budget_states,
-        &walls,
-        identical,
-        &last_reports,
-        snapshot_every,
-        &snap,
-        rebuild,
-    );
-    eprintln!(
-        "{}",
-        record(args, |old| sweep::upsert_json_block(old, key, &block))
-    );
+    eprintln!("{}", record.write(Json::Obj(vec![(key.into(), block)])));
 
     if !identical {
         eprintln!(
@@ -496,200 +469,55 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
     renders.into_iter().next().expect("one render per run")
 }
 
-/// Serializes the `"explore"` (or `"explore_smp"`) block under `key`:
-/// search shape, host parallelism (so
-/// recorded throughput is never read against an unknown machine), per-
-/// scenario frontier and reduction stats, per-worker wall/throughput
-/// measurements, and the snapshot-engine sub-block (with the rebuild
-/// baseline and speedup when `--baseline-rebuild` measured one).
-#[allow(clippy::too_many_arguments)]
-fn explore_json_block(
-    key: &str,
-    depth: usize,
-    por: rt_explore::PorMode,
-    budget_states: Option<usize>,
-    walls: &[(usize, u128, usize)],
-    identical: bool,
-    reports: &[rt_explore::ExploreReport],
-    snapshot_every: usize,
-    snap: &rt_explore::SnapStats,
-    rebuild: Option<(u128, usize)>,
-) -> String {
-    use std::fmt::Write as _;
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut s = String::new();
-    let _ = writeln!(s, "  \"{key}\": {{");
-    let _ = writeln!(s, "    \"depth\": {depth},");
-    let _ = writeln!(s, "    \"por\": \"{:?}\",", por);
-    let _ = writeln!(
-        s,
-        "    \"budget_states\": {},",
-        budget_states.map_or("null".into(), |b| b.to_string())
-    );
-    let _ = writeln!(s, "    \"host_cpus\": {host_cpus},");
-    let _ = writeln!(s, "    \"identical_across_workers\": {identical},");
-    let _ = writeln!(s, "    \"scenarios\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "      {{\"name\": \"{}\", \"interleavings\": {}, \"states\": {}, \"distinct\": {}, \
-             \"sleep_skips\": {}, \"reduction_ratio\": {:.4}, \
-             \"waves\": {}, \"peak_frontier\": {}, \"counterexamples\": {}, \"capped\": {}}}{}",
-            r.scenario,
-            r.interleavings,
-            r.states,
-            r.distinct_states,
-            r.sleep_skips,
-            r.reduction_ratio(),
-            r.waves,
-            r.peak_frontier,
-            r.counterexample.is_some() as u32,
-            r.capped,
-            if i + 1 == reports.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(s, "    ],");
-    let _ = writeln!(s, "    \"runs\": [");
-    for (i, (w, ms, states)) in walls.iter().enumerate() {
-        let rate = *states as f64 / (*ms as f64 / 1e3).max(1e-9);
-        let _ = writeln!(
-            s,
-            "      {{\"workers\": {w}, \"wall_ms\": {ms}, \"states\": {states}, \
-             \"states_per_sec\": {rate:.0}}}{}",
-            if i + 1 == walls.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(s, "    ],");
-    let _ = writeln!(s, "    \"snapshot\": {{");
-    let _ = writeln!(s, "      \"every\": {snapshot_every},");
-    let _ = writeln!(s, "      \"captured\": {},", snap.captured);
-    let _ = writeln!(s, "      \"forks\": {},", snap.forks);
-    let _ = writeln!(s, "      \"replays_avoided\": {},", snap.replays_avoided);
-    let _ = writeln!(s, "      \"peak_resident\": {},", snap.peak_resident);
-    let _ = writeln!(
-        s,
-        "      \"capture_paused_waves\": {},",
-        snap.capture_paused_waves
-    );
-    match rebuild {
-        Some((ms, states)) => {
-            let rate = states as f64 / (ms as f64 / 1e3).max(1e-9);
-            let (fw, fms, fstates) = walls[0];
-            let fork_rate = fstates as f64 / (fms as f64 / 1e3).max(1e-9);
-            let speedup = fork_rate / rate.max(1e-9);
-            let _ = writeln!(s, "      \"rebuild_workers\": {fw},");
-            let _ = writeln!(s, "      \"rebuild_wall_ms\": {ms},");
-            let _ = writeln!(s, "      \"rebuild_states_per_sec\": {rate:.0},");
-            let _ = writeln!(s, "      \"speedup_vs_rebuild\": {speedup:.2}");
-        }
-        None => {
-            let _ = writeln!(s, "      \"rebuild_wall_ms\": null,");
-            let _ = writeln!(s, "      \"rebuild_states_per_sec\": null,");
-            let _ = writeln!(s, "      \"speedup_vs_rebuild\": null");
-        }
-    }
-    let _ = writeln!(s, "    }}");
-    let _ = write!(s, "  }}");
-    s
-}
+/// The paper's tables and figures, in the order `repro all` prints them.
+const PAPER: &str = "table1 table2 fig8 fig9 l2lock restart-overhead micro open-closed overhead \
+                     latency-bound constraints attribution";
 
-fn flag_value(args: &[String], flag: &str) -> Option<Result<usize, ()>> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .ok_or(())
+/// The report of one of the [`PAPER`] targets; `None` for any other name.
+fn paper(target: &str, ctx: &SweepCtx, reps: u32) -> Option<String> {
+    Some(match target {
+        "table1" => tables::render_table1(&tables::table1_with(ctx)),
+        "table2" => tables::render_table2(&tables::table2_with(ctx, reps)),
+        "fig8" => tables::render_fig8(&tables::fig8_with(ctx, reps)),
+        "fig9" => tables::render_fig9(&tables::fig9_with(ctx, reps)),
+        "l2lock" => tables::render_l2lock(&tables::l2lock_with(ctx, reps)),
+        "restart-overhead" => tables::render_restart_overhead(&tables::restart_overhead()),
+        "micro" => tables::render_micro(&tables::micro()),
+        "open-closed" => tables::render_open_closed(&tables::open_closed_with(ctx)),
+        "overhead" => tables::overhead(),
+        "latency-bound" => latency_bound(ctx),
+        "constraints" => tables::constraints_demo(ctx),
+        "attribution" => attribution::attribution_report_with(ctx, reps),
+        _ => return None,
     })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
-    let reps: u32 = match flag_value(&args, "--reps") {
-        None => 8,
-        Some(Ok(n)) => n as u32,
-        Some(Err(())) => {
-            eprintln!("--reps requires a positive integer");
-            std::process::exit(2);
-        }
-    };
-    let depth: usize = match flag_value(&args, "--depth") {
-        None => 8,
-        Some(Ok(n)) => n,
-        Some(Err(())) => {
-            eprintln!("--depth requires a positive integer");
-            std::process::exit(2);
-        }
-    };
-    let ctx = match flag_value(&args, "--jobs") {
-        None => SweepCtx::from_env(),
-        Some(Ok(n)) => SweepCtx::with_jobs(n),
-        Some(Err(())) => {
-            eprintln!("--jobs requires a positive integer");
-            std::process::exit(2);
-        }
-    };
+    let reps = positive(&args, "--reps").unwrap_or(8) as u32;
+    let depth = positive(&args, "--depth").unwrap_or(8);
+    let ctx = positive(&args, "--jobs").map_or_else(SweepCtx::from_env, SweepCtx::with_jobs);
     let ctx = &ctx;
     match what {
-        "table1" => print!("{}", tables::render_table1(&tables::table1_with(ctx))),
-        "table2" => print!("{}", tables::render_table2(&tables::table2_with(ctx, reps))),
-        "fig8" => print!("{}", tables::render_fig8(&tables::fig8_with(ctx, reps))),
-        "l2lock" => print!("{}", tables::render_l2lock(&tables::l2lock_with(ctx, reps))),
-        "open-closed" => print!(
-            "{}",
-            tables::render_open_closed(&tables::open_closed_with(ctx))
-        ),
-        "restart-overhead" => print!(
-            "{}",
-            tables::render_restart_overhead(&tables::restart_overhead())
-        ),
-        "fig9" => print!("{}", tables::render_fig9(&tables::fig9_with(ctx, reps))),
-        "micro" => print!("{}", tables::render_micro(&tables::micro())),
-        "attribution" => print!("{}", attribution::attribution_report_with(ctx, reps)),
-        "overhead" => print!("{}", overhead()),
-        "latency-bound" => print!("{}", latency_bound(ctx)),
-        "constraints" => print!("{}", constraints_demo(ctx)),
         "explore" => print!("{}", explore_cmd(&args, depth, ctx)),
         "bench" => print!("{}", bench_report(&args, &bench_opts(&args))),
         "load" => print!("{}", load_report(&args)),
         "all" => {
-            print!("{}", tables::render_table1(&tables::table1_with(ctx)));
-            println!();
-            print!("{}", tables::render_table2(&tables::table2_with(ctx, reps)));
-            println!();
-            print!("{}", tables::render_fig8(&tables::fig8_with(ctx, reps)));
-            println!();
-            print!("{}", tables::render_fig9(&tables::fig9_with(ctx, reps)));
-            println!();
-            print!("{}", tables::render_l2lock(&tables::l2lock_with(ctx, reps)));
-            println!();
-            print!(
-                "{}",
-                tables::render_restart_overhead(&tables::restart_overhead())
-            );
-            println!();
-            print!("{}", tables::render_micro(&tables::micro()));
-            println!();
-            print!(
-                "{}",
-                tables::render_open_closed(&tables::open_closed_with(ctx))
-            );
-            println!();
-            print!("{}", overhead());
-            println!();
-            print!("{}", latency_bound(ctx));
-            println!();
-            print!("{}", constraints_demo(ctx));
-            println!();
-            print!("{}", attribution::attribution_report_with(ctx, reps));
+            for (i, target) in PAPER.split_whitespace().enumerate() {
+                if i > 0 {
+                    println!();
+                }
+                print!("{}", paper(target, ctx, reps).expect("a paper target"));
+            }
         }
-        other => {
-            eprintln!(
-                "unknown target {other:?}; expected table1|table2|fig8|fig9|micro|l2lock|attribution|open-closed|restart-overhead|overhead|latency-bound|constraints|explore|bench|load|all"
-            );
-            std::process::exit(2);
-        }
+        target => match paper(target, ctx, reps) {
+            Some(report) => print!("{report}"),
+            None => {
+                let paper = PAPER.split_whitespace().collect::<Vec<_>>().join("|");
+                eprintln!("unknown target {target:?}; expected {paper}|explore|bench|load|all");
+                std::process::exit(2);
+            }
+        },
     }
 }

@@ -22,7 +22,9 @@
 //!   the workloads with the machine's trace sink enabled and prints
 //!   observed vs computed per-bucket breakdowns (ifetch-miss / dmiss / L2
 //!   / pipeline), phase counters and the hottest blocks — the §6-style
-//!   anatomy of each bound (see `docs/TRACING.md`).
+//!   anatomy of each bound (see `docs/TRACING.md`);
+//! * [`json`] is the value every `--record` run parses, updates and prints
+//!   back as `BENCH_sweep.json`.
 //!
 //! The `repro` binary prints any of them: `cargo run -p rt-bench --bin
 //! repro -- table2` (or `-- attribution`).
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
+pub mod json;
 pub mod observe;
 pub mod sweep;
 pub mod tables;

@@ -25,6 +25,9 @@ use rt_wcet::{
     MemoStats, WcetReport,
 };
 
+use crate::json::Json;
+use crate::obj;
+
 /// A thread pool plus a shared [`AnalysisCache`]: everything a sweep
 /// needs. Cheap to create; share one across related sweeps to dedupe
 /// their common analyses.
@@ -298,8 +301,7 @@ pub struct BenchResult {
     /// warm re-solve pivot counts.
     pub cold_pivots: u64,
     /// Whether every batch report matched its serial counterpart — ANDed
-    /// with the fleet's identity verdict, so one grep of the JSON covers
-    /// both sweeps.
+    /// with the fleet's identity verdict, so one flag covers both sweeps.
     pub identical: bool,
     /// The fleet-scale scaling measurement.
     pub fleet: FleetResult,
@@ -309,127 +311,71 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn stats_json(s: &MemoStats) -> String {
-    format!(
-        "{{\"lookups\": {}, \"builds\": {}, \"hit_rate\": {:.4}, \"shard_collisions\": {}}}",
-        s.lookups,
-        s.builds,
-        s.hit_rate(),
-        s.shard_collisions
-    )
-}
-
-fn cache_json(indent: &str, stats: &rt_wcet::CacheStats) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{indent}\"reports\": {},\n",
-        stats_json(&stats.reports)
-    ));
-    s.push_str(&format!("{indent}\"cfgs\": {},\n", stats_json(&stats.cfgs)));
-    s.push_str(&format!(
-        "{indent}\"cost_models\": {},\n",
-        stats_json(&stats.cost_models)
-    ));
-    s.push_str(&format!(
-        "{indent}\"costs\": {},\n",
-        stats_json(&stats.costs)
-    ));
-    s.push_str(&format!(
-        "{indent}\"block_costs\": {},\n",
-        stats_json(&stats.block_costs)
-    ));
-    s.push_str(&format!(
-        "{indent}\"ilp_structure\": {}\n",
-        stats_json(&stats.ilp_structures)
-    ));
-    s
-}
-
 impl BenchResult {
-    /// The machine-readable artifact (hand-rolled JSON — the workspace is
-    /// offline, so no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"sweep_jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"distinct_reports\": {},\n", self.distinct));
-        s.push_str(&format!("  \"serial_ms\": {:.2},\n", ms(self.serial)));
-        s.push_str("  \"batch\": [\n");
-        for (i, t) in self.parallel.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"workers\": {}, \"wall_ms\": {:.2}, \"speedup\": {:.2}}}{}\n",
-                t.workers,
-                ms(t.wall),
-                t.speedup,
-                if i + 1 == self.parallel.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"warm_ms\": {:.2},\n", ms(self.warm)));
-        s.push_str("  \"cache\": {\n");
-        s.push_str(&cache_json("    ", &self.stats));
-        s.push_str("  },\n");
-        let r = &self.stats.resolve;
-        let cold_per = if self.distinct == 0 {
+    /// Cold-path ILP pivots per distinct job (0 with no jobs).
+    fn cold_pivots_per_solve(&self) -> f64 {
+        if self.distinct == 0 {
             0.0
         } else {
             self.cold_pivots as f64 / self.distinct as f64
+        }
+    }
+
+    /// The record's `repro bench` members, in order.
+    pub fn to_json(&self) -> Json {
+        let memo = |s: &MemoStats| {
+            obj! {"lookups": s.lookups, "builds": s.builds,
+            "hit_rate": Json::fixed(s.hit_rate(), 4), "shard_collisions": s.shard_collisions}
         };
+        let cache = |c: &rt_wcet::CacheStats| {
+            obj! {
+                "reports": memo(&c.reports),
+                "cfgs": memo(&c.cfgs),
+                "cost_models": memo(&c.cost_models),
+                "costs": memo(&c.costs),
+                "block_costs": memo(&c.block_costs),
+                "ilp_structure": memo(&c.ilp_structures),
+            }
+        };
+        let r = &self.stats.resolve;
+        let cold_per = self.cold_pivots_per_solve();
         let warm_vs_cold = if cold_per == 0.0 {
             0.0
         } else {
             r.warm_pivots_per_resolve() / cold_per
         };
-        s.push_str("  \"resolve\": {\n");
-        s.push_str(&format!("    \"resolves\": {},\n", r.resolves));
-        s.push_str(&format!("    \"warm_pivots\": {},\n", r.warm_pivots));
-        s.push_str(&format!(
-            "    \"warm_pivots_per_resolve\": {:.2},\n",
-            r.warm_pivots_per_resolve()
-        ));
-        s.push_str(&format!("    \"seed_pivots\": {},\n", r.seed_pivots));
-        s.push_str(&format!("    \"cold_pivots\": {},\n", self.cold_pivots));
-        s.push_str(&format!(
-            "    \"cold_pivots_per_solve\": {:.2},\n",
-            cold_per
-        ));
-        s.push_str(&format!("    \"warm_vs_cold\": {:.4}\n", warm_vs_cold));
-        s.push_str("  },\n");
+        let batch = self.parallel.iter().map(|t| {
+            obj! {"workers": t.workers, "wall_ms": Json::fixed(ms(t.wall), 2),
+            "speedup": Json::fixed(t.speedup, 2)}
+        });
         let f = &self.fleet;
-        s.push_str("  \"fleet\": {\n");
-        s.push_str(&format!("    \"jobs\": {},\n", f.jobs));
-        s.push_str(&format!("    \"distinct_reports\": {},\n", f.distinct));
-        s.push_str(&format!("    \"host_cpus\": {},\n", f.host_cpus));
-        s.push_str("    \"scaling\": [\n");
-        for (i, t) in f.timings.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"workers\": {}, \"wall_ms\": {:.2}, \"speedup_vs_1w\": {:.2}, \
-                 \"steals\": {}, \"failed_steals\": {}, \"spins\": {}}}{}\n",
-                t.workers,
-                ms(t.wall),
-                t.speedup_vs_1w,
-                t.pool.steals,
-                t.pool.failed_steals,
-                t.pool.spins,
-                if i + 1 == f.timings.len() { "" } else { "," }
-            ));
+        let scaling = f.timings.iter().map(|t| {
+            obj! {"workers": t.workers, "wall_ms": Json::fixed(ms(t.wall), 2),
+            "speedup_vs_1w": Json::fixed(t.speedup_vs_1w, 2), "steals": t.pool.steals,
+            "failed_steals": t.pool.failed_steals, "spins": t.pool.spins}
+        });
+        obj! {
+            "sweep_jobs": self.jobs,
+            "distinct_reports": self.distinct,
+            "serial_ms": Json::fixed(ms(self.serial), 2),
+            "batch": Json::Arr(batch.collect()),
+            "warm_ms": Json::fixed(ms(self.warm), 2),
+            "cache": cache(&self.stats),
+            "resolve": obj! {"resolves": r.resolves, "warm_pivots": r.warm_pivots,
+            "warm_pivots_per_resolve": Json::fixed(r.warm_pivots_per_resolve(), 2),
+            "seed_pivots": r.seed_pivots, "cold_pivots": self.cold_pivots,
+            "cold_pivots_per_solve": Json::fixed(cold_per, 2),
+            "warm_vs_cold": Json::fixed(warm_vs_cold, 4)},
+            "fleet": obj! {
+                "jobs": f.jobs,
+                "distinct_reports": f.distinct,
+                "host_cpus": f.host_cpus,
+                "scaling": Json::Arr(scaling.collect()),
+                "cache": cache(&f.stats),
+                "identical": f.identical,
+            },
+            "bit_identical_to_serial": self.identical,
         }
-        s.push_str("    ],\n");
-        s.push_str("    \"cache\": {\n");
-        s.push_str(&cache_json("      ", &f.stats));
-        s.push_str("    },\n");
-        s.push_str(&format!("    \"identical\": {}\n", f.identical));
-        s.push_str("  },\n");
-        s.push_str(&format!(
-            "  \"bit_identical_to_serial\": {}\n",
-            self.identical
-        ));
-        s.push('}');
-        s.push('\n');
-        s
     }
 
     /// The human-readable `repro bench` report.
@@ -468,11 +414,7 @@ impl BenchResult {
             self.stats.cfgs.lookups,
         ));
         let rv = &self.stats.resolve;
-        let cold_per = if self.distinct == 0 {
-            0.0
-        } else {
-            self.cold_pivots as f64 / self.distinct as f64
-        };
+        let cold_per = self.cold_pivots_per_solve();
         s.push_str(&format!(
             "  incremental ILP: {} structures seeded ({} pivots), {} objective re-solves at \
              {:.1} pivots each vs {:.1} cold ({:.0}% saved); structure memo {:.0}% hit rate\n",
@@ -689,133 +631,9 @@ pub fn run_bench_with(opts: &BenchOpts) -> BenchResult {
     }
 }
 
-/// Locates a top-level `"key": { ... }` entry in a hand-rolled JSON
-/// object string. Returns `(entry_start, entry_end)` byte offsets, where
-/// `entry_start` is the newline before the entry's indent and
-/// `entry_end` is just past the object's closing brace and any trailing
-/// comma. Good enough for the artifacts this workspace writes (no braces
-/// or escapes inside strings).
-fn find_top_block(json: &str, key: &str) -> Option<(usize, usize)> {
-    let pat = format!("\"{key}\":");
-    let bytes = json.as_bytes();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth -= 1,
-            b'"' => {
-                if depth == 1 && json[i..].starts_with(&pat) {
-                    let start = json[..i].rfind('\n').unwrap_or(0);
-                    let vstart = i + pat.len() + json[i + pat.len()..].find('{')?;
-                    let mut d = 0i32;
-                    let mut j = vstart;
-                    loop {
-                        match bytes.get(j)? {
-                            b'{' => d += 1,
-                            b'}' => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    let mut end = j + 1;
-                    if bytes.get(end) == Some(&b',') {
-                        end += 1;
-                    }
-                    return Some((start, end));
-                }
-                // Skip the rest of the string literal.
-                i += 1;
-                while i < bytes.len() && bytes[i] != b'"' {
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Extracts a top-level `"key": { ... }` block (indent included, no
-/// trailing comma or newline) from a JSON object string, if present.
-/// Used by `repro bench` to carry the `"load"` block of the previous
-/// artifact forward when it rewrites `BENCH_sweep.json`.
-pub fn extract_json_block(json: &str, key: &str) -> Option<String> {
-    let (start, end) = find_top_block(json, key)?;
-    Some(
-        json[start..end]
-            .trim_matches(|c| c == '\n')
-            .trim_end_matches(',')
-            .to_string(),
-    )
-}
-
-/// Inserts or replaces a top-level block in a JSON object string.
-/// `block` is the full entry (`  "key": { ... }`, indent included, no
-/// trailing comma). An existing entry for `key` is replaced where it
-/// stands, so every other byte keeps its place; a new key lands as the
-/// last entry, commas normalised.
-pub fn upsert_json_block(json: &str, key: &str, block: &str) -> String {
-    if let Some((start, end)) = find_top_block(json, key) {
-        let comma = if json[..end].ends_with(',') { "," } else { "" };
-        return format!("{}\n{block}{comma}{}", &json[..start], &json[end..]);
-    }
-    let close = json.rfind('}').expect("artifact must be a JSON object");
-    let mut head = json[..close].trim_end().to_string();
-    if head.ends_with(',') {
-        head.pop();
-    }
-    let needs_comma = !head.ends_with('{');
-    if needs_comma {
-        head.push(',');
-    }
-    head.push('\n');
-    head.push_str(block);
-    head.push_str("\n}\n");
-    head
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_block_roundtrip() {
-        let base = "{\n  \"a\": 1,\n  \"b\": {\n    \"x\": [1, 2]\n  }\n}\n";
-        assert!(extract_json_block(base, "load").is_none());
-        let block = "  \"load\": {\n    \"sound\": true\n  }";
-        let with = upsert_json_block(base, "load", block);
-        assert!(with.contains("\"a\": 1,"));
-        assert_eq!(extract_json_block(&with, "load").as_deref(), Some(block));
-        // Replacing is idempotent and keeps the object well-formed.
-        let block2 = "  \"load\": {\n    \"sound\": false\n  }";
-        let with2 = upsert_json_block(&with, "load", block2);
-        assert_eq!(extract_json_block(&with2, "load").as_deref(), Some(block2));
-        assert!(!with2.contains("\"sound\": true"));
-        assert_eq!(with2.matches("\"load\"").count(), 1);
-        // Re-upserting a block that is no longer last keeps its place and
-        // every other byte.
-        let three = upsert_json_block(&with2, "tail", "  \"tail\": {\n    \"z\": 3\n  }");
-        let block3 = "  \"load\": {\n    \"sound\": true,\n    \"n\": 2\n  }";
-        let with3 = upsert_json_block(&three, "load", block3);
-        assert_eq!(with3, three.replacen(block2, block3, 1));
-        // A nested "load" key deeper in the object is not confused for a
-        // top-level one.
-        let nested = "{\n  \"outer\": {\n    \"load\": {\"x\": 1}\n  }\n}\n";
-        assert!(extract_json_block(nested, "load").is_none());
-    }
-
-    #[test]
-    fn upsert_into_empty_object() {
-        let out = upsert_json_block("{\n}\n", "load", "  \"load\": {\n  }");
-        assert_eq!(out, "{\n  \"load\": {\n  }\n}\n");
-    }
 
     #[test]
     fn sweep_jobs_mirror_repro_all() {

@@ -279,72 +279,6 @@ impl LoadResult {
         }
         s
     }
-
-    /// Renders the `"load"` JSON block for `BENCH_sweep.json`.
-    /// `walls` is one `(workers, wall_ms)` pair per timed run and
-    /// `identical` is whether every run rendered identical bytes; both
-    /// are host-dependent and therefore live only here, never in
-    /// [`LoadResult::render`].
-    pub fn to_json_block(&self, walls: &[(usize, u128)], identical: bool) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "  \"load\": {{");
-        let _ = writeln!(s, "    \"seed\": {},", self.seed);
-        let _ = writeln!(s, "    \"events\": {},", self.events);
-        let _ = writeln!(s, "    \"shards\": {},", self.shards);
-        let _ = writeln!(s, "    \"tenants\": {},", self.tenants);
-        let _ = writeln!(s, "    \"threads\": {},", self.threads);
-        let _ = writeln!(s, "    \"lines\": [");
-        for (i, (line, h)) in self.lines.iter().enumerate() {
-            let bound = self.bound_for(*line).unwrap_or(0);
-            let _ = writeln!(
-                s,
-                "      {{\"line\": {}, \"n\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                 \"p999\": {}, \"max\": {}, \"bound\": {}, \"violations\": {}}}{}",
-                line,
-                h.count(),
-                h.quantile(1, 2),
-                h.quantile(9, 10),
-                h.quantile(99, 100),
-                h.quantile(999, 1000),
-                h.max(),
-                bound,
-                self.line_violations[i],
-                if i + 1 == self.lines.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(s, "    ],");
-        let _ = writeln!(
-            s,
-            "    \"syscall\": {{\"n\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}, \
-             \"wcet\": {}}},",
-            self.syscalls.count(),
-            self.syscalls.quantile(1, 2),
-            self.syscalls.quantile(99, 100),
-            self.syscalls.quantile(999, 1000),
-            self.syscalls.max(),
-            self.syscall_wcet
-        );
-        if let (Some(w), Some(a)) = (self.worst, self.attribution) {
-            let _ =
-                writeln!(
-                s,
-                "    \"worst\": {{\"shard\": {}, \"line\": {}, \"latency\": {}, \"pipeline\": {}, \
-                 \"ifetch_miss\": {}, \"dmiss\": {}, \"l2\": {}, \"replay_matches\": {}}},",
-                w.shard, w.line, w.latency, a.pipeline, a.ifetch_miss, a.dmiss, a.l2,
-                a.replay_matches
-            );
-        }
-        let _ = writeln!(s, "    \"violations\": {},", self.violations_total);
-        let _ = writeln!(s, "    \"sound\": {},", self.sound());
-        let workers: Vec<String> = walls.iter().map(|(w, _)| w.to_string()).collect();
-        let wall: Vec<String> = walls.iter().map(|(_, ms)| ms.to_string()).collect();
-        let _ = writeln!(s, "    \"workers\": [{}],", workers.join(", "));
-        let _ = writeln!(s, "    \"wall_ms\": [{}],", wall.join(", "));
-        let _ = writeln!(s, "    \"identical_across_workers\": {}", identical);
-        let _ = write!(s, "  }}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -393,19 +327,5 @@ mod tests {
         // a pure fold over the shard-ordered inputs.
         let c = LoadResult::merge(&spec, &b, 163_000, &[s0, s1]);
         assert_eq!(a.render(), c.render());
-    }
-
-    #[test]
-    fn json_block_shape() {
-        let spec = spec();
-        let b = bounds(&spec);
-        let shards: Vec<_> = (0..spec.shards).map(|s| run_shard(&spec, s, &b)).collect();
-        let merged = LoadResult::merge(&spec, &b, 163_000, &shards);
-        let json = merged.to_json_block(&[(1, 120), (4, 40)], true);
-        assert!(json.starts_with("  \"load\": {"));
-        assert!(json.ends_with('}'));
-        assert!(json.contains("\"sound\": true"));
-        assert!(json.contains("\"workers\": [1, 4]"));
-        assert!(json.contains("\"identical_across_workers\": true"));
     }
 }

@@ -13,8 +13,9 @@
 //! columns legitimate.
 //!
 //! `ci.sh` additionally diffs the actual stdout of `repro table1`,
-//! `table2`, `fig9`, `l2lock` and `micro` against the same files,
-//! covering the binary's argument plumbing.
+//! `table2`, `fig9`, `l2lock`, `micro`, `overhead`, `restart-overhead`,
+//! `open-closed`, `constraints` and `latency-bound` against the same
+//! files, covering the binary's argument plumbing.
 //!
 //! `micro` pins the scheduler and decode figures (Figs. 2/3 and 7), the
 //! warm fastpath `Call` (§6.1) and the marginal 1 KiB clear chunk (§3.5)
@@ -110,6 +111,49 @@ fn micro_matches_golden() {
         got == golden,
         "micro diverged from tests/goldens/micro.txt:\n\
          --- golden ---\n{golden}\n--- got ---\n{got}"
+    );
+}
+
+#[test]
+fn overhead_matches_golden() {
+    check("overhead", include_str!("../goldens/overhead.txt"), |_| {
+        tables::overhead()
+    });
+}
+
+#[test]
+fn restart_overhead_matches_golden() {
+    check(
+        "restart_overhead",
+        include_str!("../goldens/restart_overhead.txt"),
+        |_| tables::render_restart_overhead(&tables::restart_overhead()),
+    );
+}
+
+#[test]
+fn open_closed_matches_golden() {
+    check(
+        "open_closed",
+        include_str!("../goldens/open_closed.txt"),
+        |ctx| tables::render_open_closed(&tables::open_closed_with(ctx)),
+    );
+}
+
+#[test]
+fn constraints_matches_golden() {
+    check(
+        "constraints",
+        include_str!("../goldens/constraints.txt"),
+        tables::constraints_demo,
+    );
+}
+
+#[test]
+fn latency_bound_matches_golden() {
+    check(
+        "latency_bound",
+        include_str!("../goldens/latency_bound.txt"),
+        |ctx| tables::render_latency_bound(&tables::latency_bound_with(ctx)),
     );
 }
 
