@@ -51,6 +51,11 @@ repro micro | diff -u tests/goldens/micro.txt -
 for target in overhead restart-overhead open-closed constraints latency-bound; do
     repro "$target" --jobs 4 2>/dev/null | diff -u "tests/goldens/${target//-/_}.txt" -
 done
+# The System-driven examples, as the README runs them (release): tier-1
+# (examples/tests/goldens.rs) holds their debug builds to the same files.
+for bin in quickstart mixed_criticality; do
+    cargo run --release -q -p rt-examples --bin "$bin" | diff -u "tests/goldens/$bin.txt" -
+done
 
 # Explorer worker-count gate: the depth-8 sleep-set search must render
 # byte-identical reports at 1 and 4 workers — two separate invocations,
