@@ -7,7 +7,7 @@
 //! and a dirty-cache preamble. These builders construct exactly those
 //! scenarios on the simulated machine.
 
-use rt_hw::{Addr, Cycles, HwConfig};
+use rt_hw::{Cycles, HwConfig};
 use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
 use rt_kernel::ep::{ep_append, EpState};
 use rt_kernel::kernel::{EntryPoint, Kernel, KernelConfig};
@@ -16,8 +16,7 @@ use rt_kernel::syscall::Syscall;
 use rt_kernel::tcb::{MsgInfo, ThreadState};
 use rt_kernel::{MAX_MSG_WORDS, MAX_XFER_CAPS};
 
-/// Address region the cache-polluting preamble pretends to come from.
-pub const POLLUTION_BASE: Addr = 0x4000_0000;
+pub use rt_kernel::system::POLLUTION_BASE;
 
 /// A 32-level binary capability-space trie (Fig. 7): every inserted
 /// capability address decodes through one CNode per address bit, so every

@@ -745,8 +745,8 @@ impl Kernel {
 
     /// Suspends thread `t` (as a root-task stand-in would via TcbSuspend):
     /// dequeues it if queued, marks it inactive and reschedules. Used by
-    /// [`crate::system::System`] when a script runs dry, and by external
-    /// harnesses (the rt-explore engine) driving threads directly.
+    /// [`crate::system::step_current`] to park a thread that stops or
+    /// has no next action.
     pub fn suspend_thread(&mut self, t: ObjId) {
         if self.objs.tcb(t).in_runqueue {
             self.dequeue_on(self.cur_core(), t);
@@ -883,8 +883,8 @@ impl Kernel {
             self.local_mut().cur = t;
         }
         // A scheduled Restart-state thread is about to re-execute its
-        // trapped system call; accounting only (the System harness drives
-        // the re-execution).
+        // trapped system call; accounting only (`system::restart_current`
+        // drives the re-execution).
         if self.objs.tcb(t).state == ThreadState::Restart {
             self.stats.restarts += 1;
         }

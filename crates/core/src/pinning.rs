@@ -148,7 +148,7 @@ mod tests {
         };
         let mut k = Kernel::new(KernelConfig::after(), hw);
         apply_pinning(&mut k);
-        k.machine.pollute(0x4000_0000);
+        k.machine.pollute(crate::system::POLLUTION_BASE);
         for l in pinned_icache_lines(&k.layout) {
             assert!(k.machine.mem.l1i.is_pinned(l));
         }
@@ -171,7 +171,7 @@ mod tests {
             "whole kernel must fit two L2 ways: {report:?}"
         );
         // Polluting the caches must not evict the locked kernel lines.
-        k.machine.pollute(0x4000_0000);
+        k.machine.pollute(crate::system::POLLUTION_BASE);
         for l in k.layout.code_lines(crate::kprog::Block::ALL) {
             assert!(k.machine.mem.l2.as_ref().expect("l2").is_pinned(l));
         }

@@ -1,4 +1,5 @@
-//! The user-level system harness.
+//! The user-level system harness, and the one definition of a user-mode
+//! step.
 //!
 //! Experiments need whole systems: threads running "programs" that compute,
 //! trap into the kernel, fault, and get interrupted by devices. A
@@ -9,6 +10,19 @@
 //! calls of `Restart`-state threads** — the restartable-system-call
 //! mechanism of §2.1 made visible ("simply re-executing the original
 //! system call will continue the operation").
+//!
+//! Three public pieces make up a user-mode step, and every driver of the
+//! kernel steps threads through them: [`System::run`], the rt-load shard
+//! loop and the rt-explore event loop. Each driver keeps only where the
+//! next action comes from, what it measures and how it re-queues a split
+//! `Compute`.
+//!
+//! * [`restart_current`]: §2.1 — re-execute the current thread's trapped
+//!   system call, or clear a restart that has none and report that;
+//! * [`step_current`]: run the current thread's next [`Action`], or park
+//!   it when it has none;
+//! * [`fast_forward`]: idle to the next programmed interrupt before a
+//!   horizon and take it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -16,8 +30,13 @@ use rt_hw::{Addr, Cycles};
 
 use crate::kernel::Kernel;
 use crate::obj::ObjId;
-use crate::syscall::Syscall;
+use crate::syscall::{Syscall, SyscallOutcome};
 use crate::tcb::ThreadState;
+
+/// Where [`Action::Pollute`]'s dirty lines pretend to come from: a user
+/// region clear of the kernel image, so every line it leaves is a user
+/// line the kernel must evict.
+pub const POLLUTION_BASE: Addr = 0x4000_0000;
 
 /// One step of a user program.
 #[derive(Clone, Debug)]
@@ -73,10 +92,6 @@ impl ThreadScript {
         let a = self.repeat[self.repeat_ix].clone();
         self.repeat_ix = (self.repeat_ix + 1) % self.repeat.len();
         Some(a)
-    }
-
-    fn push_front(&mut self, a: Action) {
-        self.queue.push_front(a);
     }
 }
 
@@ -138,80 +153,137 @@ impl System {
             if steps > self.max_steps {
                 return StopReason::StepLimit;
             }
-            if self.kernel.machine.now() >= horizon {
+            let k = &mut self.kernel;
+            if k.machine.now() >= horizon {
                 return StopReason::Horizon;
             }
             // Pending interrupt while "in userspace": take the IRQ entry.
-            if self.kernel.machine.irq.has_pending() {
-                self.kernel.handle_interrupt();
-                continue;
-            }
-            if self.kernel.is_idle() {
-                // Fast-forward to the next programmed interrupt.
-                match self.kernel.machine.irq.next_scheduled() {
-                    Some(at) if at < horizon => {
-                        let now = self.kernel.machine.now();
-                        self.kernel.machine.advance(at.saturating_sub(now).max(1));
-                        self.kernel.handle_interrupt();
-                        continue;
-                    }
-                    _ => return StopReason::Quiescent,
+            if k.machine.irq.has_pending() {
+                k.handle_interrupt();
+            } else if k.is_idle() {
+                if !fast_forward(k, horizon) {
+                    return StopReason::Quiescent;
                 }
-            }
-            let cur = self.kernel.current();
-            // §2.1: a Restart-state thread re-executes its trapped syscall.
-            let restart = {
-                let t = self.kernel.objs.tcb(cur);
-                if t.state == ThreadState::Restart {
-                    t.current_syscall.clone()
-                } else {
-                    None
-                }
-            };
-            if let Some(sys) = restart {
-                let _ = self.kernel.handle_syscall(sys);
-                continue;
-            }
-            if self.kernel.objs.tcb(cur).state == ThreadState::Restart {
-                // Restarted with no syscall (cancelled IPC): just run on.
-                self.kernel.objs.tcb_mut(cur).state = ThreadState::Running;
-            }
-            let Some(action) = self.scripts.get_mut(&cur).and_then(|s| s.next()) else {
-                // No program: park the thread.
-                self.suspend(cur);
-                continue;
-            };
-            match action {
-                Action::Compute(c) => {
-                    // Interrupts can arrive mid-computation; split the
-                    // advance at the next programmed IRQ so the entry
-                    // happens at the right cycle.
-                    let now = self.kernel.machine.now();
-                    match self.kernel.machine.irq.next_scheduled() {
-                        Some(at) if at > now && at - now < c => {
-                            let first = at - now;
-                            self.kernel.machine.advance(first);
-                            if let Some(s) = self.scripts.get_mut(&cur) {
-                                s.push_front(Action::Compute(c - first));
-                            }
-                            self.kernel.handle_interrupt();
-                        }
-                        _ => self.kernel.machine.advance(c),
+            } else if !matches!(restart_current(k), Restart::Reexecuted(_)) {
+                let cur = k.current();
+                let next = self.scripts.get_mut(&cur).and_then(ThreadScript::next);
+                if let Stepped::Split(rest) = step_current(k, next) {
+                    // The remainder goes back to the script it came from.
+                    if let Some(s) = self.scripts.get_mut(&cur) {
+                        s.queue.push_front(Action::Compute(rest));
                     }
                 }
-                Action::Syscall(sys) => {
-                    let _ = self.kernel.handle_syscall(sys);
-                }
-                Action::PageFault(addr) => self.kernel.handle_page_fault(addr),
-                Action::UndefInstr => self.kernel.handle_undefined(),
-                Action::Pollute => self.kernel.machine.pollute(0x4000_0000),
-                Action::Stop => self.suspend(cur),
             }
         }
     }
+}
 
-    fn suspend(&mut self, tcb: ObjId) {
-        self.kernel.suspend_thread(tcb);
+/// One kernel visit made by a system call.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Visit {
+    /// Cycles from the trap to the return to user mode.
+    pub cycles: Cycles,
+    /// How the call left the kernel.
+    pub outcome: SyscallOutcome,
+}
+
+fn visit(k: &mut Kernel, sys: Syscall) -> Visit {
+    let t0 = k.machine.now();
+    let outcome = k.handle_syscall(sys);
+    Visit {
+        cycles: k.machine.now() - t0,
+        outcome,
+    }
+}
+
+/// What [`restart_current`] found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Restart {
+    /// The current thread is not in the `Restart` state.
+    NotPending,
+    /// Its trapped system call ran again.
+    Reexecuted(Visit),
+    /// It had no trapped system call and is `Running` again: a thread
+    /// whose blocked IPC was cancelled (a `Send` that blocked completed
+    /// there, so it keeps no call to re-execute).
+    Cleared,
+}
+
+/// §2.1 for the current thread: a `Restart`-state thread re-executes
+/// its trapped system call, and one without a trapped call is set
+/// `Running` again. The caller decides what a [`Restart::Cleared`]
+/// thread does next.
+pub fn restart_current(k: &mut Kernel) -> Restart {
+    let cur = k.current();
+    let t = k.objs.tcb(cur);
+    if t.state != ThreadState::Restart {
+        return Restart::NotPending;
+    }
+    match t.current_syscall.clone() {
+        Some(sys) => Restart::Reexecuted(visit(k, sys)),
+        None => {
+            k.objs.tcb_mut(cur).state = ThreadState::Running;
+            Restart::Cleared
+        }
+    }
+}
+
+/// What [`step_current`] did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Stepped {
+    /// A system call visited the kernel.
+    Syscall(Visit),
+    /// A `Compute` reached the next programmed interrupt, which was
+    /// taken there; this many of its cycles are left, for the caller to
+    /// run next time the thread is current.
+    Split(Cycles),
+    /// Anything else: the action ran to its end, or the thread had none
+    /// and was parked.
+    Done,
+}
+
+/// Runs `next`, the current thread's next action, in user mode; a thread
+/// with no next action is parked (suspended). A `Compute` is split at
+/// the next programmed interrupt, so the entry happens at its cycle.
+pub fn step_current(k: &mut Kernel, next: Option<Action>) -> Stepped {
+    let Some(action) = next else {
+        k.suspend_thread(k.current());
+        return Stepped::Done;
+    };
+    match action {
+        Action::Compute(c) => {
+            let now = k.machine.now();
+            match k.machine.irq.next_scheduled() {
+                Some(at) if at > now && at - now < c => {
+                    let first = at - now;
+                    k.machine.advance(first);
+                    k.handle_interrupt();
+                    return Stepped::Split(c - first);
+                }
+                _ => k.machine.advance(c),
+            }
+        }
+        Action::Syscall(sys) => return Stepped::Syscall(visit(k, sys)),
+        Action::PageFault(addr) => k.handle_page_fault(addr),
+        Action::UndefInstr => k.handle_undefined(),
+        Action::Pollute => k.machine.pollute(POLLUTION_BASE),
+        Action::Stop => k.suspend_thread(k.current()),
+    }
+    Stepped::Done
+}
+
+/// Idles the current core to the next programmed interrupt before
+/// `horizon` and takes it; `Cycles::MAX` sets no horizon. Returns
+/// `false`, and does nothing, when none is programmed before `horizon`.
+pub fn fast_forward(k: &mut Kernel, horizon: Cycles) -> bool {
+    match k.machine.irq.next_scheduled() {
+        Some(at) if at < horizon => {
+            let now = k.machine.now();
+            k.machine.advance(at.saturating_sub(now).max(1));
+            k.handle_interrupt();
+            true
+        }
+        _ => false,
     }
 }
 

@@ -2,11 +2,12 @@
 //! replay and counterexample minimization.
 //!
 //! A *run* executes a scenario instance from boot under a scripted choice
-//! trace (see [`crate::choice`]). The engine's event loop mirrors the
-//! simulator in `rt_kernel::system` — service pending interrupts, then
-//! step the current thread — except that *which* enabled event happens
-//! next (a thread step, or one of the legal interrupt arrivals) is a
-//! decision point, as is every preemption-point poll inside the kernel
+//! trace (see [`crate::choice`]). The engine's event loop runs like
+//! `rt_kernel::system::System::run` — service pending interrupts, then
+//! step the current thread through the same user-mode step — except
+//! that *which* enabled event happens next (a thread step, or one of the
+//! legal interrupt arrivals) is a decision point, as is every
+//! preemption-point poll inside the kernel
 //! (via the installed [`DecisionSource`]). After every event the oracles
 //! run: the kernel-wide invariant suite, the incremental-consistency
 //! checks of [`crate::oracle`], and the latency oracle (every logged
@@ -80,8 +81,7 @@ use std::sync::Arc;
 use rt_hw::{Cycles, IrqLine};
 use rt_kernel::invariants::{self, Violation};
 use rt_kernel::kernel::{EntryPoint, Kernel, KernelConfig};
-use rt_kernel::system::Action;
-use rt_kernel::tcb::ThreadState;
+use rt_kernel::system::{restart_current, step_current, Action, Restart, Stepped};
 use rt_pool::Pool;
 use rt_wcet::{smp_latency_margin, AnalysisCache, AnalysisConfig, SmpParams};
 
@@ -441,50 +441,35 @@ fn apply_seeded_bug(k: &mut Kernel, bug: SeededBug) {
     }
 }
 
-/// Steps the current thread once, mirroring `System::run`'s action
-/// semantics (restart re-execution, script exhaustion parks the thread).
+/// Steps the current thread once through the user-mode step of
+/// [`rt_kernel::system`], the one `System::run` and rt-load use; the next
+/// action comes from the thread's script cursor. One choice is the
+/// explorer's own: a §2.1 restart cleared without a syscall ends the
+/// event there, where the other drivers go on to the next action. Every
+/// sender an ep-delete scenario dequeues reaches that case when it next
+/// runs (a blocked `Send` keeps no syscall), so the thread's next action
+/// is its own event.
 fn run_current(
     k: &mut Kernel,
     scripts: &[(rt_kernel::obj::ObjId, Vec<Action>)],
     cursors: &mut [usize],
 ) {
+    if restart_current(k) != Restart::NotPending {
+        return;
+    }
     let cur = k.current();
-    let restart = {
-        let t = k.objs.tcb(cur);
-        if t.state == ThreadState::Restart {
-            t.current_syscall.clone()
-        } else {
-            None
-        }
-    };
-    if let Some(sys) = restart {
-        let _ = k.handle_syscall(sys);
-        return;
-    }
-    if k.objs.tcb(cur).state == ThreadState::Restart {
-        // Restarted with no syscall (cancelled IPC): just run on.
-        k.objs.tcb_mut(cur).state = ThreadState::Running;
-        return;
-    }
-    let Some(si) = scripts.iter().position(|(id, _)| *id == cur) else {
-        k.suspend_thread(cur);
-        return;
-    };
-    let Some(action) = scripts[si].1.get(cursors[si]).cloned() else {
-        k.suspend_thread(cur);
-        return;
-    };
-    cursors[si] += 1;
-    match action {
-        Action::Compute(c) => k.machine.advance(c),
-        Action::Syscall(sys) => {
-            let _ = k.handle_syscall(sys);
-        }
-        Action::PageFault(addr) => k.handle_page_fault(addr),
-        Action::UndefInstr => k.handle_undefined(),
-        Action::Pollute => k.machine.pollute(0x4000_0000),
-        Action::Stop => k.suspend_thread(cur),
-    }
+    let next = scripts
+        .iter()
+        .position(|(id, _)| *id == cur)
+        .and_then(|si| {
+            let action = scripts[si].1.get(cursors[si]).cloned()?;
+            cursors[si] += 1;
+            Some(action)
+        });
+    // Arrivals are events here, never programmed, so no `Compute`
+    // reaches a programmed interrupt to split at.
+    let split = matches!(step_current(k, next), Stepped::Split(_));
+    assert!(!split, "explorer kernels program no interrupts");
 }
 
 /// One unexplored branch: the choice prefix to replay, the sleep set in

@@ -1,10 +1,13 @@
 //! The per-shard simulation engine.
 //!
 //! [`run_shard`] boots one shard ([`crate::scenario::build_shard`]),
-//! injects its open-loop interrupt schedules in one batch, and steps the
-//! system — modelled on `rt_kernel::system::System::run`, but owned here
-//! so every kernel visit and every interrupt response is *measured*:
-//! per-visit cycle counts feed the syscall histogram, drained
+//! injects its open-loop interrupt schedules in one batch, and steps its
+//! threads through the user-mode step of [`rt_kernel::system`]
+//! ([`restart_current`], [`step_current`], [`fast_forward`]), the one
+//! `System::run` and rt-explore step them through. The next action comes
+//! from a thread's [`Behavior`], after any `Compute` remainder carried
+//! from a split. What the loop adds is measurement: every kernel visit's
+//! cycle count feeds the syscall histogram, drained
 //! [`rt_kernel::kernel::IrqResponse`] entries feed the per-line
 //! histograms, and each response is judged against its static bound as
 //! it is recorded (the soundness oracle's per-sample half).
@@ -20,14 +23,14 @@
 
 use crate::hist::Hist;
 use crate::rng::{shard_seed, Rng64};
-use crate::scenario::{build_shard, LoadSpec, ObjMap, Step};
+use crate::scenario::{build_shard, Behavior, LoadSpec, ObjMap};
 use rt_hw::irq::NUM_LINES;
-use rt_hw::{AccessKind, Addr, Cycles, IrqLine, TraceEvent};
+use rt_hw::{AccessKind, Cycles, IrqLine, TraceEvent};
+use rt_kernel::kernel::Kernel;
 use rt_kernel::syscall::SyscallOutcome;
-use rt_kernel::tcb::ThreadState;
-
-/// Address region cache thrashers pretend their working set lives at.
-const POLLUTION_BASE: Addr = 0x4000_0000;
+use rt_kernel::system::{
+    fast_forward, restart_current, step_current, Action, Restart, Stepped, Visit,
+};
 
 /// One observed interrupt response, identified by its raise cycle (raise
 /// times on a line are unique because arrival budgets exceed every
@@ -266,79 +269,24 @@ fn run_shard_impl(
         if k.machine.irq.has_pending() {
             k.handle_interrupt();
         } else if k.is_idle() {
-            match k.machine.irq.next_scheduled() {
-                Some(at) => {
-                    let now = k.machine.now();
-                    k.machine.advance(at.saturating_sub(now).max(1));
-                    k.handle_interrupt();
-                }
-                None => break, // quiescent
+            if !fast_forward(k, Cycles::MAX) {
+                break; // quiescent
             }
-        } else {
-            let cur = k.current();
-            // §2.1: a Restart-state thread re-executes its trapped
-            // syscall; the re-execution is measured as a fresh visit.
-            let restart = {
-                let t = k.objs.tcb(cur);
-                if t.state == ThreadState::Restart {
-                    t.current_syscall.clone()
-                } else {
-                    None
-                }
-            };
-            let step = if let Some(sys) = restart {
-                Step::Sys(sys)
-            } else {
-                if k.objs.tcb(cur).state == ThreadState::Restart {
-                    k.objs.tcb_mut(cur).state = ThreadState::Running;
-                }
-                if let Some(c) = carry.remove(cur) {
-                    Step::Compute(c)
-                } else {
-                    match sim.behaviors.get_mut(cur) {
-                        Some(b) => b.next(&mut rng),
-                        None => {
-                            k.suspend_thread(cur);
-                            continue;
-                        }
-                    }
-                }
-            };
-            match step {
-                Step::Compute(c) => {
-                    let c = c.max(1);
-                    // Split the advance at the next programmed IRQ so
-                    // the entry happens at the right cycle.
-                    let now = k.machine.now();
-                    match k.machine.irq.next_scheduled() {
-                        Some(at) if at > now && at - now < c => {
-                            let first = at - now;
-                            k.machine.advance(first);
-                            carry.insert(cur, c - first);
-                            k.handle_interrupt();
-                        }
-                        _ => k.machine.advance(c),
-                    }
-                }
-                Step::Sys(sys) => {
-                    let t0 = k.machine.now();
-                    let outcome = k.handle_syscall(sys);
-                    let dt = k.machine.now() - t0;
-                    syscalls.record(dt);
-                    syscall_visits += 1;
-                    events += 1;
-                    if outcome == SyscallOutcome::Preempted {
-                        preempted += 1;
-                    }
-                }
-                Step::Pollute => k.machine.pollute(POLLUTION_BASE),
+        } else if let Some(v) = step_thread(k, &mut sim.behaviors, &mut carry, &mut rng) {
+            // Every kernel visit is measured, a §2.1 re-execution as a
+            // fresh one.
+            syscalls.record(v.cycles);
+            syscall_visits += 1;
+            events += 1;
+            if v.outcome == SyscallOutcome::Preempted {
+                preempted += 1;
             }
         }
 
         // SMP (DESIGN.md §14): give each remote core a slice — service
-        // its pending IPIs, then step its pinned thrasher once — and
-        // return to core 0. Remote kernel entries take the big lock and
-        // pollute the shared L2, which is exactly the cross-core
+        // its pending IPIs, then step its pinned thrasher once, unmeasured
+        // — and return to core 0. Remote kernel entries take the big lock
+        // and pollute the shared L2, which is exactly the cross-core
         // interference the widened per-line bounds must absorb. A
         // single-core run has no remote core, so it takes no slice and
         // draws no extra randomness.
@@ -349,16 +297,7 @@ fn run_shard_impl(
                 k.handle_interrupt();
             }
             if !k.is_idle() {
-                let cur = k.current();
-                if let Some(b) = sim.behaviors.get_mut(cur) {
-                    match b.next(&mut rng) {
-                        Step::Compute(cyc) => k.machine.advance(cyc.max(1)),
-                        Step::Sys(sys) => {
-                            let _ = k.handle_syscall(sys);
-                        }
-                        Step::Pollute => k.machine.pollute(POLLUTION_BASE),
-                    }
-                }
+                step_thread(k, &mut sim.behaviors, &mut carry, &mut rng);
             }
             k.machine.switch_core(0);
         }
@@ -431,12 +370,40 @@ fn run_shard_impl(
     }
 }
 
+/// Steps the current thread of the current core through the shared
+/// user-mode step: its §2.1 restart, else the `Compute` remainder
+/// carried from a split, else its behaviour's next action. Returns the
+/// kernel visit the step made, if any.
+fn step_thread(
+    k: &mut Kernel,
+    behaviors: &mut ObjMap<Behavior>,
+    carry: &mut ObjMap<Cycles>,
+    rng: &mut Rng64,
+) -> Option<Visit> {
+    if let Restart::Reexecuted(v) = restart_current(k) {
+        return Some(v);
+    }
+    let cur = k.current();
+    let next = carry
+        .remove(cur)
+        .map(Action::Compute)
+        .or_else(|| behaviors.get_mut(cur).map(|b| b.next(rng)));
+    match step_current(k, next) {
+        Stepped::Syscall(v) => Some(v),
+        Stepped::Split(rest) => {
+            carry.insert(cur, rest);
+            None
+        }
+        Stepped::Done => None,
+    }
+}
+
 /// Folds the trace events of `[raised, ack)` into the four attribution
 /// buckets. The pipeline bucket is the remainder — by the PR-2 partition
 /// (`total == now()`), whatever the memory system does not explain is
 /// issue/execute plus branch cost.
 fn fold_window(
-    k: &mut rt_kernel::kernel::Kernel,
+    k: &mut Kernel,
     raised: Cycles,
     ack: Cycles,
     replay_latency: Cycles,

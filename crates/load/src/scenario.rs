@@ -38,6 +38,7 @@ use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
 use rt_kernel::kernel::{Kernel, KernelConfig, TIMER_LINE};
 use rt_kernel::obj::ObjId;
 use rt_kernel::syscall::Syscall;
+use rt_kernel::system::Action;
 use rt_kernel::MAX_MSG_WORDS;
 
 /// A deterministic, bound-violating delay injected into one shard — the
@@ -147,19 +148,8 @@ impl LoadSpec {
     }
 }
 
-/// One step of a tenant's behaviour.
-#[derive(Clone, Debug)]
-pub enum Step {
-    /// Spin in userspace for the given cycles.
-    Compute(Cycles),
-    /// Trap with a system call.
-    Sys(Syscall),
-    /// Dirty-fill the caches (costs no simulated time; wrecks locality).
-    Pollute,
-}
-
 /// A tenant's behaviour state machine; [`Behavior::next`] yields the
-/// thread's next step each time it is current. All randomness comes from
+/// thread's next action each time it is current. All randomness comes from
 /// the shard RNG passed in, in deterministic engine-loop order.
 #[derive(Clone, Debug)]
 pub enum Behavior {
@@ -222,9 +212,11 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// The tenant's next step. `rng` is the shard RNG; draws happen in
-    /// engine-loop order, so the stream is deterministic.
-    pub fn next(&mut self, rng: &mut Rng64) -> Step {
+    /// The tenant's next action. `rng` is the shard RNG; draws happen in
+    /// engine-loop order, so the stream is deterministic. A think time
+    /// computes for at least one cycle.
+    pub fn next(&mut self, rng: &mut Rng64) -> Action {
+        let compute = |t: &Think, rng: &mut Rng64| Action::Compute(t.draw(rng).max(1));
         match self {
             Behavior::Client {
                 ep,
@@ -233,7 +225,7 @@ impl Behavior {
             } => {
                 if *thinking {
                     *thinking = false;
-                    Step::Compute(think.draw(rng))
+                    compute(think, rng)
                 } else {
                     *thinking = true;
                     // Mostly short (fastpath-eligible) calls, with a
@@ -243,7 +235,7 @@ impl Behavior {
                     } else {
                         rng.gen_range(5, u64::from(MAX_MSG_WORDS) + 1) as u32
                     };
-                    Step::Sys(Syscall::Call {
+                    Action::Syscall(Syscall::Call {
                         cptr: *ep,
                         len,
                         caps: vec![],
@@ -253,10 +245,10 @@ impl Behavior {
             Behavior::Server { ep, recved } => {
                 if !*recved {
                     *recved = true;
-                    Step::Sys(Syscall::Recv { cptr: *ep })
+                    Action::Syscall(Syscall::Recv { cptr: *ep })
                 } else {
                     let len = rng.gen_range(0, u64::from(MAX_MSG_WORDS) + 1) as u32;
-                    Step::Sys(Syscall::ReplyRecv {
+                    Action::Syscall(Syscall::ReplyRecv {
                         cptr: *ep,
                         len,
                         caps: vec![],
@@ -266,9 +258,9 @@ impl Behavior {
             Behavior::Thrasher { think, phase } => {
                 *phase = (*phase + 1) % 3;
                 match *phase {
-                    1 => Step::Pollute,
-                    2 => Step::Compute(think.draw(rng)),
-                    _ => Step::Sys(Syscall::Yield),
+                    1 => Action::Pollute,
+                    2 => compute(think, rng),
+                    _ => Action::Syscall(Syscall::Yield),
                 }
             }
             Behavior::Decoder {
@@ -278,10 +270,10 @@ impl Behavior {
             } => {
                 if *thinking {
                     *thinking = false;
-                    Step::Compute(think.draw(rng))
+                    compute(think, rng)
                 } else {
                     *thinking = true;
-                    Step::Sys(Syscall::Signal { cptr: *cptr })
+                    Action::Syscall(Syscall::Signal { cptr: *cptr })
                 }
             }
             Behavior::Janitor {
@@ -294,11 +286,11 @@ impl Behavior {
             } => {
                 if *resting {
                     *resting = false;
-                    Step::Compute(think.draw(rng))
+                    compute(think, rng)
                 } else if *minted < *batch {
                     let dest = *dest_base + *minted;
                     *minted += 1;
-                    Step::Sys(Syscall::Mint {
+                    Action::Syscall(Syscall::Mint {
                         src: *parent,
                         dest,
                         badge: Badge(0x4000_0000 | *minted),
@@ -309,7 +301,7 @@ impl Behavior {
                     *resting = true;
                     // The long path: delete every child, one preemption
                     // point per deletion.
-                    Step::Sys(Syscall::Revoke { cptr: *parent })
+                    Action::Syscall(Syscall::Revoke { cptr: *parent })
                 }
             }
             Behavior::Driver {
@@ -319,10 +311,10 @@ impl Behavior {
             } => {
                 if *acking {
                     *acking = false;
-                    Step::Sys(Syscall::IrqAck { handler: *handler })
+                    Action::Syscall(Syscall::IrqAck { handler: *handler })
                 } else {
                     *acking = true;
-                    Step::Sys(Syscall::Wait { cptr: *ntfn })
+                    Action::Syscall(Syscall::Wait { cptr: *ntfn })
                 }
             }
         }

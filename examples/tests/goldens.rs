@@ -2,9 +2,11 @@
 //! `mixed_criticality` print only simulated figures, so each binary's
 //! stdout must equal its golden in `tests/goldens/` byte for byte.
 //! `quickstart` pins the fastpath hits and `Stop`; `mixed_criticality`
-//! pins the preemptions, the §2.1 restarts and the computes split at
-//! device interrupts. `ci.sh` diffs the release builds against the same
-//! files.
+//! pins the preemptions and the §2.1 restarts. Neither splits a
+//! `Compute` at a programmed interrupt; the `load_small` golden pins
+//! that, since rt-load steps threads through the same
+//! `rt_kernel::system` step. `ci.sh` diffs the release builds against
+//! the same files.
 
 use std::process::Command;
 
