@@ -60,6 +60,19 @@ fn positive(args: &[String], flag: &str) -> Option<usize> {
     n
 }
 
+/// The positive count after `flag`, else `default`; exits 2, naming
+/// `max` and `why` it is the limit, when the count is above `max`.
+fn at_most(args: &[String], flag: &str, default: u32, max: u32, why: &str) -> u32 {
+    let n = positive(args, flag).unwrap_or(default as usize);
+    match u32::try_from(n) {
+        Ok(n) if n <= max => n,
+        _ => {
+            eprintln!("{flag} must be at most {max}{why}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The worker counts of `--workers 1,2,4`, else of `RT_BENCH_WORKERS`
 /// when `env` allows it; exits 2 unless every count is a positive integer.
 fn worker_counts(args: &[String], env: bool) -> Option<Vec<usize>> {
@@ -164,9 +177,19 @@ fn bench_report(args: &[String], opts: &sweep::BenchOpts) -> String {
 /// across invocations.
 fn load_report(args: &[String]) -> String {
     let events = positive(args, "--events").unwrap_or(1_000_000) as u64;
-    let tenants = positive(args, "--tenants").unwrap_or(64) as u32;
-    let shards = positive(args, "--shards").unwrap_or(32) as u32;
     let seed = positive(args, "--seed").unwrap_or(42) as u64;
+    // A shard's cspace holds only so many tenants, and the spec keeps
+    // the shard count in a u32: a count above either would panic or
+    // wrap, so it exits 2 before any run.
+    let max_tenants = rt_load::LoadSpec::standard(seed, events, 8, 1).max_tenants();
+    let tenants = at_most(
+        args,
+        "--tenants",
+        64,
+        max_tenants,
+        ", the most a shard's cspace holds",
+    );
+    let shards = at_most(args, "--shards", 32, u32::MAX, "");
     let cores = positive(args, "--cores").unwrap_or(1);
     if !(1..=8).contains(&cores) {
         eprintln!("--cores must be in 1..=8");

@@ -146,7 +146,25 @@ impl LoadSpec {
     pub fn shard_quota(&self) -> u64 {
         self.events.div_ceil(u64::from(self.shards)).max(1)
     }
+
+    /// The most tenants a shard of this spec holds: every count up to it
+    /// fits the shard's shared cspace, and one more exhausts it
+    /// ([`build_shard`] panics).
+    pub fn max_tenants(&self) -> u32 {
+        let drivers = self.driver_lines.len() as u32;
+        (8..)
+            .take_while(|&t| TenantMix::for_tenants(t, drivers).cspace_slots() < 1 << CSPACE_BITS)
+            .last()
+            .unwrap_or(0)
+    }
 }
+
+/// A shard's shared capability space is one CNode of `1 << CSPACE_BITS`
+/// slots; slot 0 stays empty.
+const CSPACE_BITS: u8 = 12;
+
+/// Children a janitor mints per cycle, each into a slot of its own.
+const JANITOR_BATCH: u32 = 16;
 
 /// A tenant's behaviour state machine; [`Behavior::next`] yields the
 /// thread's next action each time it is current. All randomness comes from
@@ -379,17 +397,17 @@ pub fn build_shard(spec: &LoadSpec) -> ShardSim {
 
     // Shared capability space: one level-1 CNode, guard covering the
     // high 20 bits, 4096 slots addressed by small cptrs.
-    let cnode = k.boot_cnode(12);
+    let cnode = k.boot_cnode(CSPACE_BITS);
     let root = CapType::CNode {
         obj: cnode,
-        guard_bits: 20,
+        guard_bits: 32 - CSPACE_BITS,
         guard: 0,
     };
     let mut next_slot = 1u32;
     let mut alloc_slot = || {
         let s = next_slot;
         next_slot += 1;
-        assert!(s < 4096, "shard cspace exhausted");
+        assert!(s < 1 << CSPACE_BITS, "shard cspace exhausted");
         s
     };
 
@@ -496,7 +514,6 @@ pub fn build_shard(spec: &LoadSpec) -> ShardSim {
 
     // Janitors: a private unbadged notification cap each, plus a batch
     // of contiguous destination slots in the shared cspace.
-    const JANITOR_BATCH: u32 = 16;
     for i in 0..mix.janitors {
         let ntfn = k.boot_ntfn();
         let parent = alloc_slot();
@@ -637,6 +654,14 @@ impl TenantMix {
     pub fn threads(&self) -> u32 {
         self.ipc_pairs * 2 + self.thrashers + self.decoders + self.janitors + self.drivers
     }
+
+    /// Shared-cspace slots [`build_shard`] takes for this mix: a
+    /// notification and an IRQ handler per driver, an endpoint per IPC
+    /// pair, and a parent plus its batch per janitor. Thrashers take
+    /// none, and decoders live in their own trie.
+    fn cspace_slots(&self) -> u32 {
+        2 * self.drivers + self.ipc_pairs + self.janitors * (1 + JANITOR_BATCH)
+    }
 }
 
 /// Minimal 32-level binary trie builder (the Fig. 7 adversarial cspace,
@@ -706,6 +731,17 @@ mod tests {
             // Threads land within one pair of the request.
             assert!(m.threads() <= tenants + 2, "{m:?} for {tenants}");
         }
+    }
+
+    #[test]
+    fn max_tenants_is_the_last_count_a_shard_cspace_holds() {
+        let mut spec = LoadSpec::standard(7, 1000, 8, 1);
+        let max = spec.max_tenants();
+        assert_eq!(max, 1679);
+        spec.tenants = max;
+        build_shard(&spec);
+        spec.tenants = max + 1;
+        assert!(std::panic::catch_unwind(|| build_shard(&spec)).is_err());
     }
 
     #[test]
