@@ -73,25 +73,17 @@ fn at_most(args: &[String], flag: &str, default: u32, max: u32, why: &str) -> u3
     }
 }
 
-/// The worker counts of `--workers 1,2,4`, else of `RT_BENCH_WORKERS`
-/// when `env` allows it; exits 2 unless every count is a positive integer.
-fn worker_counts(args: &[String], env: bool) -> Option<Vec<usize>> {
-    let spec = match args.iter().position(|a| a == "--workers") {
-        Some(i) => args.get(i + 1).cloned().unwrap_or_default(),
-        None if env => std::env::var("RT_BENCH_WORKERS").ok()?,
-        None => return None,
-    };
+/// The worker counts of `--workers 1,2,4`; exits 2 unless every count is
+/// a positive integer.
+fn worker_counts(args: &[String]) -> Option<Vec<usize>> {
+    let i = args.iter().position(|a| a == "--workers")?;
+    let spec = args.get(i + 1).map_or("", String::as_str);
     let counts = spec
         .split(',')
         .map(|w| w.trim().parse().ok().filter(|&n| n > 0));
     let counts: Option<Vec<usize>> = counts.collect();
     if counts.is_none() {
-        let source = if env {
-            "--workers / RT_BENCH_WORKERS"
-        } else {
-            "--workers"
-        };
-        eprintln!("{source} requires a comma list of positive integers");
+        eprintln!("--workers requires a comma list of positive integers");
         std::process::exit(2);
     }
     counts
@@ -100,7 +92,7 @@ fn worker_counts(args: &[String], env: bool) -> Option<Vec<usize>> {
 fn bench_opts(args: &[String]) -> sweep::BenchOpts {
     let default = sweep::BenchOpts::default();
     sweep::BenchOpts {
-        workers: worker_counts(args, true).unwrap_or(default.workers),
+        workers: worker_counts(args).unwrap_or(default.workers),
         fleet_cap: positive(args, "--fleet-jobs").unwrap_or(default.fleet_cap),
     }
 }
@@ -195,7 +187,7 @@ fn load_report(args: &[String]) -> String {
         eprintln!("--cores must be in 1..=8");
         std::process::exit(2);
     }
-    let workers = worker_counts(args, true).unwrap_or_else(|| vec![1, 4]);
+    let workers = worker_counts(args).unwrap_or_else(|| vec![1, 4]);
     let record = Record::open(args);
 
     let mut spec = rt_load::LoadSpec::standard(seed, events, tenants, shards);
@@ -339,7 +331,7 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
             }
         },
     };
-    let workers = worker_counts(args, false).unwrap_or_else(|| vec![ctx.pool().jobs()]);
+    let workers = worker_counts(args).unwrap_or_else(|| vec![ctx.pool().jobs()]);
     let record = Record::open(args);
 
     let cache = ctx.cache();

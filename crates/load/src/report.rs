@@ -57,8 +57,6 @@ pub struct LoadResult {
     pub threads: u64,
     /// Endpoints booted across all shards.
     pub endpoints: u64,
-    /// Longest simulated span of any shard.
-    pub max_end_cycle: Cycles,
     /// Worst sample across shards (highest latency; earliest shard wins
     /// ties so the choice is schedule-independent).
     pub worst: Option<WorstSample>,
@@ -102,7 +100,6 @@ impl LoadResult {
             restarts: 0,
             threads: 0,
             endpoints: 0,
-            max_end_cycle: 0,
             worst: None,
             violations_total: 0,
             violations: Vec::new(),
@@ -129,7 +126,6 @@ impl LoadResult {
             out.restarts += s.restarts;
             out.threads += u64::from(s.threads);
             out.endpoints += u64::from(s.endpoints);
-            out.max_end_cycle = out.max_end_cycle.max(s.end_cycle);
             // Strictly-greater keeps the earliest shard on ties: the
             // result depends only on the shard order, which is fixed.
             if let Some(w) = s.worst {
