@@ -11,11 +11,11 @@
 //! mechanism of §2.1 made visible ("simply re-executing the original
 //! system call will continue the operation").
 //!
-//! Three public pieces make up a user-mode step, and every driver of the
-//! kernel steps threads through them: [`System::run`], the rt-load shard
-//! loop and the rt-explore event loop. Each driver keeps only where the
-//! next action comes from, what it measures and how it re-queues a split
-//! `Compute`.
+//! Three public pieces make up a user-mode step, and every loop that runs
+//! the kernel steps threads through them: [`System::run`], the rt-load
+//! shard loop and the rt-explore event loop. Each loop keeps only where
+//! the next action comes from, what it measures and how it re-queues a
+//! split `Compute`.
 //!
 //! * [`restart_current`]: §2.1 — re-execute the current thread's trapped
 //!   system call, or clear a restart that has none and report that;

@@ -445,10 +445,10 @@ fn apply_seeded_bug(k: &mut Kernel, bug: SeededBug) {
 /// [`rt_kernel::system`], the one `System::run` and rt-load use; the next
 /// action comes from the thread's script cursor. One choice is the
 /// explorer's own: a §2.1 restart cleared without a syscall ends the
-/// event there, where the other drivers go on to the next action. Every
-/// sender an ep-delete scenario dequeues reaches that case when it next
-/// runs (a blocked `Send` keeps no syscall), so the thread's next action
-/// is its own event.
+/// event there, where `System::run` and rt-load go on to the next
+/// action. Every sender an ep-delete scenario dequeues reaches that case
+/// when it next runs (a blocked `Send` keeps no syscall), so the
+/// thread's next action is its own event.
 fn run_current(
     k: &mut Kernel,
     scripts: &[(rt_kernel::obj::ObjId, Vec<Action>)],

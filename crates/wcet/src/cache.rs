@@ -312,8 +312,10 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
                 let mut map = shard.write().expect("memo shard write lock");
                 // A distinct key landing in an occupied shard is a
                 // collision (two threads racing to insert the *same* key
-                // is not). For a fixed key set the count is deterministic:
-                // distinct keys minus occupied shards.
+                // is not). The count is distinct keys minus occupied
+                // shards: fixed for a fixed key set whose keys map to
+                // fixed shards (`MemoStats` names the memo whose keys do
+                // not).
                 if !map.is_empty() && !map.contains_key(&key) {
                     self.collisions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -338,9 +340,15 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
 /// Lookup/build counters of one artifact class.
 ///
 /// `builds` equals the number of *distinct keys* ever requested, so for a
-/// fixed job list the counters are deterministic regardless of worker
-/// count or scheduling — and so is `shard_collisions` (distinct keys
-/// minus occupied shards).
+/// fixed job list `lookups` and `builds` are deterministic regardless of
+/// worker count or scheduling. `shard_collisions` (distinct keys minus
+/// occupied shards) is deterministic too where a key is made of
+/// configuration values alone, which always hash to the same shard:
+/// `cfgs`, `cost_models`, `block_costs`, `ilp_structures` and `reports`.
+/// It is not for `costs`: its key holds a cost-shape id that `shape_id`
+/// hands out first come, first served, so with several workers the ids,
+/// the shards they hash to and the count can change between identical
+/// runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Requests served (hits + builds).
