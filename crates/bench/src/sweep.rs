@@ -325,7 +325,7 @@ impl BenchResult {
     pub fn to_json(&self) -> Json {
         let memo = |s: &MemoStats| {
             obj! {"lookups": s.lookups, "builds": s.builds,
-            "hit_rate": Json::fixed(s.hit_rate(), 4), "shard_collisions": s.shard_collisions}
+            "hit_rate": Json::fixed(s.hit_rate(), 4)}
         };
         let cache = |c: &rt_wcet::CacheStats| {
             obj! {
@@ -452,17 +452,11 @@ impl BenchResult {
         }
         s.push_str(&format!(
             "  fleet cache: cfg {:.0}%, costs {:.0}%, block-costs {:.0}%, structure {:.0}% hit \
-             rates; {} shard collisions across all memos\n",
+             rates\n",
             f.stats.cfgs.hit_rate() * 100.0,
             f.stats.costs.hit_rate() * 100.0,
             f.stats.block_costs.hit_rate() * 100.0,
             f.stats.ilp_structures.hit_rate() * 100.0,
-            f.stats.cfgs.shard_collisions
-                + f.stats.costs.shard_collisions
-                + f.stats.block_costs.shard_collisions
-                + f.stats.cost_models.shard_collisions
-                + f.stats.ilp_structures.shard_collisions
-                + f.stats.reports.shard_collisions
         ));
         s.push_str(&format!(
             "  fleet reports identical across worker counts + uncached spot-checks: {}\n",

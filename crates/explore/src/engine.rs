@@ -31,8 +31,8 @@
 //! Three mechanisms keep the search polynomial in practice where the raw
 //! interleaving count is exponential:
 //!
-//! * **Duplicate-state pruning** against a sharded visited set of
-//!   canonical time-free hashes ([`crate::state`]) across waves, and
+//! * **Duplicate-state pruning** against the visited set of canonical
+//!   time-free hashes ([`crate::state`]) across waves, and
 //!   against the expansions of earlier runs of the same wave (below);
 //! * **Partial-order reduction** ([`crate::por`]): sleep sets skip
 //!   branches provably covered by a commuted sibling;
@@ -62,8 +62,8 @@
 //! the run.
 //!
 //! Workers stop most of these runs before they execute the duplicate
-//! suffix at all, through the wave's claim table (`state::Claims`,
-//! sharded like the visited set). A run stops at a state that a
+//! suffix at all, through the wave's claim table (`state::Claims`, the
+//! one table they write during a wave). A run stops at a state that a
 //! lower-indexed run of the wave has already claimed at no greater depth
 //! with a sleep set no larger, where the merge cuts it anyway. Claims
 //! depend on timing and cuts do not. A stopped run that the merge cannot
@@ -93,7 +93,7 @@ use crate::por::{
 };
 use crate::scenario::{Instance, Scenario};
 use crate::snap::{SnapAccount, SnapPoint, SnapStats};
-use crate::state::{canonical_hash, Claims, SharedVisited, SleepSig};
+use crate::state::{canonical_hash, Claims, SleepSig, Visited};
 
 /// Exploration parameters.
 #[derive(Clone, Debug)]
@@ -553,7 +553,7 @@ fn execute_inner(
     sc: &Scenario,
     branch: &Branch,
     cfg: &ExploreConfig,
-    visited: Option<&SharedVisited>,
+    visited: Option<&Visited>,
     snapctx: Option<&SnapCtx<'_>>,
     claims: Option<(&Claims, usize)>,
 ) -> RunRecord {
@@ -1127,7 +1127,7 @@ pub fn explore_with_states(
     pool: &Pool,
 ) -> (ExploreReport, Vec<u64>) {
     let mut rep = ExploreReport::new(&sc.name, cfg.latency_bound);
-    let visited = SharedVisited::new();
+    let mut visited = Visited::default();
     let mut claims = Claims::new();
     let account = Arc::new(SnapAccount::default());
     let mut frontier: VecDeque<Branch> = VecDeque::from([Branch::default()]);

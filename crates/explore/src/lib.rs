@@ -20,8 +20,9 @@
 //! * [`oracle`] — incremental-consistency checks over in-object resume
 //!   state, run beside `rt_kernel::invariants` and a latency oracle
 //!   (observed response ≤ the rt-wcet bound) at every explored state;
-//! * [`state`] — canonical (time-free) state hashing and the sharded
-//!   visited set shared across exploration workers;
+//! * [`state`] — canonical (time-free) state hashing, the visited set
+//!   the exploration workers read during a wave, and the wave's claim
+//!   table;
 //! * [`por`] — the independence relation, event footprints, and
 //!   sleep-set partial-order reduction;
 //! * [`snap`] — mid-run resume points (kernel snapshot + run counters)

@@ -56,8 +56,7 @@
 //! (Godefroid's): a state first expanded with sleep set `S` only covered
 //! the transitions outside `S`, so a later visit with sleep set `T` may
 //! be pruned only if `S ⊆ T`; otherwise the state is re-expanded and the
-//! stored set shrinks to `S ∩ T`. `SharedVisited`
-//! implements that rule.
+//! stored set shrinks to `S ∩ T`. `state::Visited` implements that rule.
 
 use rt_hw::IrqLine;
 use rt_kernel::kernel::Kernel;

@@ -1,5 +1,5 @@
-//! Canonical state snapshots for duplicate-state pruning, and the
-//! sharded visited set shared across exploration workers.
+//! Canonical state snapshots for duplicate-state pruning, the visited
+//! set the exploration workers read, and the claim table they write.
 //!
 //! Exhaustive exploration revisits the same kernel state along many
 //! interleavings (two independent arrivals commute more often than not).
@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use rt_hw::IrqLine;
 use rt_kernel::kernel::Kernel;
@@ -82,7 +82,7 @@ impl Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {
         // Final avalanche so low-entropy inputs spread across all bits
-        // (the visited-set shards key on the low bits).
+        // (the claim table's shards key on the low bits).
         let mut h = self.hash;
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -290,48 +290,27 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
 /// off). See [`crate::por`] for the `S ⊆ T` pruning rule.
 pub(crate) type SleepSig = Vec<u32>;
 
-const VISITED_SHARDS: usize = 64;
-
-/// Shard of `hash` in a [`SharedVisited`] or [`Claims`] table.
-#[inline]
-fn shard_of(hash: u64) -> usize {
-    (hash & (VISITED_SHARDS as u64 - 1)) as usize
-}
-
-/// Sharded, lock-striped visited set shared across rt-pool workers.
+/// The visited set: every expanded canonical state, with the sleep-set
+/// signature it was expanded with.
 ///
-/// Within one frontier wave every worker only *reads* the set (taking
-/// shard read locks, which never contend with each other); the wave's
-/// discoveries are merged back single-threaded, in deterministic frontier
-/// order, between waves. Merging is commutative anyway (signatures merge
-/// by intersection), so the stored contents — and therefore every prune
-/// decision of the next wave — are identical at any worker count.
-pub(crate) struct SharedVisited {
-    shards: Vec<RwLock<HashMap<u64, SleepSig>>>,
+/// Nothing writes it while a wave runs: workers read it through `&`, and
+/// the coordinating thread merges the wave's discoveries through `&mut`
+/// after the wave, in deterministic frontier order. Merging is
+/// commutative anyway (signatures merge by intersection), so the stored
+/// contents — and therefore every prune decision of the next wave — are
+/// identical at any worker count.
+#[derive(Default)]
+pub(crate) struct Visited {
+    states: HashMap<u64, SleepSig>,
 }
 
-impl SharedVisited {
-    pub(crate) fn new() -> SharedVisited {
-        SharedVisited {
-            shards: (0..VISITED_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, hash: u64) -> &RwLock<HashMap<u64, SleepSig>> {
-        &self.shards[shard_of(hash)]
-    }
-
+impl Visited {
     /// Whether a run reaching `hash` with `sleep` asleep may be pruned:
     /// the state was already expanded with a sleep set no larger than
     /// this one (so every transition this run could still take was
     /// explored from the stored expansion).
     pub(crate) fn would_prune(&self, hash: u64, sleep: &[u32]) -> bool {
-        self.shard(hash)
-            .read()
-            .unwrap()
+        self.states
             .get(&hash)
             .is_some_and(|stored| sig_subset(stored, sleep))
     }
@@ -339,37 +318,35 @@ impl SharedVisited {
     /// Records an expansion of `hash` with `sleep` asleep. Re-expansions
     /// shrink the stored signature to the intersection, so the stored
     /// value is independent of merge order.
-    pub(crate) fn merge(&self, hash: u64, sleep: &[u32]) {
-        let mut shard = self.shard(hash).write().unwrap();
-        match shard.get_mut(&hash) {
+    pub(crate) fn merge(&mut self, hash: u64, sleep: &[u32]) {
+        match self.states.get_mut(&hash) {
             Some(stored) => {
                 if !sig_subset(stored, sleep) {
                     *stored = sig_intersect(stored, sleep);
                 }
             }
             None => {
-                shard.insert(hash, sleep.to_vec());
+                self.states.insert(hash, sleep.to_vec());
             }
         }
     }
 
     /// Number of distinct canonical states recorded.
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.states.len()
     }
 
     /// All recorded canonical hashes, sorted (differential tests compare
     /// reduced and unreduced reachable-state sets).
     pub(crate) fn hashes(&self) -> Vec<u64> {
-        let mut all: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().unwrap().keys().copied().collect::<Vec<_>>())
-            .collect();
+        let mut all: Vec<u64> = self.states.keys().copied().collect();
         all.sort_unstable();
         all
     }
 }
+
+/// Lock stripes of [`Claims`].
+const CLAIM_SHARDS: usize = 64;
 
 /// One run's claim on a state: its index in the wave's frontier order,
 /// its depth there and the sleep-set signature it reached the state with.
@@ -380,14 +357,17 @@ struct Claim {
 }
 
 /// The wave-local claim table: which runs of the current wave have
-/// reached each canonical state so far, sharded like [`SharedVisited`].
+/// reached each canonical state so far.
 ///
-/// Workers read and write it while the wave runs, so its contents depend
-/// on timing; only the decision to stop a run early is taken from it.
-/// A run that stops where a lower-indexed run already claimed the state
-/// (at no greater depth, with a sleep set no larger) would be cut there
-/// or earlier by the wave's merge anyway, which does not read this table
-/// (see `engine::explore_with_states`).
+/// It is the one table workers write while a wave runs, once per hashed
+/// boundary a run reaches (up to about a million claims per second on the
+/// widened ep-delete search), so it is lock-striped: [`CLAIM_SHARDS`]
+/// mutexes, chosen by the hash's low bits. Its contents depend on timing; only the decision
+/// to stop a run early is taken from it. A run that stops where a
+/// lower-indexed run already claimed the state (at no greater depth, with
+/// a sleep set no larger) would be cut there or earlier by the wave's
+/// merge anyway, which does not read this table (see
+/// `engine::explore_with_states`).
 pub(crate) struct Claims {
     shards: Vec<Mutex<HashMap<u64, Vec<Claim>>>>,
 }
@@ -395,7 +375,7 @@ pub(crate) struct Claims {
 impl Claims {
     pub(crate) fn new() -> Claims {
         Claims {
-            shards: (0..VISITED_SHARDS)
+            shards: (0..CLAIM_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
         }
@@ -412,7 +392,7 @@ impl Claims {
         depth: usize,
         sig: &[u32],
     ) -> bool {
-        let mut shard = self.shards[shard_of(hash)]
+        let mut shard = self.shards[hash as usize % CLAIM_SHARDS]
             .lock()
             .expect("a worker panicked holding a claim shard");
         let claims = shard.entry(hash).or_default();
@@ -481,7 +461,7 @@ mod tests {
 
     #[test]
     fn shared_visited_prunes_by_sleep_subset() {
-        let v = SharedVisited::new();
+        let mut v = Visited::default();
         assert!(!v.would_prune(42, &[]));
         v.merge(42, &[1, 3]);
         // Stored {1,3}: prunable only when the stored set is a subset of
@@ -494,7 +474,7 @@ mod tests {
         assert!(v.would_prune(42, &[1]));
         assert!(!v.would_prune(42, &[3]));
         // Merge order is irrelevant: intersection is commutative.
-        let w = SharedVisited::new();
+        let mut w = Visited::default();
         w.merge(42, &[1]);
         w.merge(42, &[1, 3]);
         assert!(w.would_prune(42, &[1]));

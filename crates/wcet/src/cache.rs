@@ -56,16 +56,16 @@
 //! many contexts, entry points and kernels, so each distinct combination
 //! is priced exactly once per sweep.
 //!
-//! **Concurrency.** Sweeps fan these lookups out across worker threads,
-//! so the hot (hit) path must never serialise: each memo is sharded 64
-//! ways and a shard is guarded by an [`RwLock`] taken only long enough to
-//! fetch the per-key cell — hits take the *read* lock, so concurrent hits
-//! on different keys (and even on the same key) proceed without exclusive
-//! locking; only the first request of a new key briefly takes the write
-//! lock to insert the cell. Construction itself happens outside any shard
-//! lock, behind the cell's [`OnceLock`]. Per-memo counters additionally
-//! record shard collisions (distinct keys inserted into an occupied
-//! shard) so `repro bench` can verify sharding keeps contention nil.
+//! **Concurrency.** Sweeps fan these lookups out across worker threads.
+//! Each memo is one [`RwLock`]-guarded map from key to cell, taken only
+//! long enough to fetch the cell: hits take the *read* lock, so concurrent
+//! hits never exclude each other, and only the first request of a new key
+//! takes the write lock to insert its cell. Construction happens outside
+//! the lock, behind the cell's [`OnceLock`], so a build may look up other
+//! memos (a cost vector prices its blocks, a structure seeds from the
+//! canonical costs) and never holds up a lookup of another key. The
+//! fleet sweep makes about 14 memo lookups per analysis, far too few for
+//! one lock per memo to contend.
 //!
 //! **Determinism.** Every cached value is immutable once built and every
 //! builder is a pure function of its key: the basis seed is pinned to the
@@ -93,7 +93,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -241,87 +241,37 @@ struct PreparedStructure {
     presolved: rt_ilp::PresolvedModel,
 }
 
-/// Per-memo shard counts, sized so a fleet-scale sweep sees almost every
-/// key alone in its shard (collision rate well under 10% of distinct
-/// keys; [`MemoStats::shard_collisions`] verifies this at run time). The
-/// recorded fleet sweep builds ~2.7k report keys, ~800 block-cost keys,
-/// ~450 structures and ~220 CFGs; with `K` keys in `S` shards the
-/// expected collision count is `K - S(1 - (1 - 1/S)^K)` ≈ `K²/2S` for
-/// small load, so each count is ≥ ~10× its memo's fleet key count. A
-/// shard is one `RwLock<HashMap>` (~1 cache line empty), so the largest
-/// table costs ~2 MiB idle — noise against a single presolved ILP.
-const REPORT_SHARDS: usize = 32768;
-const BLOCK_COST_SHARDS: usize = 8192;
-const STRUCTURE_SHARDS: usize = 4096;
-const CFG_SHARDS: usize = 2048;
-const SMALL_SHARDS: usize = 64;
-
-/// Finalizing mixer (splitmix64) applied to the key hash before masking:
-/// shard selection keeps only the low bits, so every input bit must
-/// avalanche into them regardless of the upstream hasher.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// One shard's key map: per-key cells, each built at most once. The
-/// `RwLock` is held only to fetch or insert a cell — the common hit path
-/// takes the read side, so hits never exclude each other.
-type MemoShard<K, V> = RwLock<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
-
-/// One memoized artifact class: a sharded, keyed map of [`OnceLock`]
-/// cells, so concurrent requests for the same key block on one builder
-/// instead of racing, while different keys build in parallel. A hit costs
-/// one shard *read* lock (never exclusive) plus one `OnceLock` load; only
-/// the first request of a new key upgrades to the shard write lock to
-/// insert the cell, and construction happens outside any shard lock.
+/// One memoized artifact class: a keyed map of [`OnceLock`] cells, so
+/// concurrent requests for the same key block on one builder instead of
+/// racing, while different keys build in parallel. The map's lock is held
+/// only to fetch or insert a cell, never across a build.
 struct Memo<K, V> {
-    shards: Vec<MemoShard<K, V>>,
+    cells: RwLock<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
     lookups: AtomicU64,
     builds: AtomicU64,
-    collisions: AtomicU64,
 }
 
-impl<K: Eq + Hash + Clone, V> Memo<K, V> {
-    fn new(shards: usize) -> Memo<K, V> {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
+impl<K: Eq + Hash, V> Memo<K, V> {
+    fn new() -> Memo<K, V> {
         Memo {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            cells: RwLock::new(HashMap::new()),
             lookups: AtomicU64::new(0),
             builds: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
         }
     }
 
     fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut h = std::hash::DefaultHasher::new();
-        key.hash(&mut h);
-        let shard = &self.shards[mix64(h.finish()) as usize & (self.shards.len() - 1)];
-        let cell = {
-            let map = shard.read().expect("memo shard read lock");
-            map.get(&key).cloned()
-        };
-        let cell = match cell {
-            Some(cell) => cell,
-            None => {
-                let mut map = shard.write().expect("memo shard write lock");
-                // A distinct key landing in an occupied shard is a
-                // collision (two threads racing to insert the *same* key
-                // is not). The count is distinct keys minus occupied
-                // shards: fixed for a fixed key set whose keys map to
-                // fixed shards (`MemoStats` names the memo whose keys do
-                // not).
-                if !map.is_empty() && !map.contains_key(&key) {
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                Arc::clone(map.entry(key).or_default())
-            }
-        };
+        let hit = self
+            .cells
+            .read()
+            .expect("memo read lock")
+            .get(&key)
+            .cloned();
+        let cell = hit.unwrap_or_else(|| {
+            let mut cells = self.cells.write().expect("memo write lock");
+            Arc::clone(cells.entry(key).or_default())
+        });
         Arc::clone(cell.get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
             Arc::new(build())
@@ -332,7 +282,6 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         MemoStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
-            shard_collisions: self.collisions.load(Ordering::Relaxed),
         }
     }
 }
@@ -341,25 +290,13 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
 ///
 /// `builds` equals the number of *distinct keys* ever requested, so for a
 /// fixed job list `lookups` and `builds` are deterministic regardless of
-/// worker count or scheduling. `shard_collisions` (distinct keys minus
-/// occupied shards) is deterministic too where a key is made of
-/// configuration values alone, which always hash to the same shard:
-/// `cfgs`, `cost_models`, `block_costs`, `ilp_structures` and `reports`.
-/// It is not for `costs`: its key holds a cost-shape id that `shape_id`
-/// hands out first come, first served, so with several workers the ids,
-/// the shards they hash to and the count can change between identical
-/// runs.
+/// worker count or scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Requests served (hits + builds).
     pub lookups: u64,
     /// Requests that had to construct the artifact (distinct keys).
     pub builds: u64,
-    /// Distinct keys that were inserted into an already-occupied shard —
-    /// the keys whose first build could briefly contend with another
-    /// key's cell fetch. Should stay near zero while distinct keys per
-    /// memo stay well under the shard count.
-    pub shard_collisions: u64,
 }
 
 impl MemoStats {
@@ -460,15 +397,15 @@ impl AnalysisCache {
         AnalysisCache {
             layout: OnceLock::new(),
             pinned_lines: OnceLock::new(),
-            cfgs: Memo::new(CFG_SHARDS),
-            pin_relevant: Memo::new(CFG_SHARDS),
-            shape_ids: Memo::new(CFG_SHARDS),
+            cfgs: Memo::new(),
+            pin_relevant: Memo::new(),
+            shape_ids: Memo::new(),
             shape_intern: Mutex::new(HashMap::new()),
-            cost_models: Memo::new(SMALL_SHARDS),
-            costs: Memo::new(CFG_SHARDS),
-            block_costs: Memo::new(BLOCK_COST_SHARDS),
-            ilp_structures: Memo::new(STRUCTURE_SHARDS),
-            reports: Memo::new(REPORT_SHARDS),
+            cost_models: Memo::new(),
+            costs: Memo::new(),
+            block_costs: Memo::new(),
+            ilp_structures: Memo::new(),
+            reports: Memo::new(),
             resolves: AtomicU64::new(0),
             resolve_pivots: AtomicU64::new(0),
             seed_pivots: AtomicU64::new(0),
@@ -893,44 +830,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.reports.builds, 1);
         assert_eq!(s.resolve.resolves, 1);
-    }
-
-    #[test]
-    fn fleet_scale_key_sets_stay_under_ten_percent_shard_collisions() {
-        // Synthetic key sets shaped like the fleet sweep's (small
-        // enumerations with low input entropy — the worst case for shard
-        // mixing), at the recorded fleet sizes: ~2.7k report keys, ~800
-        // block-cost keys, ~450 structures, ~220 CFGs. Each memo must
-        // keep `shard_collisions` under 10% of its distinct keys.
-        fn rate(shards: usize, keys: usize) -> f64 {
-            let memo: Memo<(u8, u8, bool, bool, u32), ()> = Memo::new(shards);
-            let mut inserted = 0usize;
-            'outer: for v in 0..u32::MAX {
-                for entry in 0..4u8 {
-                    for kcfg in 0..2u8 {
-                        for a in [false, true] {
-                            if inserted == keys {
-                                break 'outer;
-                            }
-                            memo.get_or_build((entry, kcfg, a, v % 2 == 0, v), || ());
-                            inserted += 1;
-                        }
-                    }
-                }
-            }
-            let s = memo.stats();
-            assert_eq!(s.builds as usize, keys);
-            s.shard_collisions as f64 / s.builds as f64
-        }
-        for (name, shards, keys) in [
-            ("reports", REPORT_SHARDS, 2688),
-            ("block_costs", BLOCK_COST_SHARDS, 804),
-            ("ilp_structures", STRUCTURE_SHARDS, 448),
-            ("cfgs", CFG_SHARDS, 224),
-        ] {
-            let r = rate(shards, keys);
-            assert!(r < 0.10, "{name}: collision rate {r:.3} >= 10%");
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Concurrency stress tests for the sharded memoization layer and the
-//! shared ILP basis seed — the structures PR 6's lock-free sweep path
-//! leans on. Each test hammers one sharing mechanism from many threads
-//! and asserts the build-exactly-once contract: every requester of a key
-//! observes the *same* `Arc` (pointer equality, not just value equality)
-//! and the build counters show one construction per distinct key, no
-//! matter how the threads interleave.
+//! Concurrency stress tests for the analysis cache's memos (one locked
+//! map of build-once cells per artifact class) and the shared ILP basis
+//! seed, which the parallel sweep leans on. Each test hammers one sharing
+//! mechanism from many threads and asserts the build-exactly-once
+//! contract: every requester of a key observes the *same* `Arc` (pointer
+//! equality, not just value equality) and the build counters show one
+//! construction per distinct key, no matter how the threads interleave.
 
 use std::sync::Arc;
 
