@@ -312,9 +312,7 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         },
     };
     let baseline_rebuild = args.iter().any(|a| a == "--baseline-rebuild");
-    // `--smp` swaps in the which-core-axis scenario set (DESIGN.md §14)
-    // and records under the separate `"explore_smp"` JSON key, so the
-    // single-core `"explore"` block stays exactly as recorded.
+    // `--smp` swaps in the which-core-axis scenario set (DESIGN.md §14).
     let smp_set = args.iter().any(|a| a == "--smp");
     let scenarios: Vec<rt_explore::Scenario> = match args
         .iter()
@@ -330,6 +328,14 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
                 std::process::exit(2);
             }
         },
+    };
+    // A search of scenarios that boot more than one core records under
+    // `"explore_smp"`, any other under `"explore"`, so each block holds
+    // the search its key names.
+    let key = if scenarios.iter().any(|sc| (sc.build)().kernel.n_cores() > 1) {
+        "explore_smp"
+    } else {
+        "explore"
     };
     let workers = worker_counts(args).unwrap_or_else(|| vec![ctx.pool().jobs()]);
     let record = Record::open(args);
@@ -472,7 +478,6 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         "runs": Json::Arr(runs.collect()),
         "snapshot": snapshot,
     };
-    let key = if smp_set { "explore_smp" } else { "explore" };
     eprintln!("{}", record.write(Json::Obj(vec![(key.into(), block)])));
 
     if !identical {

@@ -39,6 +39,37 @@ fn a_second_block_leaves_the_first_byte_identical() {
     assert!(second.starts_with(&format!("{smp_block},\n  \"explore\": {{")));
 }
 
+/// The top-level keys of the record `args` writes in a fresh directory.
+fn recorded_keys(name: &str, args: &str) -> Vec<String> {
+    let dir = scratch(name);
+    let out = repro(&dir, args);
+    assert!(out.status.success(), "{args}: {out:?}");
+    let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).expect("record written");
+    match Json::parse(&text).expect("record parses") {
+        Json::Obj(members) => members.into_iter().map(|(k, _)| k).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// An SMP scenario searched on its own is filed under `explore_smp`,
+/// beside the default SMP set, not under the single-core key.
+#[test]
+fn an_smp_scenario_is_recorded_under_explore_smp() {
+    let args = "explore --scenario smp-ipi-race --depth 4 --record";
+    assert_eq!(recorded_keys("record-smp-scenario", args), ["explore_smp"]);
+}
+
+/// A single-core scenario is filed under `explore`, even when `--smp`
+/// picked the default set the explicit `--scenario` replaced.
+#[test]
+fn a_single_core_scenario_is_recorded_under_explore() {
+    let args = "explore --smp --scenario ep-delete --depth 4 --record";
+    assert_eq!(
+        recorded_keys("record-single-core-scenario", args),
+        ["explore"]
+    );
+}
+
 /// A record that cannot be read or parsed, or is not an object, exits 2
 /// before any run, naming the file and, for a parse error, the byte.
 #[test]
