@@ -533,7 +533,7 @@ fn decode_cycles(depth: u32) -> Cycles {
         }
     } else {
         assert_eq!(depth, 32);
-        let mut cs = crate::workloads::DeepCspace::new(&mut k);
+        let cs = rt_kernel::kernel::DeepCspace::new(&mut k);
         cs.insert(&mut k, 1, cap);
         cs.root_cap
     };

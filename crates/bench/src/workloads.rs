@@ -10,75 +10,13 @@
 use rt_hw::{Cycles, HwConfig};
 use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
 use rt_kernel::ep::{ep_append, EpState};
-use rt_kernel::kernel::{EntryPoint, Kernel, KernelConfig};
+use rt_kernel::kernel::{DeepCspace, EntryPoint, Kernel, KernelConfig};
 use rt_kernel::obj::ObjId;
 use rt_kernel::syscall::Syscall;
 use rt_kernel::tcb::{MsgInfo, ThreadState};
 use rt_kernel::{MAX_MSG_WORDS, MAX_XFER_CAPS};
 
 pub use rt_kernel::system::POLLUTION_BASE;
-
-/// A 32-level binary capability-space trie (Fig. 7): every inserted
-/// capability address decodes through one CNode per address bit, so every
-/// decode of these cptrs costs the worst case §6.1 describes.
-pub struct DeepCspace {
-    /// Root CNode object of the trie.
-    pub root_obj: ObjId,
-    /// The root capability threads use as their cspace root.
-    pub root_cap: CapType,
-}
-
-impl DeepCspace {
-    /// Builds an empty trie root.
-    pub fn new(k: &mut Kernel) -> DeepCspace {
-        let root_obj = k.boot_cnode(1);
-        DeepCspace {
-            root_obj,
-            root_cap: CapType::CNode {
-                obj: root_obj,
-                guard_bits: 0,
-                guard: 0,
-            },
-        }
-    }
-
-    /// Walks (building as needed) the 32-level chain for `cptr` and
-    /// returns the final slot, which the caller may fill or leave empty.
-    pub fn reserve(&mut self, k: &mut Kernel, cptr: u32) -> SlotRef {
-        let mut node = self.root_obj;
-        for level in 0..31 {
-            let bit = (cptr >> (31 - level)) & 1;
-            let slot = SlotRef::new(node, bit);
-            let next = match &rt_kernel::cap::read_slot(&k.objs, slot).cap {
-                CapType::CNode { obj, .. } => *obj,
-                CapType::Null => {
-                    let child = k.boot_cnode(1);
-                    insert_cap(
-                        &mut k.objs,
-                        slot,
-                        CapType::CNode {
-                            obj: child,
-                            guard_bits: 0,
-                            guard: 0,
-                        },
-                        None,
-                    );
-                    child
-                }
-                other => panic!("trie slot holds {other:?}"),
-            };
-            node = next;
-        }
-        SlotRef::new(node, cptr & 1)
-    }
-
-    /// Inserts `cap` at the 32-level address `cptr`.
-    pub fn insert(&mut self, k: &mut Kernel, cptr: u32, cap: CapType) -> SlotRef {
-        let slot = self.reserve(k, cptr);
-        insert_cap(&mut k.objs, slot, cap, None);
-        slot
-    }
-}
 
 /// Capability addresses used by the worst-case system call.
 pub mod cptrs {
@@ -119,7 +57,7 @@ impl WorstSyscall {
     /// Builds the scenario on a fresh kernel.
     pub fn new(cfg: KernelConfig, hw: HwConfig) -> WorstSyscall {
         let mut k = Kernel::new(cfg, hw);
-        let mut cs = DeepCspace::new(&mut k);
+        let cs = DeepCspace::new(&mut k);
         let server = k.boot_tcb("server", 100);
         let caller = k.boot_tcb("caller", 100);
         let client = k.boot_tcb("client", 90);
@@ -353,7 +291,7 @@ impl WorstFault {
     /// Builds the scenario.
     pub fn new(cfg: KernelConfig, hw: HwConfig) -> WorstFault {
         let mut k = Kernel::new(cfg, hw);
-        let mut cs = DeepCspace::new(&mut k);
+        let cs = DeepCspace::new(&mut k);
         let faulter = k.boot_tcb("faulter", 50);
         let handler = k.boot_tcb("handler", 150);
         let handler_ep = k.boot_endpoint();
@@ -584,31 +522,6 @@ pub fn retype_kernel(
 mod tests {
     use super::*;
     use rt_kernel::syscall::SyscallOutcome;
-
-    #[test]
-    fn deep_cspace_decodes_in_32_levels() {
-        let mut k = Kernel::new(KernelConfig::after(), HwConfig::default());
-        let mut cs = DeepCspace::new(&mut k);
-        let ep = k.boot_endpoint();
-        cs.insert(
-            &mut k,
-            0xDEAD_BEEF,
-            CapType::Endpoint {
-                obj: ep,
-                badge: Badge::NONE,
-                rights: Rights::ALL,
-            },
-        );
-        let mut levels = 0;
-        let slot =
-            rt_kernel::cnode::resolve_slot(&k.objs, &cs.root_cap, 0xDEAD_BEEF, 32, |_| levels += 1)
-                .expect("resolves");
-        assert_eq!(levels, 32);
-        assert!(matches!(
-            rt_kernel::cap::read_slot(&k.objs, slot).cap,
-            CapType::Endpoint { .. }
-        ));
-    }
 
     #[test]
     fn worst_syscall_completes_and_rearms() {

@@ -1346,6 +1346,63 @@ impl Kernel {
     }
 }
 
+/// A 32-level binary capability-space trie (Fig. 7), built at boot like
+/// the `Kernel::boot_*` objects: every inserted capability address
+/// decodes through one radix-1 CNode per address bit, so every decode of
+/// these cptrs costs the worst case §6.1 describes.
+pub struct DeepCspace {
+    /// Root CNode object of the trie.
+    pub root_obj: ObjId,
+    /// The root capability threads use as their cspace root.
+    pub root_cap: CapType,
+}
+
+impl DeepCspace {
+    /// Builds an empty trie root.
+    pub fn new(k: &mut Kernel) -> DeepCspace {
+        let root_obj = k.boot_cnode(1);
+        DeepCspace {
+            root_obj,
+            root_cap: CapType::CNode {
+                obj: root_obj,
+                guard_bits: 0,
+                guard: 0,
+            },
+        }
+    }
+
+    /// Walks (building as needed) the 32-level chain for `cptr` and
+    /// returns the final slot, which the caller may fill or leave empty.
+    pub fn reserve(&self, k: &mut Kernel, cptr: u32) -> SlotRef {
+        let mut node = self.root_obj;
+        for level in 0..31 {
+            let slot = SlotRef::new(node, (cptr >> (31 - level)) & 1);
+            node = match &crate::cap::read_slot(&k.objs, slot).cap {
+                CapType::CNode { obj, .. } => *obj,
+                CapType::Null => {
+                    let child = k.boot_cnode(1);
+                    let cap = CapType::CNode {
+                        obj: child,
+                        guard_bits: 0,
+                        guard: 0,
+                    };
+                    crate::cap::insert_cap(&mut k.objs, slot, cap, None);
+                    child
+                }
+                other => panic!("trie slot holds {other:?}"),
+            };
+        }
+        SlotRef::new(node, cptr & 1)
+    }
+
+    /// Inserts `cap` at the 32-level address `cptr`.
+    pub fn insert(&self, k: &mut Kernel, cptr: u32, cap: CapType) -> SlotRef {
+        let slot = self.reserve(k, cptr);
+        crate::cap::insert_cap(&mut k.objs, slot, cap, None);
+        slot
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1429,6 +1486,31 @@ mod tests {
             observables(&target),
             "restore_into diverged after identical inputs"
         );
+    }
+
+    #[test]
+    fn deep_cspace_decodes_in_32_levels() {
+        let mut k = Kernel::new(KernelConfig::after(), HwConfig::default());
+        let cs = DeepCspace::new(&mut k);
+        let ep = k.boot_endpoint();
+        cs.insert(
+            &mut k,
+            0xDEAD_BEEF,
+            CapType::Endpoint {
+                obj: ep,
+                badge: crate::cap::Badge::NONE,
+                rights: crate::cap::Rights::ALL,
+            },
+        );
+        let mut levels = 0;
+        let slot =
+            crate::cnode::resolve_slot(&k.objs, &cs.root_cap, 0xDEAD_BEEF, 32, |_| levels += 1)
+                .expect("resolves");
+        assert_eq!(levels, 32);
+        assert!(matches!(
+            crate::cap::read_slot(&k.objs, slot).cap,
+            CapType::Endpoint { .. }
+        ));
     }
 
     /// Snapshotting an instrumented kernel is a caller bug: the boxed

@@ -35,7 +35,7 @@ use crate::arrival::{Arrival, Think};
 use crate::rng::Rng64;
 use rt_hw::{Cycles, HwConfig};
 use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
-use rt_kernel::kernel::{Kernel, KernelConfig, TIMER_LINE};
+use rt_kernel::kernel::{DeepCspace, Kernel, KernelConfig, TIMER_LINE};
 use rt_kernel::obj::ObjId;
 use rt_kernel::syscall::Syscall;
 use rt_kernel::system::Action;
@@ -555,7 +555,7 @@ pub fn build_shard(spec: &LoadSpec) -> ShardSim {
     // cap sits at a distinct deep address and the trie root *is* their
     // cspace root, so every Signal decodes 32 levels.
     if mix.decoders > 0 {
-        let mut trie = DeepTrie::new(&mut k);
+        let trie = DeepCspace::new(&mut k);
         for i in 0..mix.decoders {
             let ntfn = k.boot_ntfn();
             let cptr = 0xD00D_0000u32 ^ (i.wrapping_mul(0x0101_0103));
@@ -661,54 +661,6 @@ impl TenantMix {
     /// none, and decoders live in their own trie.
     fn cspace_slots(&self) -> u32 {
         2 * self.drivers + self.ipc_pairs + self.janitors * (1 + JANITOR_BATCH)
-    }
-}
-
-/// Minimal 32-level binary trie builder (the Fig. 7 adversarial cspace,
-/// as in rt-bench's worst-case workloads).
-struct DeepTrie {
-    root_obj: ObjId,
-    root_cap: CapType,
-}
-
-impl DeepTrie {
-    fn new(k: &mut Kernel) -> DeepTrie {
-        let root_obj = k.boot_cnode(1);
-        DeepTrie {
-            root_obj,
-            root_cap: CapType::CNode {
-                obj: root_obj,
-                guard_bits: 0,
-                guard: 0,
-            },
-        }
-    }
-
-    fn insert(&mut self, k: &mut Kernel, cptr: u32, cap: CapType) {
-        let mut node = self.root_obj;
-        for level in 0..31 {
-            let bit = (cptr >> (31 - level)) & 1;
-            let slot = SlotRef::new(node, bit);
-            node = match &rt_kernel::cap::read_slot(&k.objs, slot).cap {
-                CapType::CNode { obj, .. } => *obj,
-                CapType::Null => {
-                    let child = k.boot_cnode(1);
-                    insert_cap(
-                        &mut k.objs,
-                        slot,
-                        CapType::CNode {
-                            obj: child,
-                            guard_bits: 0,
-                            guard: 0,
-                        },
-                        None,
-                    );
-                    child
-                }
-                other => panic!("trie slot holds {other:?}"),
-            };
-        }
-        insert_cap(&mut k.objs, SlotRef::new(node, cptr & 1), cap, None);
     }
 }
 
