@@ -36,6 +36,17 @@ trap 'rm -rf "$tmp"' EXIT
 repro() { cargo run --release -q -p rt-bench --bin repro -- "$@"; }
 same() { diff -u "$1" "$2" || { echo "ci: $3" >&2; exit 1; }; }
 
+# The benchmark's own checks, each workload for one second, untraced (a
+# mode that writes no file). A run exits nonzero on a counterexample, on
+# a pass that renders unlike the first, on a load soundness violation or
+# on a fleet report that differs from the uncached one; its stdout says
+# which.
+for workload in explore-wide explore-smp load-mixed wcet-fleet; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 >"$tmp/perfbench" ||
+        { cat "$tmp/perfbench"; echo "ci: perfbench $workload failed a check" >&2; exit 1; }
+done
+
 # Exercise the parallel analysis path (worker pool + shared cache) in the
 # integration suite: the golden and differential tests must hold when the
 # env caps the pool at 2 workers.
