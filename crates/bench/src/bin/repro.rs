@@ -273,11 +273,12 @@ fn load_json(r: &rt_load::LoadResult, walls: &[(usize, u128)], identical: bool) 
 /// The `repro explore` driver: runs the reduced frontier search once per
 /// requested worker count, asserts the rendered reports (header plus one
 /// `key=value` line per scenario) are byte-identical across counts,
-/// records the `"explore"` block (see [`Record`]), and returns the
-/// deterministic report for stdout. Wall-clock, snapshot-engine stats and
-/// file-path chatter go to stderr, as with `repro load` — the snapshot
-/// cadence must never leak into stdout, because forked and rebuilt
-/// searches are required to render byte-identically.
+/// records the `"explore"` or `"explore_smp"` block (see [`Record`]),
+/// and returns the deterministic report for stdout. Wall-clock,
+/// snapshot-engine stats and file-path chatter go to stderr, as with
+/// `repro load` — the snapshot cadence must never leak into stdout,
+/// because forked and rebuilt searches are required to render
+/// byte-identically.
 ///
 /// `--snapshot-every N` sets the fork cadence (default 4, the measured
 /// capture-vs-replay sweet spot; 0 selects the
