@@ -98,7 +98,7 @@ pub enum PtEntry {
 }
 
 /// A top-level page directory (an address space).
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub struct PageDirectory {
     /// The 4096 hardware entries.
     pub entries: Vec<PdEntry>,
@@ -152,10 +152,18 @@ impl PageDirectory {
             self.lowest_mapped = index;
         }
     }
+
+    /// `(index, entry, shadow)` of every index whose entry is not
+    /// `Invalid` or whose shadow slot is set, ascending. With the scalar
+    /// fields and the shadow length it is the whole directory: the
+    /// indices it skips hold `Invalid` and no shadow.
+    pub fn mapped_entries(&self) -> impl Iterator<Item = (u32, PdEntry, Option<SlotRef>)> + '_ {
+        set_entries(&self.entries, &self.shadow, PdEntry::Invalid)
+    }
 }
 
 /// A second-level page table.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub struct PageTable {
     /// The 256 hardware entries.
     pub entries: Vec<PtEntry>,
@@ -196,6 +204,37 @@ impl PageTable {
             self.lowest_mapped = index;
         }
     }
+
+    /// As [`PageDirectory::mapped_entries`], for the table's 256 entries.
+    pub fn mapped_entries(&self) -> impl Iterator<Item = (u32, PtEntry, Option<SlotRef>)> + '_ {
+        set_entries(&self.entries, &self.shadow, PtEntry::Invalid)
+    }
+}
+
+/// The `(index, entry, shadow)` triples of the indices where `entries`
+/// is not `invalid` or `shadow` is set; `shadow` is empty under the ASID
+/// design. A directory is mostly unmapped, so blocks of 64 indices are
+/// first tested whole, without a branch per index, and only the blocks
+/// holding something are walked.
+fn set_entries<'a, E: Copy + PartialEq>(
+    entries: &'a [E],
+    shadow: &'a [Option<SlotRef>],
+    invalid: E,
+) -> impl Iterator<Item = (u32, E, Option<SlotRef>)> + 'a {
+    const BLOCK: usize = 64;
+    let block = move |b: usize| b * BLOCK..(b * BLOCK + BLOCK).min(entries.len());
+    let empty = move |b: usize| {
+        let r = block(b);
+        entries[r.clone()].iter().fold(true, |all, &e| all & (e == invalid))
+            && shadow.get(r).is_none_or(|s| s.iter().fold(true, |all, s| all & s.is_none()))
+    };
+    (0..entries.len().div_ceil(BLOCK))
+        .filter(move |&b| !empty(b))
+        .flat_map(block)
+        .filter_map(move |i| {
+            let (e, s) = (entries[i], shadow.get(i).copied().flatten());
+            (e != invalid || s.is_some()).then_some((i as u32, e, s))
+        })
 }
 
 /// An ASID pool (legacy design): 1024 address-space slots.

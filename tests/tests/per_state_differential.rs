@@ -9,8 +9,12 @@
 //!   list agree with a dense `Vec<CapSlot>` reference under random
 //!   `slot_mut` writes at radix 1–16, and writing a clone leaves the
 //!   original as it was;
-//! * the run-queue head mask — `nonempty` lists exactly the queues
-//!   `head` finds non-empty;
+//! * the run-queue non-empty mask — `nonempty` and `heads_mask` list
+//!   exactly the queues `head` finds non-empty, through enqueues,
+//!   dequeues, a `clone_from` restore and `choose_lazy`'s dequeues;
+//! * the page-table hash — streaming only the mapped entries and set
+//!   shadow slots, it still moves when any one field of a directory or
+//!   table changes, under both VM designs;
 //! * the buffer-reusing SMP restore — `restore_into` across 1-, 2- and
 //!   4-core shapes equals `restore()`, at rest and after identical
 //!   forward execution.
@@ -24,11 +28,12 @@ use rt_kernel::cap::{
     delete_cap, insert_cap, is_final, read_slot, Badge, CapSlot, CapType, Rights, SlotRef,
 };
 use rt_kernel::cnode::CNode;
-use rt_kernel::kernel::{Kernel, KernelConfig, KernelSnapshot};
+use rt_kernel::kernel::{Kernel, KernelConfig, KernelSnapshot, VmKind};
 use rt_kernel::obj::{ObjId, ObjKind, ObjStore};
 use rt_kernel::sched::RunQueues;
 use rt_kernel::syscall::{Syscall, SyscallOutcome};
 use rt_kernel::tcb::{Tcb, ThreadState, TCB_SIZE_BITS};
+use rt_kernel::vspace::{Frame, PageDirectory, PageTable, PdEntry, PtEntry, KERNEL_PDE_START};
 
 // --- CNode in-use index ---------------------------------------------------
 
@@ -346,39 +351,305 @@ proptest! {
 
 // --- run-queue head mask --------------------------------------------------
 
+/// 24 runnable threads at priority 0, none queued.
+fn thread_store() -> (ObjStore, Vec<ObjId>) {
+    let mut s = ObjStore::new();
+    let tcbs = (0..24u32)
+        .map(|i| {
+            let id = s.insert(
+                0x8000_0000 + i * 512,
+                TCB_SIZE_BITS,
+                ObjKind::Tcb(Tcb::new(&format!("t{i}"), 0)),
+            );
+            s.tcb_mut(id).state = ThreadState::Running;
+            id
+        })
+        .collect();
+    (s, tcbs)
+}
+
+/// `(thread, prio, enqueue)`: enqueue the thread at `prio` if it is not
+/// queued, or dequeue it if it is.
+fn queue_ops() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
+    proptest::collection::vec((0u8..24, any::<u8>(), any::<bool>()), 1..80)
+}
+
+fn apply_queue_op(
+    q: &mut RunQueues,
+    s: &mut ObjStore,
+    tcbs: &[ObjId],
+    (t, prio, enqueue): (u8, u8, bool),
+) {
+    let id = tcbs[t as usize];
+    match (enqueue, s.tcb(id).in_runqueue) {
+        (true, false) => {
+            s.tcb_mut(id).prio = prio;
+            q.enqueue(s, id);
+        }
+        (false, true) => q.dequeue(s, id),
+        _ => {}
+    }
+}
+
+/// `nonempty` and `heads_mask` list exactly the queues a scan of all 256
+/// heads finds non-empty.
+fn check_mask(q: &RunQueues) -> Result<(), TestCaseError> {
+    let scan: Vec<(u8, ObjId)> = (0..=255u8)
+        .filter_map(|p| q.head(p).map(|h| (p, h)))
+        .collect();
+    prop_assert_eq!(q.nonempty().collect::<Vec<_>>(), scan.clone());
+    let mut mask = [0u32; 8];
+    for (p, _) in scan {
+        mask[p as usize / 32] |= 1 << (p % 32);
+    }
+    prop_assert_eq!(q.heads_mask(), mask);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// After every enqueue and dequeue; after `clone_from` over queues
+    /// with another history (the snapshot-restore path), and as the
+    /// restored queues go on; and across `choose_lazy`, which dequeues
+    /// the blocked threads it meets, until the queues drain.
     #[test]
-    fn nonempty_matches_head_scan(ops in proptest::collection::vec((0u8..24, any::<u8>(), any::<bool>()), 1..80)) {
-        let mut s = ObjStore::new();
-        let tcbs: Vec<ObjId> = (0..24u32)
-            .map(|i| {
-                let id = s.insert(0x8000_0000 + i * 512, TCB_SIZE_BITS, ObjKind::Tcb(Tcb::new(&format!("t{i}"), 0)));
-                s.tcb_mut(id).state = ThreadState::Running;
-                id
-            })
-            .collect();
+    fn nonempty_matches_head_scan(ops in queue_ops(), other in queue_ops(), blocked in proptest::collection::vec(any::<bool>(), 24)) {
+        let (mut s, tcbs) = thread_store();
         let mut q = RunQueues::new();
-        for (t, prio, enqueue) in ops {
-            let id = tcbs[t as usize];
-            match (enqueue, s.tcb(id).in_runqueue) {
-                (true, false) => {
-                    s.tcb_mut(id).prio = prio;
-                    q.enqueue(&mut s, id);
-                }
-                (false, true) => q.dequeue(&mut s, id),
-                _ => {}
+        for &op in &ops {
+            apply_queue_op(&mut q, &mut s, &tcbs, op);
+            check_mask(&q)?;
+        }
+
+        let (mut restored_store, _) = thread_store();
+        let mut restored = RunQueues::new();
+        for &op in &other {
+            apply_queue_op(&mut restored, &mut restored_store, &tcbs, op);
+        }
+        restored.clone_from(&q);
+        restored_store.copy_from(&s);
+        check_mask(&restored)?;
+        for &op in &other {
+            apply_queue_op(&mut restored, &mut restored_store, &tcbs, op);
+            check_mask(&restored)?;
+        }
+
+        for (&t, &b) in tcbs.iter().zip(&blocked) {
+            if b {
+                s.tcb_mut(t).state = ThreadState::BlockedOnReply;
             }
-            let scan: Vec<(u8, ObjId)> = (0..=255u8).filter_map(|p| q.head(p).map(|h| (p, h))).collect();
-            prop_assert_eq!(q.nonempty().collect::<Vec<_>>(), scan);
-            let mut mask = [0u32; 8];
-            for p in 0..=255u8 {
-                if q.head(p).is_some() {
-                    mask[p as usize / 32] |= 1 << (p % 32);
+        }
+        loop {
+            let choice = q.choose_lazy(&mut s);
+            check_mask(&q)?;
+            let Some(t) = choice.thread else { break };
+            q.dequeue(&mut s, t);
+            check_mask(&q)?;
+        }
+        prop_assert!(q.is_empty());
+    }
+}
+
+// --- page-table hash --------------------------------------------------------
+
+/// One step of a mapping script on the test's directory and table, as
+/// the map and unmap system calls write them.
+#[derive(Debug, Clone, Copy)]
+enum MapOp {
+    /// A section (frame `f`) at user PD index `i`, if the entry is free.
+    Section(u16, u8),
+    /// The page table at user PD index `i`, if the entry is free and the
+    /// table is not yet installed.
+    Table(u16),
+    /// A page (frame `f`) at PT index `i`, if the entry is free.
+    Page(u8, u8),
+    /// Clears PD index `i`, as an unmap does.
+    UnmapPd(u16),
+    /// Clears PT index `i`, as an unmap does.
+    UnmapPt(u8),
+}
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    let pdi = 0..KERNEL_PDE_START as u16;
+    proptest::collection::vec(
+        prop_oneof![
+            (pdi.clone(), 0u8..4).prop_map(|(i, f)| MapOp::Section(i, f)),
+            pdi.clone().prop_map(MapOp::Table),
+            (any::<u8>(), 0u8..4).prop_map(|(i, f)| MapOp::Page(i, f)),
+            pdi.prop_map(MapOp::UnmapPd),
+            any::<u8>().prop_map(MapOp::UnmapPt),
+        ],
+        0..40,
+    )
+}
+
+/// A kernel holding one page directory (kernel mappings installed), one
+/// page table and four frames, with `script` applied; shadow arrays exist
+/// under [`VmKind::ShadowPt`] only. Returns the kernel, the directory, the
+/// table, and a cap slot that shadow entries point at.
+fn paging_kernel(vm: VmKind, script: &[MapOp]) -> (Kernel, ObjId, ObjId, SlotRef) {
+    let mut k = Kernel::new(
+        KernelConfig {
+            vm,
+            ..KernelConfig::after()
+        },
+        HwConfig::default(),
+    );
+    let shadow = vm == VmKind::ShadowPt;
+    let cnode = k.boot_cnode(4);
+    let mut dir = PageDirectory::new(shadow);
+    dir.install_kernel_mappings();
+    let base = k.boot_alloc().alloc(14);
+    let pd = k.objs.insert(base, 14, ObjKind::PageDirectory(dir));
+    let base = k.boot_alloc().alloc(10);
+    let pt = k
+        .objs
+        .insert(base, 10, ObjKind::PageTable(PageTable::new(shadow)));
+    let frames: Vec<ObjId> = (0..4)
+        .map(|_| {
+            let base = k.boot_alloc().alloc(12);
+            k.objs.insert(base, 12, ObjKind::Frame(Frame::new(12)))
+        })
+        .collect();
+    for &op in script {
+        let slot = |i| Some(SlotRef::new(cnode, u32::from(i) % 16));
+        match op {
+            MapOp::Section(i, f) => {
+                let frame = frames[f as usize];
+                map_pd(k.objs.pd_mut(pd), i, PdEntry::Section { frame }, slot(i));
+            }
+            MapOp::Table(i) => {
+                if k.objs.pt(pt).mapped_in.is_none()
+                    && map_pd(k.objs.pd_mut(pd), i, PdEntry::Table { pt }, slot(i))
+                {
+                    k.objs.pt_mut(pt).mapped_in = Some((pd, u32::from(i)));
                 }
             }
-            prop_assert_eq!(q.heads_mask(), mask);
+            MapOp::Page(i, f) => {
+                let t = k.objs.pt_mut(pt);
+                let i = usize::from(i);
+                if t.entries[i] == PtEntry::Invalid {
+                    t.entries[i] = PtEntry::Page {
+                        frame: frames[f as usize],
+                    };
+                    t.note_mapped(i as u32);
+                    if let Some(s) = t.shadow.get_mut(i) {
+                        *s = slot(i as u16);
+                    }
+                }
+            }
+            MapOp::UnmapPd(i) => {
+                let d = k.objs.pd_mut(pd);
+                d.entries[usize::from(i)] = PdEntry::Invalid;
+                if let Some(s) = d.shadow.get_mut(usize::from(i)) {
+                    *s = None;
+                }
+            }
+            MapOp::UnmapPt(i) => {
+                let t = k.objs.pt_mut(pt);
+                t.entries[usize::from(i)] = PtEntry::Invalid;
+                if let Some(s) = t.shadow.get_mut(usize::from(i)) {
+                    *s = None;
+                }
+            }
+        }
+    }
+    (k, pd, pt, SlotRef::new(cnode, 7))
+}
+
+/// Writes `entry` at PD index `i` if that entry is free, with its shadow
+/// slot where the design has one; returns whether it did.
+fn map_pd(d: &mut PageDirectory, i: u16, entry: PdEntry, slot: Option<SlotRef>) -> bool {
+    let i = usize::from(i);
+    if d.entries[i] != PdEntry::Invalid {
+        return false;
+    }
+    d.entries[i] = entry;
+    d.note_mapped(i as u32);
+    if let Some(s) = d.shadow.get_mut(i) {
+        *s = slot;
+    }
+    true
+}
+
+fn hash(k: &Kernel) -> u64 {
+    rt_explore::state::canonical_hash(k, &[], &[])
+}
+
+/// The first index whose entry is `invalid` and whose shadow slot is
+/// empty.
+fn free_index<E: PartialEq>(entries: &[E], shadow: &[Option<SlotRef>], invalid: E) -> usize {
+    (0..entries.len())
+        .find(|&i| entries[i] == invalid && shadow[i].is_none())
+        .expect("a free index")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Under both VM designs, an unchanged copy of a mapped directory and
+    /// table hashes equal, and changing any one thing the hash covers
+    /// (an entry, a shadow slot, a shadow slot at an `Invalid` entry,
+    /// `lowest_mapped`, `kernel_mapped` or `mapped_in`) moves it.
+    #[test]
+    fn page_table_hash_sees_every_field(
+        script in map_ops(),
+        pdi in 0u16..4096,
+        pti in any::<u8>(),
+        bit in 0u32..13,
+    ) {
+        for vm in [VmKind::Asid, VmKind::ShadowPt] {
+            let (k, pd, pt, slot) = paging_kernel(vm, &script);
+            let h = hash(&k);
+            prop_assert_eq!(hash(&k.snapshot().restore()), h);
+            let (pdi, pti) = (pdi as usize, pti as usize);
+            let toggle = |s: &mut Option<SlotRef>| *s = if s.is_some() { None } else { Some(slot) };
+            let frame = PdEntry::Section { frame: ObjId(0) };
+            let page = PtEntry::Page { frame: ObjId(0) };
+            let mut changes: Vec<(&str, Box<dyn Fn(&mut Kernel)>)> = vec![
+                ("pd entry", Box::new(|k| {
+                    let e = &mut k.objs.pd_mut(pd).entries[pdi];
+                    *e = if *e == frame { PdEntry::Invalid } else { frame };
+                })),
+                ("pd lowest_mapped", Box::new(|k| k.objs.pd_mut(pd).lowest_mapped ^= 1 << bit)),
+                ("pd kernel_mapped", Box::new(|k| {
+                    let d = k.objs.pd_mut(pd);
+                    d.kernel_mapped = !d.kernel_mapped;
+                })),
+                ("pt entry", Box::new(|k| {
+                    let e = &mut k.objs.pt_mut(pt).entries[pti];
+                    *e = if *e == page { PtEntry::Invalid } else { page };
+                })),
+                ("pt lowest_mapped", Box::new(|k| k.objs.pt_mut(pt).lowest_mapped ^= 1 << bit)),
+                ("pt mapped_in", Box::new(|k| {
+                    let m = &mut k.objs.pt_mut(pt).mapped_in;
+                    *m = match *m {
+                        None => Some((pd, bit)),
+                        Some((d, i)) if bit % 2 == 0 => Some((d, i ^ 1)),
+                        Some(_) => None,
+                    };
+                })),
+            ];
+            if vm == VmKind::ShadowPt {
+                changes.push(("pd shadow", Box::new(|k| toggle(&mut k.objs.pd_mut(pd).shadow[pdi]))));
+                changes.push(("pt shadow", Box::new(|k| toggle(&mut k.objs.pt_mut(pt).shadow[pti]))));
+                changes.push(("pd shadow at an invalid entry", Box::new(|k| {
+                    let d = k.objs.pd_mut(pd);
+                    let i = free_index(&d.entries, &d.shadow, PdEntry::Invalid);
+                    d.shadow[i] = Some(slot);
+                })));
+                changes.push(("pt shadow at an invalid entry", Box::new(|k| {
+                    let t = k.objs.pt_mut(pt);
+                    let i = free_index(&t.entries, &t.shadow, PtEntry::Invalid);
+                    t.shadow[i] = Some(slot);
+                })));
+            }
+            for (what, change) in &changes {
+                let mut changed = k.snapshot().restore();
+                change(&mut changed);
+                prop_assert_ne!(hash(&changed), h, "{:?}: {} left the hash as it was", vm, what);
+            }
         }
     }
 }
