@@ -29,6 +29,7 @@
 
 use rt_bench::json::Json;
 use rt_bench::obj;
+use rt_bench::provenance::provenance;
 use rt_bench::sweep::{self, SweepCtx};
 use rt_bench::{attribution, tables};
 
@@ -151,7 +152,11 @@ fn bench_report(args: &[String], opts: &sweep::BenchOpts) -> String {
     let record = Record::open(args);
     let result = sweep::run_bench_with(opts);
     let mut s = result.render();
-    s.push_str(&record.write(result.to_json()));
+    // The sweep's members sit at the top level of the record, and so
+    // does their provenance.
+    let mut update = result.to_json();
+    update.set("provenance", provenance());
+    s.push_str(&record.write(update));
     s.push('\n');
     if !result.identical {
         eprint!("{s}");
@@ -267,13 +272,33 @@ fn load_json(r: &rt_load::LoadResult, walls: &[(usize, u128)], identical: bool) 
     block.set("workers", Json::Arr(workers));
     block.set("wall_ms", Json::Arr(wall_ms));
     block.set("identical_across_workers", identical.into());
+    block.set("provenance", provenance());
     block
 }
 
-/// The `repro explore` driver: runs the reduced frontier search once per
-/// requested worker count, asserts the rendered reports (header plus one
-/// `key=value` line per scenario) are byte-identical across counts,
-/// records the `"explore"` or `"explore_smp"` block (see [`Record`]),
+/// Times `repro explore` runs each search it records. Its searches last
+/// from tens of milliseconds to about a second, so one run cannot show a
+/// change smaller than the spread between runs; five give a median and
+/// quartiles.
+const REPEATS: usize = 5;
+
+/// The first quartile, median and third quartile of `ms`, interpolated
+/// between closest ranks.
+fn quartiles(mut ms: Vec<f64>) -> [f64; 3] {
+    ms.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let x = q * (ms.len() - 1) as f64;
+        let lo = x.floor() as usize;
+        ms[lo] + (ms[x.ceil() as usize] - ms[lo]) * (x - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// The `repro explore` driver: runs the reduced frontier search
+/// [`REPEATS`] times per requested worker count, asserts the rendered
+/// reports (header plus one `key=value` line per scenario) are
+/// byte-identical across repeats and counts, records the `"explore"` or
+/// `"explore_smp"` block (see [`Record`]),
 /// and returns the deterministic report for stdout. Wall-clock,
 /// snapshot-engine stats and file-path chatter go to stderr, as with
 /// `repro load` — the snapshot cadence must never leak into stdout,
@@ -283,9 +308,11 @@ fn load_json(r: &rt_load::LoadResult, walls: &[(usize, u128)], identical: bool) 
 /// `--snapshot-every N` sets the fork cadence (default 4, the measured
 /// capture-vs-replay sweet spot; 0 selects the
 /// rebuild-replay engine). `--baseline-rebuild` additionally re-runs the
-/// first worker count with snapshotting off, asserts the rebuilt render
-/// is byte-identical to the forked one, and records the rebuild
-/// wall/throughput beside the fork numbers.
+/// first worker count [`REPEATS`] times with snapshotting off, asserts
+/// the rebuilt renders are byte-identical to the forked ones, and records
+/// the rebuild wall/throughput beside the fork numbers. Every wall is
+/// recorded as the median of its repeats with its quartiles, and every
+/// rate is computed from the median.
 fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
     use rt_explore::PorMode;
     let por = match args
@@ -349,17 +376,19 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
          latency oracle: per-line rank-aware bounds from max-entry WCET + rank x WCET(interrupt)\n\
          (after-kernel, L2 off — scalar fallback {bound} cycles, the §6 bound `repro latency-bound` prints)\n\n"
     );
-    // One run of every scenario per worker count; the bound memo and the
-    // analysis cache are shared so bounds are resolved once total.
+    // [`REPEATS`] runs of every scenario per worker count: the walls'
+    // quartiles in ms, the states, every run's render and the last run's
+    // reports. The bound memo and the analysis cache are shared so bounds
+    // are resolved once total.
     let mut memo = rt_explore::BoundMemo::default();
-    let mut walls: Vec<(usize, u128, usize)> = Vec::new();
-    let mut renders: Vec<String> = Vec::new();
-    let mut last_reports: Vec<rt_explore::ExploreReport> = Vec::new();
-    let mut run_all =
-        |every: usize, w: usize| -> (u128, usize, String, Vec<rt_explore::ExploreReport>) {
-            let pool = rt_pool::Pool::new(w);
+    let mut run_all = |every: usize, w: usize| {
+        let pool = rt_pool::Pool::new(w);
+        let mut walls = Vec::with_capacity(REPEATS);
+        let mut renders = Vec::with_capacity(REPEATS);
+        let mut reports: Vec<rt_explore::ExploreReport> = Vec::new();
+        for _ in 0..REPEATS {
             let t0 = std::time::Instant::now();
-            let reports: Vec<_> = scenarios
+            reports = scenarios
                 .iter()
                 .map(|sc| {
                     rt_explore::explore_scenario(
@@ -374,25 +403,33 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
                     )
                 })
                 .collect();
-            let ms = t0.elapsed().as_millis();
-            let states: usize = reports.iter().map(|r| r.states).sum();
+            walls.push(t0.elapsed().as_secs_f64() * 1e3);
             let mut s = header.clone();
             for rep in &reports {
                 s.push_str(&rt_explore::render_line(rep));
             }
-            (ms, states, s, reports)
-        };
+            renders.push(s);
+        }
+        let states: usize = reports.iter().map(|r| r.states).sum();
+        (quartiles(walls), states, renders, reports)
+    };
+    let mut walls: Vec<(usize, [f64; 3], usize)> = Vec::new();
+    let mut renders: Vec<String> = Vec::new();
+    let mut last_reports: Vec<rt_explore::ExploreReport> = Vec::new();
     for &w in &workers {
-        let (ms, states, s, reports) = run_all(snapshot_every, w);
+        let (ms, states, mut runs, reports) = run_all(snapshot_every, w);
         walls.push((w, ms, states));
-        renders.push(s);
+        renders.append(&mut runs);
         last_reports = reports;
     }
     let mut identical = renders.windows(2).all(|w| w[0] == w[1]);
-    let rate = |states: usize, ms: u128| states as f64 / (ms as f64 / 1e3).max(1e-9);
-    for &(w, ms, states) in &walls {
+    let rate = |states: usize, ms: f64| states as f64 / (ms / 1e3).max(1e-9);
+    for &(w, [q1, ms, q3], states) in &walls {
         let rate = rate(states, ms);
-        eprintln!("  explore: {w} workers -> {ms} ms, {states} states ({rate:.0} states/sec; stderr only)");
+        eprintln!(
+            "  explore: {w} workers -> {ms:.1} ms [{q1:.1}, {q3:.1}] (median [quartiles] of \
+             {REPEATS}), {states} states ({rate:.0} states/sec; stderr only)"
+        );
     }
     let snap = last_reports
         .iter()
@@ -419,30 +456,25 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
     // Rebuild-replay baseline: same search, snapshotting off, first
     // worker count. The renders must agree to the byte — the fork engine
     // is an execution shortcut, never a semantic one.
-    let mut rebuild: Option<(u128, usize)> = None;
+    let mut rebuild: Option<([f64; 3], usize)> = None;
     if baseline_rebuild && snapshot_every > 0 {
         let w = workers[0];
-        let (ms, states, s, _) = run_all(0, w);
-        let rate = rate(states, ms);
+        let (ms @ [q1, median, q3], states, runs, _) = run_all(0, w);
+        let rate = rate(states, median);
         eprintln!(
-            "  explore: rebuild baseline: {w} workers -> {ms} ms, {states} states \
-             ({rate:.0} states/sec; stderr only)"
+            "  explore: rebuild baseline: {w} workers -> {median:.1} ms [{q1:.1}, {q3:.1}], \
+             {states} states ({rate:.0} states/sec; stderr only)"
         );
-        if s != renders[0] {
-            identical = false;
-        }
+        identical &= runs.iter().all(|s| *s == renders[0]);
         rebuild = Some((ms, states));
     }
 
-    // The `"explore"` (or `"explore_smp"`) block: search shape, host
-    // parallelism (so recorded throughput is never read against an
-    // unknown machine), per-scenario frontier and reduction stats,
-    // per-worker wall/throughput measurements, and the snapshot-engine
-    // sub-block (with the rebuild baseline and speedup when
-    // `--baseline-rebuild` measured one).
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // The `"explore"` (or `"explore_smp"`) block: search shape,
+    // per-scenario frontier and reduction stats, per-worker
+    // wall/throughput measurements, the snapshot-engine sub-block (with
+    // the rebuild baseline and speedup when `--baseline-rebuild` measured
+    // one), and the provenance, whose host CPUs say which machine the
+    // throughput was measured on.
     let scenarios = last_reports.iter().map(|r| {
         obj! {"name": r.scenario.as_str(), "interleavings": r.interleavings,
         "states": r.states, "distinct": r.distinct_states, "sleep_skips": r.sleep_skips,
@@ -450,19 +482,23 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         "peak_frontier": r.peak_frontier,
         "counterexamples": u8::from(r.counterexample.is_some()), "capped": r.capped}
     });
-    let runs = walls.iter().map(|&(w, ms, states)| {
-        obj! {"workers": w, "wall_ms": ms, "states": states,
-        "states_per_sec": Json::fixed(rate(states, ms), 0)}
+    let ms = |x: f64| Json::fixed(x, 2);
+    let runs = walls.iter().map(|&(w, [q1, median, q3], states)| {
+        obj! {"workers": w, "wall_ms": ms(median), "wall_ms_q1": ms(q1), "wall_ms_q3": ms(q3),
+        "states": states, "states_per_sec": Json::fixed(rate(states, median), 0)}
     });
-    let (fork_workers, fork_ms, fork_states) = walls[0];
-    let rebuild_rate = rebuild.map(|(ms, states)| rate(states, ms));
+    let (fork_workers, [_, fork_ms, _], fork_states) = walls[0];
+    let rebuild_rate = rebuild.map(|([_, median, _], states)| rate(states, median));
     let mut snapshot = obj! {"every": snapshot_every, "captured": snap.captured,
     "forks": snap.forks, "replays_avoided": snap.replays_avoided,
     "peak_resident": snap.peak_resident, "capture_paused_waves": snap.capture_paused_waves};
     if rebuild.is_some() {
         snapshot.set("rebuild_workers", fork_workers.into());
     }
-    snapshot.set("rebuild_wall_ms", rebuild.map(|(ms, _)| ms).into());
+    let rebuild_ms = |i: usize| rebuild.map(|(q, _)| ms(q[i]));
+    snapshot.set("rebuild_wall_ms", rebuild_ms(1).into());
+    snapshot.set("rebuild_wall_ms_q1", rebuild_ms(0).into());
+    snapshot.set("rebuild_wall_ms_q3", rebuild_ms(2).into());
     snapshot.set(
         "rebuild_states_per_sec",
         rebuild_rate.map(|r| Json::fixed(r, 0)).into(),
@@ -473,17 +509,18 @@ fn explore_cmd(args: &[String], depth: usize, ctx: &SweepCtx) -> String {
         "depth": depth,
         "por": format!("{por:?}").as_str(),
         "budget_states": budget_states,
-        "host_cpus": host_cpus,
         "identical_across_workers": identical,
         "scenarios": Json::Arr(scenarios.collect()),
         "runs": Json::Arr(runs.collect()),
         "snapshot": snapshot,
+        "provenance": provenance(),
     };
     eprintln!("{}", record.write(Json::Obj(vec![(key.into(), block)])));
 
     if !identical {
         eprintln!(
-            "explore: reports DIVERGED (across worker counts {workers:?}, or forked vs rebuilt)"
+            "explore: reports DIVERGED (across repeats, worker counts {workers:?}, or forked vs \
+             rebuilt)"
         );
         std::process::exit(1);
     }
@@ -540,5 +577,17 @@ fn main() {
                 std::process::exit(2);
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quartiles;
+
+    #[test]
+    fn quartiles_interpolate_between_closest_ranks() {
+        assert_eq!(quartiles(vec![5.0, 1.0, 4.0, 2.0, 3.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(vec![2.0, 1.0]), [1.25, 1.5, 1.75]);
+        assert_eq!(quartiles(vec![7.0]), [7.0; 3]);
     }
 }

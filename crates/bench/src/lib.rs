@@ -24,7 +24,8 @@
 //!   / pipeline), phase counters and the hottest blocks — the §6-style
 //!   anatomy of each bound (see `docs/TRACING.md`);
 //! * [`json`] is the value every `--record` run parses, updates and prints
-//!   back as `BENCH_sweep.json`.
+//!   back as `BENCH_sweep.json`, and [`provenance`] the member that says
+//!   which command, revision, host and build wrote each block.
 //!
 //! The `repro` binary prints any of them: `cargo run -p rt-bench --bin
 //! repro -- table2` (or `-- attribution`).
@@ -35,6 +36,7 @@
 pub mod attribution;
 pub mod json;
 pub mod observe;
+pub mod provenance;
 pub mod sweep;
 pub mod tables;
 pub mod workloads;

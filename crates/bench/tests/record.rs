@@ -1,10 +1,12 @@
 //! `--record` end to end: the `repro` binary run in a scratch directory
-//! on the record it finds there.
+//! on the record it finds there; and the git revision reader behind each
+//! block's provenance, on fake `.git` directories.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use rt_bench::json::Json;
+use rt_bench::provenance::git_rev;
 
 /// An empty directory of its own for `name`.
 fn scratch(name: &str) -> PathBuf {
@@ -93,4 +95,121 @@ fn a_record_that_cannot_be_read_is_never_overwritten() {
     let out = repro(&dir, "bench --record");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(path.is_dir());
+}
+
+/// Member `key` of the object `v`.
+fn member<'a>(v: &'a Json, key: &str) -> &'a Json {
+    let Json::Obj(members) = v else {
+        panic!("not an object: {v:?}")
+    };
+    let found = members.iter().find(|(k, _)| k == key);
+    &found
+        .unwrap_or_else(|| panic!("no member {key:?} in {v:?}"))
+        .1
+}
+
+/// Each block `repro load` and `repro explore` write carries the command
+/// line, host CPUs and build profile that wrote it, and a null git
+/// revision: the scratch directory is no git checkout. An explore run's
+/// wall is the median of its repeats, between its quartiles.
+#[test]
+fn every_recorded_block_carries_its_provenance() {
+    let dir = scratch("record-provenance");
+    let runs = [
+        (
+            "load",
+            "load --events 2000 --shards 2 --tenants 4 --workers 1 --record",
+        ),
+        ("explore", "explore --scenario ep-delete --depth 2 --record"),
+        (
+            "explore_smp",
+            "explore --scenario smp-ipi-race --depth 2 --record",
+        ),
+    ];
+    for (_, args) in runs {
+        let out = repro(&dir, args);
+        assert!(out.status.success(), "{args}: {out:?}");
+    }
+    let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).expect("record written");
+    let record = Json::parse(&text).expect("record parses");
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    for (key, args) in runs {
+        let p = member(member(&record, key), "provenance");
+        let Json::Arr(argv) = member(p, "argv") else {
+            panic!("{key}: argv is not an array")
+        };
+        let argv: Vec<&Json> = argv.iter().skip(1).collect();
+        let want: Vec<Json> = args.split(' ').map(Json::from).collect();
+        assert_eq!(argv, want.iter().collect::<Vec<_>>(), "{key}");
+        assert_eq!(member(p, "git_rev"), &Json::Null, "{key}");
+        assert_eq!(member(p, "host_cpus"), &Json::from(cpus), "{key}");
+        assert_eq!(member(p, "profile"), &Json::from(profile), "{key}");
+    }
+    for key in ["explore", "explore_smp"] {
+        let Json::Arr(runs) = member(member(&record, key), "runs") else {
+            panic!("{key}: runs is not an array")
+        };
+        let ms = |k| match member(&runs[0], k) {
+            Json::Num(n) => n.parse::<f64>().expect("a number"),
+            v => panic!("{key}: {k} is {v:?}"),
+        };
+        let (q1, median, q3) = (ms("wall_ms_q1"), ms("wall_ms"), ms("wall_ms_q3"));
+        assert!(q1 <= median && median <= q3, "{key}: {q1} {median} {q3}");
+    }
+}
+
+const A: &str = "0123456789abcdef0123456789abcdef01234567";
+const B: &str = "0ac50e1f00000000000000000000000000000000";
+
+/// A fake git directory holding `files`.
+fn fake_git(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let dir = scratch(&format!("fake-git-{name}"));
+    for (path, body) in files {
+        let p = dir.join(path);
+        std::fs::create_dir_all(p.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(p, body).expect("write fake git file");
+    }
+    dir
+}
+
+#[test]
+fn git_rev_reads_a_detached_head() {
+    let g = fake_git("detached", &[("HEAD", &format!("{B}\n"))]);
+    assert_eq!(git_rev(&g).as_deref(), Some(B));
+}
+
+#[test]
+fn git_rev_reads_a_loose_branch_ref() {
+    let g = fake_git(
+        "loose",
+        &[
+            ("HEAD", "ref: refs/heads/main\n"),
+            ("refs/heads/main", &format!("{A}\n")),
+        ],
+    );
+    assert_eq!(git_rev(&g).as_deref(), Some(A));
+}
+
+#[test]
+fn git_rev_reads_a_packed_branch_ref() {
+    let packed = format!("# pack-refs with: peeled\n{B} refs/heads/other\n{A} refs/heads/main\n");
+    let g = fake_git(
+        "packed",
+        &[("HEAD", "ref: refs/heads/main\n"), ("packed-refs", &packed)],
+    );
+    assert_eq!(git_rev(&g).as_deref(), Some(A));
+}
+
+#[test]
+fn git_rev_is_none_when_missing_or_malformed() {
+    let g = fake_git("dangling", &[("HEAD", "ref: refs/heads/gone\n")]);
+    assert_eq!(git_rev(&g), None);
+    let g = fake_git("garbage", &[("HEAD", "not a hash\n")]);
+    assert_eq!(git_rev(&g), None);
+    assert_eq!(git_rev(&scratch("fake-git-missing").join(".git")), None);
 }
