@@ -201,8 +201,10 @@ pub fn canonical_hash(kernel: &Kernel, cursors: &[usize], budgets: &[(IrqLine, u
                 h.add(f.size_bits as u64);
             }
             // Paging structures stream their scalars, then only the
-            // indices holding an entry or a shadow slot: a directory's
-            // 4,096 entries and shadow slots are mostly empty.
+            // indices holding an entry or a shadow slot (a directory's
+            // 4,096 entries and shadow slots are mostly empty), then an
+            // end marker no index equals, so two tables stream equal
+            // words exactly when their contents are equal.
             ObjKind::PageTable(pt) => {
                 h.add(6);
                 h.add(pt.lowest_mapped as u64);
