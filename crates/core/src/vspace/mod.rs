@@ -225,8 +225,12 @@ fn set_entries<'a, E: Copy + PartialEq>(
     let block = move |b: usize| b * BLOCK..(b * BLOCK + BLOCK).min(entries.len());
     let empty = move |b: usize| {
         let r = block(b);
-        entries[r.clone()].iter().fold(true, |all, &e| all & (e == invalid))
-            && shadow.get(r).is_none_or(|s| s.iter().fold(true, |all, s| all & s.is_none()))
+        entries[r.clone()]
+            .iter()
+            .fold(true, |all, &e| all & (e == invalid))
+            && shadow
+                .get(r)
+                .is_none_or(|s| s.iter().fold(true, |all, s| all & s.is_none()))
     };
     (0..entries.len().div_ceil(BLOCK))
         .filter(move |&b| !empty(b))
