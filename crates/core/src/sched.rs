@@ -76,9 +76,7 @@ impl PrioBitmap {
 pub struct RunQueues {
     heads: [Option<ObjId>; NUM_PRIOS as usize],
     tails: [Option<ObjId>; NUM_PRIOS as usize],
-    /// One bit per non-empty queue, bucketed like [`PrioBitmap::buckets`].
-    /// Only [`RunQueues::enqueue`] and [`RunQueues::dequeue`] write
-    /// `heads`, and they keep this mask with it.
+    /// One bit per non-empty queue; see [`RunQueues::heads_mask`].
     nonempty: [u32; 8],
     /// Priority bitmap (§3.2); maintained on every queue mutation.
     pub bitmap: PrioBitmap,
