@@ -6,10 +6,12 @@ cargo build --release
 cargo test -q
 
 # The solver's proptests and the warm/cold differential on the real IPET
-# instances run again in the release profile, the one repro, the fleet
-# and perfbench use. Tier-1 runs them in debug only, where the solver's
-# debug assertions hold it; release code must agree without them.
-cargo test --release -q -p rt-ilp -p rt-wcet
+# instances, and the machine model's block differentials (random blocks
+# and every kernel block, untraced and traced, against one-instruction
+# steps), run again in the release profile, the one repro, the fleet and
+# perfbench use. Tier-1 runs them in debug only, where debug assertions
+# and overflow checks hold the code; release code must agree without them.
+cargo test --release -q -p rt-ilp -p rt-wcet -p rt-hw -p rt-kernel
 
 # The explorer's deep state-set goldens (the searches perfbench times)
 # take seconds in release and far longer in debug, so tier-1 skips them.

@@ -563,7 +563,8 @@ impl Kernel {
     // --- The block executor ------------------------------------------------
 
     /// Executes (charges) one kernel basic block: its ops, lowered once
-    /// by [`kprog::compiled`], in one [`Machine::run_block`] call. `objs`
+    /// by [`kprog::compiled`] with their dense charge form, in one
+    /// [`Machine::run_block`] call. `objs`
     /// supplies the data address for each object-class memory operand, in
     /// order.
     ///
@@ -584,7 +585,7 @@ impl Kernel {
             code.obj_ops,
             objs.len()
         );
-        self.machine.run_block(&code.ops, objs);
+        self.machine.run_block(&code.lowered, objs);
         if let Some(t0) = profile_t0 {
             let dt = self.machine.now() - t0;
             let p = self.profile.as_mut().expect("profiling was on at entry");

@@ -29,7 +29,7 @@
 
 use std::sync::OnceLock;
 
-use rt_hw::{Addr, CacheGeometry, Op, OpKind, Operand};
+use rt_hw::{Addr, CacheGeometry, LoweredBlock, Op, OpKind, Operand};
 
 /// Kernel code is linked at the top of the virtual address space.
 pub const KERNEL_CODE_BASE: Addr = 0xf000_0000;
@@ -642,8 +642,9 @@ impl Default for Layout {
 /// A block lowered to rt-hw ops at its laid-out address.
 #[derive(Debug)]
 pub struct CompiledBlock {
-    /// The ops, in execution order, for [`rt_hw::Machine::run_block`].
-    pub ops: Box<[Op]>,
+    /// The ops, in execution order, and their dense charge form, for
+    /// [`rt_hw::Machine::run_block`].
+    pub lowered: LoweredBlock,
     /// Object operands the ops read: [`BlockSpec::obj_ops`].
     pub obj_ops: u32,
 }
@@ -721,7 +722,7 @@ fn lower(layout: &Layout, b: Block) -> CompiledBlock {
         }
     }
     CompiledBlock {
-        ops: ops.into(),
+        lowered: LoweredBlock::new(ops),
         obj_ops: obj,
     }
 }
@@ -887,7 +888,7 @@ mod tests {
             let mut pc = layout.addr_of(b);
             let mut last_line = None;
             let mut objs = Vec::new();
-            for op in code.ops.iter() {
+            for op in code.lowered.ops() {
                 assert_eq!(op.pc, pc, "{b:?}: ops not contiguous");
                 let n = op.instructions();
                 assert!(n > 0, "{b:?}: empty op");

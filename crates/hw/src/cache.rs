@@ -256,27 +256,37 @@ impl Cache {
     /// As [`Cache::access`], also telling whether a hit was in a locked
     /// way. Locked ways are searched first, so a hit is locked exactly
     /// when [`Cache::is_pinned`] holds: one set probe answers both.
+    #[inline(always)]
     pub fn probe(&mut self, addr: Addr, write: bool) -> (Lookup, bool) {
         let (set, base, tag) = self.locate(addr);
-        let ways = self.geom.ways as usize;
-        let locked = self.locked_ways as usize;
-        let tags = &mut self.tags[base..base + ways];
-
         // Compare every way, one bit per match: no branch per way. The
         // lowest matching way is the first a way-by-way search would
-        // stop at, so locked ways still win.
-        let mut hits = 0u32;
-        for (w, &t) in tags.iter().enumerate() {
-            hits |= u32::from(t == tag) << w;
-        }
+        // stop at, so locked ways still win. A 4-way set (the L1s)
+        // compares as one fixed-length array, fully unrolled.
+        let hits = if self.geom.ways == 4 {
+            let set_tags: &[u32; 4] = self.tags[base..base + 4]
+                .try_into()
+                .expect("a 4-way set has 4 tags");
+            hit_mask(set_tags, tag)
+        } else {
+            hit_mask(&self.tags[base..base + self.geom.ways as usize], tag)
+        };
         if hits != 0 {
             let w = hits.trailing_zeros() as usize;
-            self.dirty[base + w] |= write;
-            return (Lookup::Hit, w < locked);
+            if write {
+                self.dirty[base + w] = true;
+            }
+            return (Lookup::Hit, w < self.locked_ways as usize);
         }
+        (self.fill(set, base, tag, write), false)
+    }
 
-        // Miss: pick a victim among the unlocked ways.
-        let unlocked = ways - locked;
+    /// A miss on `tag` in `set`, whose first line is at `base`: replaces
+    /// a victim among the unlocked ways.
+    #[inline(never)]
+    fn fill(&mut self, set: usize, base: usize, tag: u32, write: bool) -> Lookup {
+        let locked = self.locked_ways as usize;
+        let unlocked = self.geom.ways as usize - locked;
         debug_assert!(unlocked > 0);
         let victim_off = match self.policy {
             Replacement::RoundRobin => {
@@ -298,12 +308,12 @@ impl Cache {
                 v
             }
         };
-        let victim = locked + victim_off;
+        let victim = base + locked + victim_off;
         // An empty way is never dirty.
-        let writeback = self.dirty[base + victim];
-        tags[victim] = tag;
-        self.dirty[base + victim] = write;
-        (Lookup::Miss { writeback }, false)
+        let writeback = self.dirty[victim];
+        self.tags[victim] = tag;
+        self.dirty[victim] = write;
+        Lookup::Miss { writeback }
     }
 
     /// Invalidates the entire cache except pinned lines (used between
@@ -363,6 +373,16 @@ impl Cache {
     pub fn valid_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID).count()
     }
+}
+
+/// Bit `w` set iff way `w` of a set holds `tag`.
+#[inline(always)]
+fn hit_mask(set_tags: &[u32], tag: u32) -> u32 {
+    let mut hits = 0u32;
+    for (w, &t) in set_tags.iter().enumerate() {
+        hits |= u32::from(t == tag) << w;
+    }
+    hits
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub mod predictor;
 pub mod smp;
 pub mod trace;
 
-pub use block::{Op, OpKind, Operand};
+pub use block::{LoweredBlock, Op, OpKind, Operand};
 pub use cache::{Cache, CacheGeometry, Replacement};
 pub use irq::{IrqController, IrqLine};
 pub use machine::{HwConfig, InstrClass, Machine};

@@ -323,7 +323,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{Op, OpKind, Operand};
+    use crate::block::{LoweredBlock, Op, OpKind, Operand};
 
     /// `n` ALU instructions from `pc`, one at a time.
     fn straight(m: &mut Machine, pc: Addr, n: u32) {
@@ -436,7 +436,7 @@ mod tests {
             m.exec_store(0xf000_0034, 0x8000_0040, 1);
             m.exec_branch(0xf000_0038, true);
             m.advance(17);
-            let block = [
+            let block = LoweredBlock::new(vec![
                 Op {
                     pc: 0xf000_003c,
                     fetch: true,
@@ -447,7 +447,7 @@ mod tests {
                     fetch: true,
                     kind: OpKind::Store(Operand::Obj(0)),
                 },
-            ];
+            ]);
             m.run_block(&block, &[0x8000_00c0]);
             assert_eq!(m.accounts.total(), m.pmu.cycles, "l2={l2}");
             assert!(m.accounts.ifetch_miss > 0 && m.accounts.dmiss > 0);

@@ -103,6 +103,10 @@ impl MemSystem {
     /// the fill path (`miss_cycles`) and L1-victim writebacks absorbed by
     /// the L2 (`l2_absorbed_cycles`) — the raw material of the attribution
     /// buckets (see `docs/TRACING.md`).
+    ///
+    /// The L1 probe and the hit path are inlined into every caller (the
+    /// block loop among them); a miss continues out of line.
+    #[inline(always)]
     pub fn access_report(&mut self, kind: AccessKind, addr: Addr) -> AccessReport {
         let write = kind == AccessKind::Write;
         let (l1, stats) = match kind {
@@ -124,45 +128,52 @@ impl MemSystem {
                 if writeback {
                     stats.writebacks += 1;
                 }
-                let mut report = AccessReport {
-                    l1_writeback: writeback,
-                    ..AccessReport::default()
-                };
-                match &mut self.l2 {
-                    Some(l2) => {
-                        // Line fill from L2 (or memory through L2).
-                        match l2.access(addr, write) {
-                            Lookup::Hit => {
-                                self.l2_stats.hits += 1;
-                                report.l2_hit = Some(true);
-                                report.miss_cycles += L2_HIT_CYCLES;
-                            }
-                            Lookup::Miss { writeback: l2_wb } => {
-                                self.l2_stats.misses += 1;
-                                report.l2_hit = Some(false);
-                                report.miss_cycles += DRAM_CYCLES_L2_ON;
-                                if l2_wb {
-                                    self.l2_stats.writebacks += 1;
-                                    report.l2_writeback = true;
-                                    report.miss_cycles += DRAM_CYCLES_L2_ON;
-                                }
-                            }
-                        }
-                        // The L1 victim writeback lands in the L2.
-                        if writeback {
-                            report.l2_absorbed_cycles += L2_HIT_CYCLES;
-                        }
+                self.fill_report(addr, write, writeback)
+            }
+        }
+    }
+
+    /// The report of an L1 miss on `addr` whose victim needed a writeback
+    /// if `writeback`: the line fill from the L2 or from memory.
+    #[inline(never)]
+    fn fill_report(&mut self, addr: Addr, write: bool, writeback: bool) -> AccessReport {
+        let mut report = AccessReport {
+            l1_writeback: writeback,
+            ..AccessReport::default()
+        };
+        match &mut self.l2 {
+            Some(l2) => {
+                // Line fill from L2 (or memory through L2).
+                match l2.access(addr, write) {
+                    Lookup::Hit => {
+                        self.l2_stats.hits += 1;
+                        report.l2_hit = Some(true);
+                        report.miss_cycles += L2_HIT_CYCLES;
                     }
-                    None => {
-                        report.miss_cycles += DRAM_CYCLES_L2_OFF;
-                        if writeback {
-                            report.miss_cycles += DRAM_CYCLES_L2_OFF;
+                    Lookup::Miss { writeback: l2_wb } => {
+                        self.l2_stats.misses += 1;
+                        report.l2_hit = Some(false);
+                        report.miss_cycles += DRAM_CYCLES_L2_ON;
+                        if l2_wb {
+                            self.l2_stats.writebacks += 1;
+                            report.l2_writeback = true;
+                            report.miss_cycles += DRAM_CYCLES_L2_ON;
                         }
                     }
                 }
-                report
+                // The L1 victim writeback lands in the L2.
+                if writeback {
+                    report.l2_absorbed_cycles += L2_HIT_CYCLES;
+                }
+            }
+            None => {
+                report.miss_cycles += DRAM_CYCLES_L2_OFF;
+                if writeback {
+                    report.miss_cycles += DRAM_CYCLES_L2_OFF;
+                }
             }
         }
+        report
     }
 
     /// Worst-case preamble: fills every unlocked line of every level with

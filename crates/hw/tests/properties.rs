@@ -5,7 +5,10 @@ use proptest::prelude::*;
 use rt_hw::cache::{Cache, CacheGeometry, Lookup, Replacement};
 use rt_hw::irq::NUM_LINES;
 use rt_hw::mem::{AccessKind, MemSystem};
-use rt_hw::{HwConfig, InstrClass, IrqController, IrqLine, Machine, Op, OpKind, Operand, PhysMem};
+use rt_hw::{
+    HwConfig, InstrClass, IrqController, IrqLine, LoweredBlock, Machine, Op, OpKind, Operand,
+    PhysMem,
+};
 
 fn addr_stream() -> impl Strategy<Value = Vec<(u32, bool)>> {
     // Addresses spread over a few conflicting 4 KiB pages so sets contend.
@@ -136,8 +139,9 @@ enum Instr {
 /// One step of a machine script for the block differential.
 #[derive(Clone, Debug)]
 enum Step {
-    /// A block: its ops and its object operands.
-    Block(Vec<Op>, Vec<u32>),
+    /// A block, built as the kernel builds its blocks, and its object
+    /// operands.
+    Block(LoweredBlock, Vec<u32>),
     Advance(u64),
     /// Schedule `line` to be raised `delay` cycles from now, so that it
     /// often lands in the middle of the next block.
@@ -230,7 +234,9 @@ fn block() -> impl Strategy<Value = Step> {
         proptest::collection::vec(any::<bool>(), 1..8),
         proptest::collection::vec(data_addr(), 6..7),
     )
-        .prop_map(|(pc, instrs, probe, objs)| Step::Block(lower(pc, &instrs, &probe), objs))
+        .prop_map(|(pc, instrs, probe, objs)| {
+            Step::Block(LoweredBlock::new(lower(pc, &instrs, &probe)), objs)
+        })
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -245,17 +251,16 @@ fn step() -> impl Strategy<Value = Step> {
 }
 
 /// Machine configuration: L2 on/off, 0-3 locked L1 ways, 0-2 locked L2
-/// ways, either replacement policy, the branch predictor on/off, tracing
-/// on/off, and lines to pin.
-fn setup() -> impl Strategy<Value = (HwConfig, bool, Vec<u32>)> {
+/// ways, either replacement policy, the branch predictor on/off, and
+/// lines to pin.
+fn setup() -> impl Strategy<Value = (HwConfig, Vec<u32>)> {
     (
         (any::<bool>(), 0u32..4, 0u32..3),
         (any::<bool>(), any::<u16>(), any::<bool>()),
-        any::<bool>(),
         proptest::collection::vec(prop_oneof![code_addr(), data_addr()], 0..8),
     )
         .prop_map(
-            |((l2, l1_locked, l2_locked), (random, seed, bpred), trace, pins)| {
+            |((l2, l1_locked, l2_locked), (random, seed, bpred), pins)| {
                 let cfg = HwConfig {
                     l2_enabled: l2,
                     bpred_enabled: bpred,
@@ -267,7 +272,7 @@ fn setup() -> impl Strategy<Value = (HwConfig, bool, Vec<u32>)> {
                     locked_l1_ways: l1_locked,
                     locked_l2_ways: if l2 { l2_locked } else { 0 },
                 };
-                (cfg, trace, pins)
+                (cfg, pins)
             },
         )
 }
@@ -289,15 +294,15 @@ fn build(cfg: HwConfig, trace: bool, pins: &[u32]) -> Machine {
     m
 }
 
-/// The one-instruction reference: every instruction of `ops` through
+/// The one-instruction reference: every instruction of `block` through
 /// `exec`, `exec_load`, `exec_store`, `exec_branch`, and `advance` for
 /// a device's stall.
-fn single_steps(m: &mut Machine, ops: &[Op], objs: &[u32]) {
+fn single_steps(m: &mut Machine, block: &LoweredBlock, objs: &[u32]) {
     let addr = |o| match o {
         Operand::At(a) => a,
         Operand::Obj(i) => objs[i as usize],
     };
-    for op in ops {
+    for op in block.ops() {
         match op.kind {
             OpKind::Alu(n) => (0..n).for_each(|k| m.exec(InstrClass::Alu, op.pc + 4 * k)),
             OpKind::Clz => m.exec(InstrClass::Clz, op.pc),
@@ -317,9 +322,13 @@ fn single_steps(m: &mut Machine, ops: &[Op], objs: &[u32]) {
 
 /// Applies `step` to `m`, blocks through `run`. Returns the raise stamp
 /// an `Ack` returned.
-fn apply(m: &mut Machine, step: &Step, run: fn(&mut Machine, &[Op], &[u32])) -> Option<u64> {
+fn apply(
+    m: &mut Machine,
+    step: &Step,
+    run: fn(&mut Machine, &LoweredBlock, &[u32]),
+) -> Option<u64> {
     match step {
-        Step::Block(ops, objs) => run(m, ops, objs),
+        Step::Block(block, objs) => run(m, block, objs),
         Step::Advance(c) => m.advance(*c),
         Step::Irq { delay, line } => {
             let at = m.now() + delay;
@@ -330,58 +339,77 @@ fn apply(m: &mut Machine, step: &Step, run: fn(&mut Machine, &[Op], &[u32])) -> 
     None
 }
 
+/// Runs `script` on two machines built alike, blocks through
+/// `run_block` on one and the one-instruction reference on the other,
+/// and checks that they agree after every step and at the end.
+fn blocks_match_single_steps(
+    cfg: HwConfig,
+    trace: bool,
+    pins: &[u32],
+    script: &[Step],
+) -> Result<(), TestCaseError> {
+    let mut fast = build(cfg, trace, pins);
+    let mut slow = build(cfg, trace, pins);
+    for (i, step) in script.iter().enumerate() {
+        let acked = apply(&mut fast, step, Machine::run_block);
+        let at = format!("step {i} {step:?}");
+        prop_assert_eq!(acked, apply(&mut slow, step, single_steps), "{}", at);
+        prop_assert_eq!(fast.pmu, slow.pmu, "{}", at);
+        prop_assert_eq!(fast.accounts, slow.accounts, "{}", at);
+        prop_assert_eq!(fast.accounts.total(), fast.pmu.cycles);
+        prop_assert_eq!(fast.mem.l1i_stats, slow.mem.l1i_stats, "{}", at);
+        prop_assert_eq!(fast.mem.l1d_stats, slow.mem.l1d_stats, "{}", at);
+        prop_assert_eq!(fast.mem.l2_stats, slow.mem.l2_stats, "{}", at);
+        let irq = format!("{:?}", fast.irq);
+        prop_assert_eq!(irq, format!("{:?}", slow.irq), "{}", at);
+        prop_assert_eq!(fast.trace.events().len(), slow.trace.events().len());
+    }
+    prop_assert_eq!(fast.trace.events(), slow.trace.events());
+    // Cache lines, replacement state and predictor tables.
+    let (mem, bpred) = (format!("{:?}", fast.mem), format!("{:?}", fast.bpred));
+    prop_assert!(mem == format!("{:?}", slow.mem), "caches diverged");
+    prop_assert!(bpred == format!("{:?}", slow.bpred), "predictors diverged");
+    // And they go on to answer every later access alike.
+    for page in 0..6 {
+        for w in (0..1024).step_by(9) {
+            let (code, data) = (
+                0xf000_0000 + page * 4096 + 4 * w,
+                0x8000_0000 + page * 4096 + 4 * w,
+            );
+            for (kind, addr) in [
+                (AccessKind::IFetch, code),
+                (AccessKind::Read, data),
+                (AccessKind::Write, code),
+            ] {
+                prop_assert_eq!(
+                    fast.mem.access_report(kind, addr),
+                    slow.mem.access_report(kind, addr),
+                    "{:?} {:#x}",
+                    kind,
+                    addr
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `run_block` charges exactly what the one-instruction entry points
-    /// do, instruction by instruction: same cycles, counters, buckets,
-    /// per-level statistics, cache contents and later probe outcomes,
-    /// predictor state, pending interrupts with their raise stamps, and
-    /// trace events.
+    /// do, instruction by instruction, both with the trace sink off (the
+    /// dense charge walk) and on (the op walk): same cycles, counters,
+    /// buckets, per-level statistics, cache contents and later probe
+    /// outcomes, predictor state, pending interrupts with their raise
+    /// stamps, and trace events.
     #[test]
     fn run_block_matches_single_steps(
-        (cfg, trace, pins) in setup(),
+        (cfg, pins) in setup(),
         script in proptest::collection::vec(step(), 1..32),
     ) {
-        let mut fast = build(cfg, trace, &pins);
-        let mut slow = build(cfg, trace, &pins);
-        for (i, step) in script.iter().enumerate() {
-            let acked = apply(&mut fast, step, Machine::run_block);
-            prop_assert_eq!(acked, apply(&mut slow, step, single_steps), "step {} {:?}", i, step);
-            prop_assert_eq!(fast.pmu, slow.pmu, "step {} {:?}", i, step);
-            prop_assert_eq!(fast.accounts, slow.accounts, "step {} {:?}", i, step);
-            prop_assert_eq!(fast.accounts.total(), fast.pmu.cycles);
-            prop_assert_eq!(fast.mem.l1i_stats, slow.mem.l1i_stats, "step {} {:?}", i, step);
-            prop_assert_eq!(fast.mem.l1d_stats, slow.mem.l1d_stats, "step {} {:?}", i, step);
-            prop_assert_eq!(fast.mem.l2_stats, slow.mem.l2_stats, "step {} {:?}", i, step);
-            prop_assert_eq!(
-                format!("{:?}", fast.irq),
-                format!("{:?}", slow.irq),
-                "step {} {:?}",
-                i,
-                step
-            );
-            prop_assert_eq!(fast.trace.events().len(), slow.trace.events().len());
-        }
-        prop_assert_eq!(fast.trace.events(), slow.trace.events());
-        // Cache lines, replacement state and predictor tables.
-        let (mem, bpred) = (format!("{:?}", fast.mem), format!("{:?}", fast.bpred));
-        prop_assert!(mem == format!("{:?}", slow.mem), "caches diverged");
-        prop_assert!(bpred == format!("{:?}", slow.bpred), "predictors diverged");
-        // And they go on to answer every later access alike.
-        for page in 0..6 {
-            for w in (0..1024).step_by(9) {
-                let (code, data) = (0xf000_0000 + page * 4096 + 4 * w, 0x8000_0000 + page * 4096 + 4 * w);
-                for (kind, addr) in [(AccessKind::IFetch, code), (AccessKind::Read, data), (AccessKind::Write, code)] {
-                    prop_assert_eq!(
-                        fast.mem.access_report(kind, addr),
-                        slow.mem.access_report(kind, addr),
-                        "{:?} {:#x}",
-                        kind,
-                        addr
-                    );
-                }
-            }
+        for trace in [false, true] {
+            blocks_match_single_steps(cfg, trace, &pins, &script)?;
         }
     }
 

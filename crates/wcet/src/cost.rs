@@ -233,7 +233,8 @@ pub fn i_lines_of(layout: &Layout, blocks: &[Block]) -> HashSet<Addr> {
 /// the ones the executor's lowered ops carry ([`kprog::compiled`]).
 fn static_operands(block: Block) -> impl Iterator<Item = Addr> {
     kprog::compiled(block)
-        .ops
+        .lowered
+        .ops()
         .iter()
         .filter_map(|op| match op.kind {
             OpKind::Load(Operand::At(a)) | OpKind::Store(Operand::At(a)) => Some(a),
@@ -257,7 +258,7 @@ pub fn block_touches_pinned(
     pinned_i: &HashSet<Addr>,
     pinned_d: &HashSet<Addr>,
 ) -> bool {
-    let ops = &kprog::compiled(block).ops;
+    let ops = kprog::compiled(block).lowered.ops();
     // The ops were lowered at `Layout::new`'s addresses.
     debug_assert_eq!(ops.first().map(|op| op.pc), Some(layout.addr_of(block)));
     ops.iter().any(|op| pinned_i.contains(&(op.pc & !31)))
