@@ -11,7 +11,8 @@
 //!   instruction list as the Rust control flow passes through it, charging
 //!   every instruction fetch and data access to the `rt_hw` machine — this
 //!   is what produces *observed* execution times. Each list is lowered
-//!   once, at its laid-out address, into `rt_hw` ops ([`compiled`]);
+//!   once, at its laid-out address, into `rt_hw` ops and their dense
+//!   charge form ([`compiled`]);
 //! * the **static analysis** (`rt-wcet`) walks the same lists with its
 //!   pessimistic cache model and a control-flow graph over the same blocks
 //!   — this is what produces *computed* bounds.
@@ -649,8 +650,8 @@ pub struct CompiledBlock {
     pub obj_ops: u32,
 }
 
-/// `b` lowered to rt-hw ops. Every block is lowered once per process
-/// into one table: [`Layout::new`] takes no input, so the table never
+/// `b` lowered to rt-hw ops and their charge form. Every block is
+/// lowered once per process into one table: [`Layout::new`] takes no input, so the table never
 /// varies.
 pub fn compiled(b: Block) -> &'static CompiledBlock {
     static PROGRAM: OnceLock<Vec<CompiledBlock>> = OnceLock::new();
@@ -664,6 +665,7 @@ pub fn compiled(b: Block) -> &'static CompiledBlock {
 /// Lowers `b`'s instruction list, as laid out by `layout`. ALU runs are
 /// split at L1I line boundaries; stack and global operands get their
 /// addresses here, object operands their index into the runtime's list.
+/// [`LoweredBlock::new`] builds the charge form from the ops.
 fn lower(layout: &Layout, b: Block) -> CompiledBlock {
     let line = CacheGeometry::L1.line;
     let mut ops = Vec::new();

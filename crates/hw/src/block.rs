@@ -138,26 +138,16 @@ impl LoweredBlock {
     /// op must probe.
     pub fn new(ops: Vec<Op>) -> LoweredBlock {
         let geom = CacheGeometry::L1;
-        let mut block = LoweredBlock {
-            ops: Box::default(),
-            charges: Box::default(),
-            pipeline: 0,
-            instructions: 0,
-            data_accesses: 0,
-            branches: 0,
-            line_hits: 0,
-        };
         let mut charges = Vec::new();
+        let (mut pipeline, mut instructions, mut line_hits) = (0, 0, 0);
+        let (mut data_accesses, mut branches) = (0, 0);
         let mut last_line = None;
         for op in &ops {
             let n = op.instructions();
             assert!(n > 0, "{op:?} is empty");
             let line = geom.line_addr(op.pc);
-            assert_eq!(
-                geom.line_addr(op.pc + 4 * (n - 1)),
-                line,
-                "{op:?} crosses a line"
-            );
+            let end = geom.line_addr(op.pc + 4 * (n - 1));
+            assert_eq!(end, line, "{op:?} crosses a line");
             assert!(
                 op.fetch || last_line == Some(line),
                 "{op:?}: unprobed fetch leaves the line"
@@ -166,24 +156,34 @@ impl LoweredBlock {
             if op.fetch {
                 charges.push(Charge::Fetch(op.pc));
             }
-            block.line_hits += u64::from(n) - u64::from(op.fetch);
-            block.instructions += u64::from(n);
-            block.pipeline += op.kind.base_cycles();
+            pipeline += op.kind.base_cycles();
+            instructions += u64::from(n);
+            line_hits += u64::from(n) - u64::from(op.fetch);
             match op.kind {
-                OpKind::Load(o) => charges.push(Charge::Load(o)),
-                OpKind::Store(o) => charges.push(Charge::Store(o)),
-                OpKind::Branch(taken) => charges.push(Charge::Branch(op.pc, taken)),
+                OpKind::Load(o) => {
+                    data_accesses += 1;
+                    charges.push(Charge::Load(o));
+                }
+                OpKind::Store(o) => {
+                    data_accesses += 1;
+                    charges.push(Charge::Store(o));
+                }
+                OpKind::Branch(taken) => {
+                    branches += 1;
+                    charges.push(Charge::Branch(op.pc, taken));
+                }
                 OpKind::Alu(_) | OpKind::Clz | OpKind::Mul | OpKind::Device(_) => {}
             }
-            match op.kind {
-                OpKind::Load(_) | OpKind::Store(_) => block.data_accesses += 1,
-                OpKind::Branch(_) => block.branches += 1,
-                _ => {}
-            }
         }
-        block.ops = ops.into();
-        block.charges = charges.into();
-        block
+        LoweredBlock {
+            ops: ops.into(),
+            charges: charges.into(),
+            pipeline,
+            instructions,
+            data_accesses,
+            branches,
+            line_hits,
+        }
     }
 
     /// The block's ops, in execution order.
@@ -229,54 +229,54 @@ impl Machine {
         if block.instructions == 0 {
             return; // no instruction, so no tick either
         }
-        let var = if self.trace.is_enabled() {
+        let sums = if self.trace.is_enabled() {
             self.walk_ops_traced(block, objs)
         } else {
             self.walk_charges(block, objs)
         };
-        let pipeline = block.pipeline + var.branch;
+        let pipeline = block.pipeline + sums.branch;
         self.mem.l1i_stats.hits += block.line_hits;
         self.accounts.pipeline += pipeline;
-        self.accounts.ifetch_miss += var.ifetch_miss;
-        self.accounts.dmiss += var.dmiss;
-        self.accounts.l2 += var.l2;
+        self.accounts.ifetch_miss += sums.ifetch_miss;
+        self.accounts.dmiss += sums.dmiss;
+        self.accounts.l2 += sums.l2;
         self.pmu.instructions += block.instructions;
         self.pmu.data_accesses += block.data_accesses;
         self.pmu.branches += block.branches;
-        self.pmu.cycles += block.pipeline + var.total();
+        self.pmu.cycles += block.pipeline + sums.total();
         self.irq.tick(self.pmu.cycles);
     }
 
     /// The untraced walk: every probed fetch, data access and branch of
     /// `block`, in order, and nothing else.
     fn walk_charges(&mut self, block: &LoweredBlock, objs: &[Addr]) -> Sums {
-        let mut var = Sums::default();
+        let mut sums = Sums::default();
         for &charge in block.charges.iter() {
             let (kind, addr) = match charge {
                 Charge::Fetch(pc) => {
                     let report = self.mem.access_report(AccessKind::IFetch, pc);
-                    var.ifetch_miss += report.miss_cycles;
-                    var.l2 += report.l2_absorbed_cycles;
+                    sums.ifetch_miss += report.miss_cycles;
+                    sums.l2 += report.l2_absorbed_cycles;
                     continue;
                 }
                 Charge::Branch(pc, taken) => {
-                    var.branch += self.bpred.branch_traced(pc, taken).0;
+                    sums.branch += self.bpred.branch_traced(pc, taken).0;
                     continue;
                 }
                 Charge::Load(o) => (AccessKind::Read, resolve(o, objs)),
                 Charge::Store(o) => (AccessKind::Write, resolve(o, objs)),
             };
             let report = self.mem.access_report(kind, addr);
-            var.dmiss += report.miss_cycles;
-            var.l2 += report.l2_absorbed_cycles;
+            sums.dmiss += report.miss_cycles;
+            sums.l2 += report.l2_absorbed_cycles;
         }
-        var
+        sums
     }
 
     /// The traced walk: `block`'s ops, recording each instruction's
     /// events stamped with the cycle it begins at.
     fn walk_ops_traced(&mut self, block: &LoweredBlock, objs: &[Addr]) -> Sums {
-        let mut var = Sums::default();
+        let mut sums = Sums::default();
         // Cycle at which the current instruction begins: its trace stamp.
         let mut now = self.pmu.cycles;
         // Whether the line of the last fetch sits in a locked L1I way.
@@ -291,8 +291,8 @@ impl Machine {
                     report,
                 });
                 line_locked = report.locked_hit;
-                var.ifetch_miss += report.miss_cycles;
-                var.l2 += report.l2_absorbed_cycles;
+                sums.ifetch_miss += report.miss_cycles;
+                sums.l2 += report.l2_absorbed_cycles;
                 report.cost()
             } else {
                 self.trace_line_hit(now, op.pc, line_locked);
@@ -323,8 +323,8 @@ impl Machine {
                         addr,
                         report,
                     });
-                    var.dmiss += report.miss_cycles;
-                    var.l2 += report.l2_absorbed_cycles;
+                    sums.dmiss += report.miss_cycles;
+                    sums.l2 += report.l2_absorbed_cycles;
                     now += report.cost();
                     op.kind.base_cycles()
                 }
@@ -337,15 +337,15 @@ impl Machine {
                         outcome,
                         cost,
                     });
-                    var.branch += cost;
+                    sums.branch += cost;
                     cost
                 }
                 OpKind::Clz | OpKind::Mul | OpKind::Device(_) => op.kind.base_cycles(),
             };
             now += fetch_cost + pipeline;
         }
-        debug_assert_eq!(now, self.pmu.cycles + block.pipeline + var.total());
-        var
+        debug_assert_eq!(now, self.pmu.cycles + block.pipeline + sums.total());
+        sums
     }
 
     /// Records the `Access` event of a fetch that hit the line the
