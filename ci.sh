@@ -12,6 +12,10 @@ cargo test -q
 # perfbench use. Tier-1 runs them in debug only, where debug assertions
 # and overflow checks hold the code; release code must agree without them.
 cargo test --release -q -p rt-ilp -p rt-wcet -p rt-hw -p rt-kernel
+# The solver's work golden (tests/goldens/ilp_work.txt: nodes, pivots,
+# warm hits and worst-path digest per analysis) in the same profile, so
+# a release-only change to the pivots cannot pass on the debug run alone.
+cargo test --release -q -p rt-tests --test goldens ilp_work
 
 # The explorer's deep state-set goldens (the searches perfbench times)
 # take seconds in release and far longer in debug, so tier-1 skips them.

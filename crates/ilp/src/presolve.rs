@@ -129,15 +129,38 @@ fn add_scaled(coeffs: &[(usize, Rat)], scale: Rat, terms: &[(usize, Rat)]) -> Ve
     out
 }
 
-/// Replaces `var` in `row` by `constant + terms`, if present.
-fn substitute_row(row: &mut Row, var: usize, constant: Rat, terms: &[(usize, Rat)]) {
+/// Replaces `var` in `row` by `constant + terms`, if present, keeping
+/// `occ` (each variable's count of live rows) current.
+fn substitute_row(
+    row: &mut Row,
+    var: usize,
+    constant: Rat,
+    terms: &[(usize, Rat)],
+    occ: &mut [usize],
+) {
     let Ok(pos) = row.coeffs.binary_search_by_key(&var, |&(j, _)| j) else {
         return;
     };
     let cv = row.coeffs[pos].1;
+    uncount(occ, &row.coeffs);
     row.coeffs.remove(pos);
     row.coeffs = add_scaled(&row.coeffs, cv, terms);
+    count(occ, &row.coeffs);
     row.rhs -= cv * constant;
+}
+
+/// Adds one occurrence of each variable in `coeffs` to `occ`.
+fn count(occ: &mut [usize], coeffs: &[(usize, Rat)]) {
+    for &(j, _) in coeffs {
+        occ[j] += 1;
+    }
+}
+
+/// Removes one occurrence of each variable in `coeffs` from `occ`.
+fn uncount(occ: &mut [usize], coeffs: &[(usize, Rat)]) {
+    for &(j, _) in coeffs {
+        occ[j] -= 1;
+    }
 }
 
 /// An empty-lhs row is either vacuous or a proof of infeasibility.
@@ -179,16 +202,15 @@ pub(crate) fn reduce(
     let mut obj_const = Rat::ZERO;
     let mut eliminated = vec![false; n_vars];
     let mut elims: Vec<Elim> = Vec::new();
+    // Each variable's count of live rows, for the Markowitz score: counted
+    // once here, then kept current as rows are taken, substituted and
+    // appended.
+    let mut occ = vec![0usize; n_vars];
+    for r in rows.iter().flatten() {
+        count(&mut occ, &r.coeffs);
+    }
 
     loop {
-        // Occurrence counts over live rows, for the Markowitz score.
-        let mut occ = vec![0usize; n_vars];
-        for r in rows.iter().flatten() {
-            for &(j, _) in &r.coeffs {
-                occ[j] += 1;
-            }
-        }
-
         let mut best: Option<(usize, usize, usize)> = None; // (score, row, var)
         for (ri, r) in rows.iter().enumerate() {
             let Some(r) = r else { continue };
@@ -222,6 +244,7 @@ pub(crate) fn reduce(
 
         // Build `var = constant + terms` from the pivot row.
         let row = rows[ri].take().expect("candidate row is live");
+        uncount(&mut occ, &row.coeffs);
         let a = row
             .coeffs
             .iter()
@@ -237,7 +260,7 @@ pub(crate) fn reduce(
             .collect();
 
         for r in rows.iter_mut().flatten() {
-            substitute_row(r, var, constant, &terms);
+            substitute_row(r, var, constant, &terms, &mut occ);
         }
         if let Ok(pos) = obj.binary_search_by_key(&var, |&(j, _)| j) {
             let cv = obj[pos].1;
@@ -255,6 +278,7 @@ pub(crate) fn reduce(
                     return Outcome::Infeasible;
                 }
             } else {
+                count(&mut occ, &terms);
                 rows.push(Some(Row {
                     coeffs: terms.clone(),
                     rel: Rel::Ge,
@@ -262,6 +286,8 @@ pub(crate) fn reduce(
                 }));
             }
         }
+        #[cfg(test)]
+        assert_eq!(occ, recount(&rows, n_vars), "occurrence counts drifted");
 
         eliminated[var] = true;
         elims.push(Elim {
@@ -315,9 +341,21 @@ pub(crate) fn reduce(
     })
 }
 
+/// Each variable's count of live rows, counted from scratch: what
+/// `reduce`'s maintained counts must equal after every elimination.
+#[cfg(test)]
+fn recount(rows: &[Option<Row>], n_vars: usize) -> Vec<usize> {
+    let mut occ = vec![0; n_vars];
+    for r in rows.iter().flatten() {
+        count(&mut occ, &r.coeffs);
+    }
+    occ
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(n: i128) -> Rat {
         Rat::int(n)
@@ -442,6 +480,46 @@ mod tests {
         let (other, other_const) = p.reduce_objective(&[(0, r(1)), (1, r(1))]);
         assert_eq!(other, vec![(0, r(2))]);
         assert_eq!(other_const, r(3));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random mixed systems, equality-heavy so eliminations chain,
+        /// substitute into several rows, cancel entries and append
+        /// guard rows: `reduce` asserts after every elimination that its
+        /// maintained occurrence counts equal a recount of the live rows.
+        #[test]
+        fn maintained_counts_match_a_recount(
+            rows in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..8, -2i64..=2), 1..=4),
+                    0u8..4,
+                    -3i64..=6,
+                ),
+                1..=8,
+            ),
+            integers in proptest::collection::vec(any::<bool>(), 8),
+        ) {
+            let rows: Vec<Row> = rows
+                .into_iter()
+                .map(|(terms, rel, rhs)| {
+                    let mut coeffs: Vec<(usize, Rat)> = Vec::new();
+                    for (j, c) in terms {
+                        if c != 0 && coeffs.iter().all(|&(k, _)| k != j) {
+                            coeffs.push((j, Rat::from(c)));
+                        }
+                    }
+                    // Two draws in four are equalities.
+                    let rel = [Rel::Eq, Rel::Eq, Rel::Le, Rel::Ge][rel as usize];
+                    Row { coeffs, rel, rhs: Rat::from(rhs) }
+                })
+                .collect();
+            let integers: Vec<usize> = (0..8).filter(|&j| integers[j]).collect();
+            if let Outcome::Reduced(p) = reduce(8, &[(0, r(1)), (3, r(2))], &rows, &integers) {
+                prop_assert_eq!(p.n_vars as u64 + p.eliminated, 8);
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,18 @@
 //! analysis generates; arithmetic is checked and panics loudly on overflow
 //! rather than silently wrapping (an overflowed WCET bound would be
 //! unsound).
+//!
+//! The values stay far narrower than their fields: a wcet-fleet pass
+//! normalises ~8.6M gcds, and none has an operand wider than 28 bits. So
+//! the gcd and the divisions by it run at the operands' width. A gcd whose
+//! operands both fit in 64 bits is a binary (Stein) gcd on `u64`, a
+//! division whose operands both fit is an `i64` division, and a gcd of 1
+//! (two normalisations in three) divides nothing. Only wider operands take
+//! the `i128` Euclid loop and `i128` division, which compile to software
+//! routines. A gcd is unique and an exact quotient is the same at any
+//! width, so every path stores the same canonical `num / den`, and every
+//! result, overflow panics included, is the one the `i128` path alone
+//! gives.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -21,13 +33,56 @@ pub struct Rat {
 
 const OVERFLOW_MSG: &str = "rt-ilp: rational arithmetic overflow (i128)";
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
+/// `gcd(|a|, |b|)`, on `u64` when both magnitudes fit in 64 bits.
+fn gcd(a: i128, b: i128) -> i128 {
+    match (
+        u64::try_from(a.unsigned_abs()),
+        u64::try_from(b.unsigned_abs()),
+    ) {
+        (Ok(a), Ok(b)) => i128::from(binary_gcd(a, b)),
+        _ => euclid_gcd(a, b),
+    }
+}
+
+/// Stein's gcd: shifts and subtractions, no division.
+fn binary_gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// The `i128` Euclid gcd, for operands wider than 64 bits.
+fn euclid_gcd(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
     a.abs()
+}
+
+/// `x / g` for a divisor `g` of `x`: nothing to do when `g == 1`, an
+/// `i64` division when both fit in 64 bits, else an `i128` one.
+fn div_exact(x: i128, g: i128) -> i128 {
+    if g == 1 {
+        return x;
+    }
+    match (i64::try_from(x), i64::try_from(g)) {
+        (Ok(x), Ok(g)) => i128::from(x / g),
+        _ => x / g,
+    }
 }
 
 impl Rat {
@@ -44,7 +99,7 @@ impl Rat {
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rt-ilp: rational with zero denominator");
         let g = gcd(num, den);
-        let (mut num, mut den) = (num / g, den / g);
+        let (mut num, mut den) = (div_exact(num, g), div_exact(den, g));
         if den < 0 {
             num = -num;
             den = -den;
@@ -137,7 +192,7 @@ impl Rat {
         // Cross-multiply with pre-division by gcd of denominators to keep
         // magnitudes small.
         let g = gcd(self.den, rhs.den);
-        let (da, db) = (self.den / g, rhs.den / g);
+        let (da, db) = (div_exact(self.den, g), div_exact(rhs.den, g));
         let lhs = self.num.checked_mul(db)?;
         let rhs_n = rhs.num.checked_mul(da)?;
         let num = lhs.checked_add(rhs_n)?;
@@ -157,8 +212,8 @@ impl Rat {
         // already coprime, so `Rat::new`'s gcd pass runs on small values.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
+        let num = div_exact(self.num, g1).checked_mul(div_exact(rhs.num, g2))?;
+        let den = div_exact(self.den, g2).checked_mul(div_exact(rhs.den, g1))?;
         Some(Rat::new(num, den))
     }
 }
@@ -400,5 +455,152 @@ mod tests {
     fn fractional_add_overflow_panics() {
         // General path: denominators force cross-multiplication overflow.
         let _ = Rat::new(i128::MAX, 2) + Rat::new(i128::MAX, 3);
+    }
+
+    // --- both widths -----------------------------------------------------
+    //
+    // IPET values never leave 64 bits, so the solver's own tests never
+    // reach the `i128` gcd and divisions. These operands sit at, across
+    // and far beyond the 64-bit boundary, and every operation must give
+    // what the `i128` Euclid algorithm alone gives: the same canonical
+    // value, or the same overflow panic.
+
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, UnwindSafe};
+
+    /// A rational as its `(num, den)` fields.
+    type Pair = (i128, i128);
+
+    /// Euclid's gcd in `i128`, the reference the width split must match.
+    fn ref_gcd(mut a: i128, mut b: i128) -> i128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a.abs()
+    }
+
+    fn ref_new((num, den): Pair) -> Pair {
+        let g = ref_gcd(num, den);
+        let (num, den) = (num / g, den / g);
+        if den < 0 {
+            (-num, -den)
+        } else {
+            (num, den)
+        }
+    }
+
+    /// Addition as the `i128` path computes it; `None` on overflow.
+    fn ref_add(a: Pair, b: Pair) -> Option<Pair> {
+        if a.1 == 1 && b.1 == 1 {
+            return Some((a.0.checked_add(b.0)?, 1));
+        }
+        let g = ref_gcd(a.1, b.1);
+        let (da, db) = (a.1 / g, b.1 / g);
+        let num = a.0.checked_mul(db)?.checked_add(b.0.checked_mul(da)?)?;
+        Some(ref_new((num, a.1.checked_mul(db)?)))
+    }
+
+    /// Multiplication as the `i128` path computes it; `None` on overflow.
+    fn ref_mul(a: Pair, b: Pair) -> Option<Pair> {
+        if a.1 == 1 && b.1 == 1 {
+            return Some((a.0.checked_mul(b.0)?, 1));
+        }
+        let (g1, g2) = (ref_gcd(a.0, b.1), ref_gcd(b.0, a.1));
+        let num = (a.0 / g1).checked_mul(b.0 / g2)?;
+        let den = (a.1 / g2).checked_mul(b.1 / g1)?;
+        Some(ref_new((num, den)))
+    }
+
+    fn ref_cmp(a: Pair, b: Pair) -> Option<Ordering> {
+        if a.1 == 1 && b.1 == 1 {
+            return Some(a.0.cmp(&b.0));
+        }
+        Some(a.0.checked_mul(b.1)?.cmp(&b.0.checked_mul(a.1)?))
+    }
+
+    /// Runs `f`, returning its value or its panic message.
+    fn outcome<T>(f: impl FnOnce() -> T + UnwindSafe) -> Result<T, String> {
+        catch_unwind(f).map_err(|e| match e.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => e.downcast_ref::<String>().cloned().unwrap_or_default(),
+        })
+    }
+
+    /// `got` must be the reference value `want`, in canonical form, or,
+    /// where the reference overflows, the overflow panic.
+    fn expect_value(
+        op: &str,
+        got: Result<Rat, String>,
+        want: Option<Pair>,
+    ) -> Result<(), TestCaseError> {
+        let got = got.map(|r| (r.numer(), r.denom()));
+        match want {
+            Some(w) => {
+                prop_assert_eq!(got, Ok(w), "{}", op);
+                prop_assert!(
+                    w.1 > 0 && ref_gcd(w.0, w.1) == 1,
+                    "{op}: {w:?} not canonical"
+                );
+            }
+            None => prop_assert_eq!(got, Err(OVERFLOW_MSG.to_string()), "{}", op),
+        }
+        Ok(())
+    }
+
+    /// Integers small, near ±2^63 (the `i64` edge), near ±2^64 (the `u64`
+    /// edge) and up to ±2^100.
+    fn wide_int() -> impl Strategy<Value = i128> {
+        let signed = |m: i128, neg: bool| if neg { -m } else { m };
+        prop_oneof![
+            (-1000i64..=1000).prop_map(i128::from),
+            (-4i64..=4, any::<bool>())
+                .prop_map(move |(d, neg)| signed((1i128 << 63) + i128::from(d), neg)),
+            (-4i64..=4, any::<bool>())
+                .prop_map(move |(d, neg)| signed((1i128 << 64) + i128::from(d), neg)),
+            (0u64..1 << 36, any::<u64>(), any::<bool>())
+                .prop_map(move |(hi, lo, neg)| signed(i128::from(hi) << 64 | i128::from(lo), neg)),
+        ]
+    }
+
+    /// A `(num, den)` pair, both scaled by a common factor where that
+    /// fits, so normalisation has real common factors to cancel.
+    fn wide_pair() -> impl Strategy<Value = Pair> {
+        let factor = prop_oneof![
+            Just(1i128),
+            (2i64..=60).prop_map(i128::from),
+            (1u32..=40).prop_map(|k| 1i128 << k)
+        ];
+        (wide_int(), wide_int(), factor).prop_map(|(num, den, f)| {
+            let den = if den == 0 { 1 } else { den };
+            match (num.checked_mul(f), den.checked_mul(f)) {
+                (Some(n), Some(d)) => (n, d),
+                _ => (num, den),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Every operation over operands of both widths equals the `i128`
+        /// Euclid reference, value and overflow alike.
+        #[test]
+        fn both_widths_match_the_euclid_reference(a in wide_pair(), b in wide_pair()) {
+            let (ra, rb) = (Rat::new(a.0, a.1), Rat::new(b.0, b.1));
+            let (pa, pb) = (ref_new(a), ref_new(b));
+            expect_value("new a", Ok(ra), Some(pa))?;
+            expect_value("new b", Ok(rb), Some(pb))?;
+            expect_value("add", outcome(|| ra + rb), ref_add(pa, pb))?;
+            expect_value("sub", outcome(|| ra - rb), ref_add(pa, (-pb.0, pb.1)))?;
+            expect_value("mul", outcome(|| ra * rb), ref_mul(pa, pb))?;
+            if pb.0 != 0 {
+                expect_value("div", outcome(|| ra / rb), ref_mul(pa, ref_new((pb.1, pb.0))))?;
+            }
+            let cmp = outcome(|| ra.cmp(&rb));
+            match ref_cmp(pa, pb) {
+                Some(o) => prop_assert_eq!(cmp, Ok(o)),
+                None => prop_assert_eq!(cmp, Err(OVERFLOW_MSG.to_string())),
+            }
+        }
     }
 }

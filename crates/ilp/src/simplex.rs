@@ -386,10 +386,12 @@ impl Tableau {
         // columns it is redundant and can keep its zero artificial. No cut
         // columns exist yet, so every non-artificial column precedes the
         // artificials: the row's first entry is its first candidate.
+        let mut column = Vec::new();
         for i in 0..self.m {
             if self.is_artificial(self.basis[i]) {
                 if let Some(&(j, _)) = self.a[i].first().filter(|&&(j, _)| j < self.art_start) {
-                    self.pivot(i, j);
+                    self.gather_column(j, &mut column);
+                    self.pivot(i, j, &column);
                     *pivots += 1;
                 }
             }
@@ -420,14 +422,27 @@ impl Tableau {
         }
     }
 
-    /// Ratio test for entering column `col`: the blocking row with the
-    /// minimum `rhs/a` over positive entries, ties broken on the smallest
-    /// basis index (which is what Bland's anti-cycling argument needs).
-    /// `None` means no blocking row — the column is an unbounded ray.
-    fn ratio_row(&self, col: usize) -> Option<(usize, Rat)> {
+    /// Gathers column `col`'s nonzero entries into `out` as `(row, value)`
+    /// in row order, so one pivot's ratio test and row updates read them
+    /// without searching every row again.
+    fn gather_column(&self, col: usize, out: &mut Vec<(usize, Rat)>) {
+        out.clear();
+        for (i, row) in self.a.iter().enumerate() {
+            let v = entry(row, col);
+            if !v.is_zero() {
+                out.push((i, v));
+            }
+        }
+    }
+
+    /// Ratio test over an entering column gathered by
+    /// [`Tableau::gather_column`]: the blocking row with the minimum
+    /// `rhs/a` over positive entries, ties broken on the smallest basis
+    /// index (which is what Bland's anti-cycling argument needs). `None`
+    /// means no blocking row — the column is an unbounded ray.
+    fn ratio_row(&self, column: &[(usize, Rat)]) -> Option<(usize, Rat)> {
         let mut leave: Option<(usize, Rat)> = None;
-        for i in 0..self.m {
-            let aij = entry(&self.a[i], col);
+        for &(i, aij) in column {
             if aij.is_positive() {
                 let ratio = self.rhs[i] / aij;
                 let better = match &leave {
@@ -481,6 +496,9 @@ impl Tableau {
     /// pivots the rule switches to Bland (smallest index) until progress
     /// resumes — termination stays guaranteed because Bland episodes
     /// cannot cycle and strict objective increases are finite.
+    ///
+    /// The entering column is gathered once per pivot, and the ratio test
+    /// and the pivot's row updates both read that list.
     pub(crate) fn optimize(&mut self, pivots: &mut u64, rule: PivotRule) -> Opt {
         debug_assert!(
             self.rhs.iter().all(|r| !r.is_negative()),
@@ -491,6 +509,7 @@ impl Tableau {
             PivotRule::Bland => 0,
         };
         let mut degenerate = 0usize;
+        let mut column = Vec::new();
         loop {
             let (enter, leave) = if degenerate < threshold {
                 let mut best: Option<(usize, Rat)> = None;
@@ -503,7 +522,8 @@ impl Tableau {
                 let Some((j0, _)) = best else {
                     return Opt::Optimal;
                 };
-                match self.ratio_row(j0) {
+                self.gather_column(j0, &mut column);
+                match self.ratio_row(&column) {
                     None => return Opt::Unbounded,
                     Some((row, ratio)) if !ratio.is_zero() => (j0, (row, ratio)),
                     Some(blocked) => {
@@ -528,7 +548,8 @@ impl Tableau {
                         }
                         match alt {
                             Some((j, _)) => {
-                                let leave = self.ratio_row(j);
+                                self.gather_column(j, &mut column);
+                                let leave = self.ratio_row(&column);
                                 (j, leave.expect("a positive step has a blocking row"))
                             }
                             None => (j0, blocked),
@@ -539,13 +560,14 @@ impl Tableau {
                 let Some(j) = self.eligible_cols().find(|&j| self.obj[j].is_negative()) else {
                     return Opt::Optimal;
                 };
-                match self.ratio_row(j) {
+                self.gather_column(j, &mut column);
+                match self.ratio_row(&column) {
                     None => return Opt::Unbounded,
                     Some(leave) => (j, leave),
                 }
             };
             let (row, ratio) = leave;
-            self.pivot(row, enter);
+            self.pivot(row, enter, &column);
             *pivots += 1;
             if ratio.is_zero() {
                 degenerate += 1;
@@ -592,6 +614,7 @@ impl Tableau {
     /// anti-cycling guard for the dual iteration).
     pub fn dual_reoptimize(&mut self, pivots: &mut u64) -> Reopt {
         let cap = 4 * self.m + 64;
+        let mut column = Vec::new();
         for _ in 0..cap {
             // Leaving row: most negative rhs (row index breaks ties).
             let mut leave: Option<(usize, Rat)> = None;
@@ -627,13 +650,17 @@ impl Tableau {
                 // no feasible completion — the cut emptied the region.
                 return Reopt::Infeasible;
             };
-            self.pivot(row, col);
+            self.gather_column(col, &mut column);
+            self.pivot(row, col, &column);
             *pivots += 1;
         }
         Reopt::Stalled
     }
 
-    fn pivot(&mut self, row: usize, col: usize) {
+    /// Pivots `col` into the basis at `row`. `column` is `col`'s nonzero
+    /// entries as [`Tableau::gather_column`] gathered them: exactly the
+    /// rows the elimination touches.
+    fn pivot(&mut self, row: usize, col: usize, column: &[(usize, Rat)]) {
         // Taken out of the tableau while the other rows are updated from
         // it, and put back at the end.
         let mut pivot_row = std::mem::take(&mut self.a[row]);
@@ -648,14 +675,11 @@ impl Tableau {
         // Each merge is built in `scratch` and swapped in, so the buffer
         // then holds the replaced row's allocation for the next merge.
         let mut scratch = Vec::new();
-        for i in 0..self.m {
+        for &(i, f) in column {
             if i != row {
-                let f = entry(&self.a[i], col);
-                if !f.is_zero() {
-                    add_scaled(&mut scratch, &self.a[i], -f, &pivot_row);
-                    std::mem::swap(&mut self.a[i], &mut scratch);
-                    self.rhs[i] -= f * pivot_rhs;
-                }
+                add_scaled(&mut scratch, &self.a[i], -f, &pivot_row);
+                std::mem::swap(&mut self.a[i], &mut scratch);
+                self.rhs[i] -= f * pivot_rhs;
             }
         }
         let f = self.obj[col];
@@ -848,6 +872,34 @@ mod tests {
             LpResult::Optimal { objective, .. } => assert_eq!(objective, r(2)),
             other => panic!("expected optimal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn degenerate_alternative_pivots_its_own_column() {
+        // max x + y  s.t.  x - y <= 0, x + y <= 4. Dantzig prices x first
+        // (a tie keeps the earlier column), but row 0 blocks x at a zero
+        // step. y steps strictly (row 1, ratio 4), so the alternative
+        // branch pivots y, gathered afresh, and is optimal after one pivot;
+        // Bland's rule takes x's degenerate pivot first and ends at another
+        // vertex of the same optimal face.
+        let rows = vec![
+            row(&[(0, 1), (1, -1)], Rel::Le, 0),
+            row(&[(0, 1), (1, 1)], Rel::Le, 4),
+        ];
+        let objective = [(0, r(1)), (1, r(1))];
+        let solve = |rule| {
+            let mut pivots = 0;
+            let ColdOutcome::Optimal(t) = solve_cold(2, &objective, &rows, &mut pivots, rule)
+            else {
+                panic!("{rule:?}: expected optimal");
+            };
+            t.assert_well_formed(true);
+            (t.objective_value(), t.extract(2), pivots)
+        };
+        let (dantzig, bland) = (solve(PivotRule::Dantzig), solve(PivotRule::Bland));
+        assert_eq!(dantzig.0, bland.0);
+        assert_eq!(dantzig, (r(4), vec![r(0), r(4)], 1));
+        assert_eq!(bland, (r(4), vec![r(2), r(2)], 2));
     }
 
     // --- warm-start machinery -------------------------------------------
