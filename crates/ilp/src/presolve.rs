@@ -163,6 +163,15 @@ fn uncount(occ: &mut [usize], coeffs: &[(usize, Rat)]) {
     }
 }
 
+/// Each variable's count of live rows, counted from scratch.
+fn occurrences(rows: &[Option<Row>], n_vars: usize) -> Vec<usize> {
+    let mut occ = vec![0; n_vars];
+    for r in rows.iter().flatten() {
+        count(&mut occ, &r.coeffs);
+    }
+    occ
+}
+
 /// An empty-lhs row is either vacuous or a proof of infeasibility.
 fn empty_row_feasible(rel: Rel, rhs: Rat) -> bool {
     match rel {
@@ -205,10 +214,7 @@ pub(crate) fn reduce(
     // Each variable's count of live rows, for the Markowitz score: counted
     // once here, then kept current as rows are taken, substituted and
     // appended.
-    let mut occ = vec![0usize; n_vars];
-    for r in rows.iter().flatten() {
-        count(&mut occ, &r.coeffs);
-    }
+    let mut occ = occurrences(&rows, n_vars);
 
     loop {
         let mut best: Option<(usize, usize, usize)> = None; // (score, row, var)
@@ -287,7 +293,7 @@ pub(crate) fn reduce(
             }
         }
         #[cfg(test)]
-        assert_eq!(occ, recount(&rows, n_vars), "occurrence counts drifted");
+        assert_eq!(occ, occurrences(&rows, n_vars), "occurrence counts drifted");
 
         eliminated[var] = true;
         elims.push(Elim {
@@ -339,17 +345,6 @@ pub(crate) fn reduce(
         keep,
         reduced_idx,
     })
-}
-
-/// Each variable's count of live rows, counted from scratch: what
-/// `reduce`'s maintained counts must equal after every elimination.
-#[cfg(test)]
-fn recount(rows: &[Option<Row>], n_vars: usize) -> Vec<usize> {
-    let mut occ = vec![0; n_vars];
-    for r in rows.iter().flatten() {
-        count(&mut occ, &r.coeffs);
-    }
-    occ
 }
 
 #[cfg(test)]
