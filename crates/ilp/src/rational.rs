@@ -8,12 +8,12 @@
 //! unsound).
 //!
 //! The values stay far narrower than their fields: a wcet-fleet pass
-//! normalises ~8.6M gcds, and none has an operand wider than 28 bits. So
-//! the gcd and the divisions by it run at the operands' width. A gcd whose
+//! takes ~8.6M gcds, and none has an operand wider than 28 bits. So the
+//! gcd and the divisions by it run at the operands' width. A gcd whose
 //! operands both fit in 64 bits is a binary (Stein) gcd on `u64`, a
-//! division whose operands both fit is an `i64` division, and a gcd of 1
-//! (two normalisations in three) divides nothing. Only wider operands take
-//! the `i128` Euclid loop and `i128` division, which compile to software
+//! division whose operands both fit is an `i64` division, and a division
+//! by a gcd of 1 (two in three) is skipped. Only wider operands take the
+//! `i128` Euclid loop and `i128` division, which compile to software
 //! routines. A gcd is unique and an exact quotient is the same at any
 //! width, so every path stores the same canonical `num / den`, and every
 //! result, overflow panics included, is the one the `i128` path alone
