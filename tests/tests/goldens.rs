@@ -345,34 +345,36 @@ fn explore_cex_matches_golden() {
 
 /// The analyses whose solver work `ilp_work.txt` pins: every distinct
 /// analysis `repro all` issues (one of which branches: the after-kernel
-/// system call with the L2 on), plus the fleet's lazy-scheduler,
-/// shadow-page-table system call with preemption points and manual
-/// constraints at both L2 settings — the instances whose branch and bound
-/// appends cuts, re-optimises with dual pivots and falls back to cold
-/// solves once the snapshot budget is spent.
+/// system call with the L2 on), plus the fleet's lazy- and
+/// Benno-scheduler, shadow-page-table system calls with preemption points
+/// and manual constraints at both L2 settings — the instances whose branch
+/// and bound appends cuts, re-optimises with dual pivots and holds the
+/// widest frontier of live tableaux.
 fn ilp_work_jobs() -> Vec<(EntryPoint, AnalysisConfig)> {
     let mut seen = HashSet::new();
     let mut jobs: Vec<_> = full_sweep_jobs()
         .into_iter()
         .filter(|job| seen.insert(*job))
         .collect();
-    let kernel = KernelConfig {
-        sched: SchedKind::Lazy,
-        vm: VmKind::ShadowPt,
-        preemption_points: true,
-        fastpath: false,
-    };
-    for l2 in [false, true] {
-        jobs.push((
-            EntryPoint::Syscall,
-            AnalysisConfig {
-                kernel,
-                l2,
-                pinning: false,
-                l2_kernel_locked: false,
-                manual_constraints: true,
-            },
-        ));
+    for sched in [SchedKind::Lazy, SchedKind::Benno] {
+        let kernel = KernelConfig {
+            sched,
+            vm: VmKind::ShadowPt,
+            preemption_points: true,
+            fastpath: false,
+        };
+        for l2 in [false, true] {
+            jobs.push((
+                EntryPoint::Syscall,
+                AnalysisConfig {
+                    kernel,
+                    l2,
+                    pinning: false,
+                    l2_kernel_locked: false,
+                    manual_constraints: true,
+                },
+            ));
+        }
     }
     jobs
 }
