@@ -26,6 +26,8 @@
 //! and all coefficients nonnegative); explicit bound rows were part of the
 //! input and are substituted like any other row.
 
+use std::collections::BTreeSet;
+
 use crate::rational::Rat;
 use crate::simplex::{self, Rel, Row};
 
@@ -92,30 +94,40 @@ impl Presolved {
     }
 
     /// Maps an objective over *original* variables into the reduced space,
-    /// replaying the recorded substitutions in elimination order.
+    /// replaying the recorded substitutions in elimination order. Returns
+    /// the reduced objective (reduced indices, sorted) and the absorbed
+    /// constant.
     ///
-    /// This performs exactly the objective updates [`reduce`] interleaves
-    /// with its row eliminations (substitution never influences pivot
-    /// choice), so for the objective `reduce` was given it reproduces
-    /// `self.objective` / `self.obj_const` bit for bit — and for any other
-    /// objective it yields the reduction `reduce` would have produced,
-    /// without re-running the row elimination. Returns the reduced
-    /// objective (reduced indices, sorted) and the absorbed constant.
+    /// This is the one objective path: [`reduce`] gets `self.objective`
+    /// and `self.obj_const` from it too, and a re-solve under another
+    /// objective gets the reduction `reduce` would have produced without
+    /// re-running the row elimination (substitution never influences
+    /// pivot choice). One dense accumulator over the original variables
+    /// takes each elimination's `+= cv·c` updates in order, so every
+    /// coefficient receives the same exact updates a sparse merge per
+    /// elimination would make; zeros are dropped once, at the end.
     pub fn reduce_objective(&self, objective: &[(usize, Rat)]) -> (Vec<(usize, Rat)>, Rat) {
-        let mut obj: Vec<(usize, Rat)> = objective.to_vec();
-        obj.sort_by_key(|&(j, _)| j);
+        let mut dense = vec![Rat::ZERO; self.reduced_idx.len()];
+        for &(j, c) in objective {
+            dense[j] += c;
+        }
         let mut obj_const = Rat::ZERO;
         for e in &self.elims {
-            if let Ok(pos) = obj.binary_search_by_key(&e.var, |&(j, _)| j) {
-                let cv = obj[pos].1;
-                obj.remove(pos);
-                obj = add_scaled(&obj, cv, &e.terms);
-                obj_const += cv * e.constant;
+            let cv = std::mem::replace(&mut dense[e.var], Rat::ZERO);
+            if cv.is_zero() {
+                continue;
             }
+            for &(j, c) in &e.terms {
+                dense[j] += cv * c;
+            }
+            obj_const += cv * e.constant;
         }
-        let obj = obj
-            .into_iter()
-            .map(|(j, c)| (self.reduced_idx[j], c))
+        let obj = self
+            .keep
+            .iter()
+            .enumerate()
+            .filter(|&(_, &orig)| !dense[orig].is_zero())
+            .map(|(r, &orig)| (r, dense[orig]))
             .collect();
         (obj, obj_const)
     }
@@ -129,47 +141,140 @@ fn add_scaled(coeffs: &[(usize, Rat)], scale: Rat, terms: &[(usize, Rat)]) -> Ve
     out
 }
 
-/// Replaces `var` in `row` by `constant + terms`, if present, keeping
-/// `occ` (each variable's count of live rows) current.
+/// Whether `coeffs` (sorted by index) holds variable `j`.
+fn holds(coeffs: &[(usize, Rat)], j: usize) -> bool {
+    coeffs.binary_search_by_key(&j, |&(k, _)| k).is_ok()
+}
+
+/// Replaces `var` in live row `ri` by `constant + terms`, keeping the
+/// column index current: `ri` joins the column of each term variable the
+/// merge adds and leaves the column of each one it cancels. Pushes those
+/// variables, whose counts changed, onto `touched`. `var`'s own column is
+/// the caller's to clear.
 fn substitute_row(
     row: &mut Row,
+    ri: usize,
     var: usize,
     constant: Rat,
     terms: &[(usize, Rat)],
-    occ: &mut [usize],
+    cols: &mut [Vec<usize>],
+    touched: &mut Vec<usize>,
 ) {
-    let Ok(pos) = row.coeffs.binary_search_by_key(&var, |&(j, _)| j) else {
-        return;
-    };
+    let pos = row
+        .coeffs
+        .binary_search_by_key(&var, |&(j, _)| j)
+        .expect("the column index lists only rows holding the variable");
     let cv = row.coeffs[pos].1;
-    uncount(occ, &row.coeffs);
     row.coeffs.remove(pos);
-    row.coeffs = add_scaled(&row.coeffs, cv, terms);
-    count(occ, &row.coeffs);
+    let merged = add_scaled(&row.coeffs, cv, terms);
+    for &(j, _) in terms {
+        let col = &mut cols[j];
+        match (holds(&row.coeffs, j), holds(&merged, j)) {
+            (false, true) => {
+                let at = col
+                    .binary_search(&ri)
+                    .expect_err("row not yet in the column");
+                col.insert(at, ri);
+            }
+            (true, false) => {
+                let at = col.binary_search(&ri).expect("row in the column");
+                col.remove(at);
+            }
+            _ => continue,
+        }
+        touched.push(j);
+    }
+    row.coeffs = merged;
     row.rhs -= cv * constant;
 }
 
-/// Adds one occurrence of each variable in `coeffs` to `occ`.
-fn count(occ: &mut [usize], coeffs: &[(usize, Rat)]) {
-    for &(j, _) in coeffs {
-        occ[j] += 1;
+/// Each variable's column: the live rows holding it, in increasing order,
+/// built from scratch.
+fn columns(rows: &[Option<Row>], n_vars: usize) -> Vec<Vec<usize>> {
+    let mut cols = vec![Vec::new(); n_vars];
+    for (ri, r) in rows.iter().enumerate() {
+        for &(j, _) in r.iter().flat_map(|r| &r.coeffs) {
+            cols[j].push(ri);
+        }
     }
+    cols
 }
 
-/// Removes one occurrence of each variable in `coeffs` from `occ`.
-fn uncount(occ: &mut [usize], coeffs: &[(usize, Rat)]) {
-    for &(j, _) in coeffs {
-        occ[j] -= 1;
-    }
+/// Whether `row` may define an integer variable: integer coefficients, an
+/// integer right-hand side and only integer variables.
+fn integral_row(row: &Row, is_int: &[bool]) -> bool {
+    row.rhs.is_integer() && row.coeffs.iter().all(|&(j, c)| c.is_integer() && is_int[j])
 }
 
-/// Each variable's count of live rows, counted from scratch.
-fn occurrences(rows: &[Option<Row>], n_vars: usize) -> Vec<usize> {
-    let mut occ = vec![0; n_vars];
-    for r in rows.iter().flatten() {
-        count(&mut occ, &r.coeffs);
+/// A row's best Markowitz candidate `(score, var)`: the lowest score
+/// `(row_nnz - 1) * (occurrences - 1)` within [`FILL_CAP`], the first
+/// such variable in index order on ties. `integral` is the row's
+/// [`integral_row`] flag; each variable's occurrence count is the length
+/// of its column.
+fn candidate(
+    row: &Row,
+    integral: bool,
+    is_int: &[bool],
+    cols: &[Vec<usize>],
+) -> Option<(usize, usize)> {
+    if row.rel != Rel::Eq || row.coeffs.is_empty() {
+        return None;
     }
-    occ
+    let mut best: Option<(usize, usize)> = None;
+    for &(j, c) in &row.coeffs {
+        let unit = c.abs() == Rat::ONE;
+        // An integer variable may only be defined as an integer
+        // combination of integer variables; a continuous one only by a
+        // unit pivot (non-unit pivots are allowed mathematically but
+        // inflate denominators, and IPET systems always offer unit ones).
+        if !unit || (is_int[j] && !integral) {
+            continue;
+        }
+        let score = (row.coeffs.len() - 1) * (cols[j].len() - 1);
+        if score <= FILL_CAP && best.is_none_or(|(s, _)| score < s) {
+            best = Some((score, j));
+        }
+    }
+    best
+}
+
+/// Each live row's cached integrality flag and best candidate, and the
+/// rows holding a candidate ordered by `(score, row)`: the first of them
+/// is the pivot a scan of every row in index order would pick.
+struct Candidates {
+    integral: Vec<bool>,
+    best: Vec<Option<(usize, usize)>>,
+    order: BTreeSet<(usize, usize)>,
+}
+
+impl Candidates {
+    /// The next elimination `(row, var)`, if any row offers one.
+    fn pick(&self) -> Option<(usize, usize)> {
+        self.order
+            .first()
+            .map(|&(_, ri)| (ri, self.best[ri].expect("an ordered row has a candidate").1))
+    }
+
+    /// Recomputes row `ri`'s integrality flag after its entries changed
+    /// (or it was appended); [`Candidates::rescore`] must follow.
+    fn reflag(&mut self, ri: usize, row: &Row, is_int: &[bool]) {
+        if ri == self.integral.len() {
+            self.integral.push(false);
+            self.best.push(None);
+        }
+        self.integral[ri] = integral_row(row, is_int);
+    }
+
+    /// Recomputes row `ri`'s candidate; a taken row (`None`) has none.
+    fn rescore(&mut self, ri: usize, row: Option<&Row>, is_int: &[bool], cols: &[Vec<usize>]) {
+        if let Some((score, _)) = self.best[ri].take() {
+            self.order.remove(&(score, ri));
+        }
+        self.best[ri] = row.and_then(|r| candidate(r, self.integral[ri], is_int, cols));
+        if let Some((score, _)) = self.best[ri] {
+            self.order.insert((score, ri));
+        }
+    }
 }
 
 /// An empty-lhs row is either vacuous or a proof of infeasibility.
@@ -187,6 +292,12 @@ fn empty_row_feasible(rel: Rel, rhs: Rat) -> bool {
 /// optima coincide after adding `obj_const`, and [`Presolved::expand`]
 /// turns any reduced feasible point into an original feasible point with
 /// the same objective value.
+///
+/// Each elimination visits only the rows it touches. The column index
+/// (each variable's live rows) names the rows holding the eliminated
+/// variable, and the cached candidates are recomputed only for rows whose
+/// entries changed or that hold a variable whose count changed; every
+/// other row's score is unchanged, so the pick is the full scan's.
 pub(crate) fn reduce(
     n_vars: usize,
     objective: &[(usize, Rat)],
@@ -206,51 +317,45 @@ pub(crate) fn reduce(
             Some(r)
         })
         .collect();
-    let mut obj: Vec<(usize, Rat)> = objective.to_vec();
-    obj.sort_by_key(|&(j, _)| j);
-    let mut obj_const = Rat::ZERO;
     let mut eliminated = vec![false; n_vars];
     let mut elims: Vec<Elim> = Vec::new();
-    // Each variable's count of live rows, for the Markowitz score: counted
-    // once here, then kept current as rows are taken, substituted and
-    // appended.
-    let mut occ = occurrences(&rows, n_vars);
+    // Built once here, then kept current as rows are taken, substituted
+    // and appended; a column's length is its variable's occurrence count.
+    let mut cols = columns(&rows, n_vars);
+    let mut cands = Candidates {
+        integral: Vec::with_capacity(rows.len()),
+        best: Vec::with_capacity(rows.len()),
+        order: BTreeSet::new(),
+    };
+    for (ri, r) in rows.iter().enumerate() {
+        let r = r.as_ref().expect("every input row is live");
+        cands.reflag(ri, r, &is_int);
+        cands.rescore(ri, Some(r), &is_int, &cols);
+    }
+    // Rows whose entries changed, and variables whose counts changed, in
+    // one elimination.
+    let mut changed: Vec<usize> = Vec::new();
+    let mut touched: Vec<usize> = Vec::new();
 
     loop {
-        let mut best: Option<(usize, usize, usize)> = None; // (score, row, var)
-        for (ri, r) in rows.iter().enumerate() {
-            let Some(r) = r else { continue };
-            if r.rel != Rel::Eq || r.coeffs.is_empty() {
-                continue;
-            }
-            let row_integral = r.rhs.is_integer() && r.coeffs.iter().all(|&(_, c)| c.is_integer());
-            let all_int_vars = r.coeffs.iter().all(|&(j, _)| is_int[j]);
-            for &(j, c) in &r.coeffs {
-                let unit = c.abs() == Rat::ONE;
-                // An integer variable may only be defined as an integer
-                // combination of integer variables.
-                if is_int[j] && !(unit && row_integral && all_int_vars) {
-                    continue;
-                }
-                if !is_int[j] && !unit {
-                    // Allowed mathematically, but non-unit pivots inflate
-                    // denominators; IPET systems always offer unit pivots.
-                    continue;
-                }
-                let score = (r.coeffs.len() - 1) * (occ[j] - 1);
-                if score > FILL_CAP {
-                    continue;
-                }
-                if best.is_none_or(|(s, _, _)| score < s) {
-                    best = Some((score, ri, j));
-                }
-            }
+        let pick = cands.pick();
+        #[cfg(test)]
+        {
+            assert_eq!(cols, columns(&rows, n_vars), "column index drifted");
+            assert_eq!(pick, rescan(&rows, &is_int, &cols), "cached pick drifted");
         }
-        let Some((_, ri, var)) = best else { break };
+        let Some((ri, var)) = pick else { break };
 
         // Build `var = constant + terms` from the pivot row.
         let row = rows[ri].take().expect("candidate row is live");
-        uncount(&mut occ, &row.coeffs);
+        cands.rescore(ri, None, &is_int, &cols);
+        for &(j, _) in &row.coeffs {
+            let at = cols[j]
+                .binary_search(&ri)
+                .expect("pivot row in its columns");
+            cols[j].remove(at);
+            touched.push(j);
+        }
         let a = row
             .coeffs
             .iter()
@@ -265,14 +370,10 @@ pub(crate) fn reduce(
             .map(|&(j, c)| (j, -(c / a)))
             .collect();
 
-        for r in rows.iter_mut().flatten() {
-            substitute_row(r, var, constant, &terms, &mut occ);
-        }
-        if let Ok(pos) = obj.binary_search_by_key(&var, |&(j, _)| j) {
-            let cv = obj[pos].1;
-            obj.remove(pos);
-            obj = add_scaled(&obj, cv, &terms);
-            obj_const += cv * constant;
+        for i in std::mem::take(&mut cols[var]) {
+            let r = rows[i].as_mut().expect("columns list live rows");
+            substitute_row(r, i, var, constant, &terms, &mut cols, &mut touched);
+            changed.push(i);
         }
 
         // Re-impose the eliminated variable's implicit `>= 0` bound unless
@@ -284,16 +385,33 @@ pub(crate) fn reduce(
                     return Outcome::Infeasible;
                 }
             } else {
-                count(&mut occ, &terms);
+                let guard = rows.len();
+                for &(j, _) in &terms {
+                    cols[j].push(guard);
+                    touched.push(j);
+                }
                 rows.push(Some(Row {
                     coeffs: terms.clone(),
                     rel: Rel::Ge,
                     rhs: -constant,
                 }));
+                changed.push(guard);
             }
         }
-        #[cfg(test)]
-        assert_eq!(occ, occurrences(&rows, n_vars), "occurrence counts drifted");
+
+        // Rescore the changed rows and every row holding a variable whose
+        // count changed; no other row's score can have moved.
+        for &i in &changed {
+            cands.reflag(i, rows[i].as_ref().expect("changed rows are live"), &is_int);
+        }
+        for j in touched.drain(..) {
+            changed.extend_from_slice(&cols[j]);
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        for i in changed.drain(..) {
+            cands.rescore(i, rows[i].as_ref(), &is_int, &cols);
+        }
 
         eliminated[var] = true;
         elims.push(Elim {
@@ -326,7 +444,6 @@ pub(crate) fn reduce(
             t.0 = reduced_idx[t.0];
         }
     }
-    let objective: Vec<(usize, Rat)> = obj.into_iter().map(|(j, c)| (reduced_idx[j], c)).collect();
     let reduced_integers: Vec<usize> = keep
         .iter()
         .enumerate()
@@ -334,17 +451,52 @@ pub(crate) fn reduce(
         .map(|(r, _)| r)
         .collect();
 
-    Outcome::Reduced(Presolved {
+    let mut p = Presolved {
         n_vars: keep.len(),
-        objective,
-        obj_const,
+        objective: Vec::new(),
+        obj_const: Rat::ZERO,
         rows: kept_rows,
         integers: reduced_integers,
         eliminated: elims.len() as u64,
         elims,
         keep,
         reduced_idx,
-    })
+    };
+    (p.objective, p.obj_const) = p.reduce_objective(objective);
+    Outcome::Reduced(p)
+}
+
+/// The pivot scan [`Candidates`] replaces, kept as its reference: every
+/// live row's entries scored afresh, in row order, the first lowest score
+/// winning. Returns the `(row, var)` to eliminate.
+#[cfg(test)]
+fn rescan(rows: &[Option<Row>], is_int: &[bool], cols: &[Vec<usize>]) -> Option<(usize, usize)> {
+    let mut best: Option<(usize, usize, usize)> = None; // (score, row, var)
+    for (ri, r) in rows.iter().enumerate() {
+        let Some(r) = r else { continue };
+        if r.rel != Rel::Eq || r.coeffs.is_empty() {
+            continue;
+        }
+        let row_integral = r.rhs.is_integer() && r.coeffs.iter().all(|&(_, c)| c.is_integer());
+        let all_int_vars = r.coeffs.iter().all(|&(j, _)| is_int[j]);
+        for &(j, c) in &r.coeffs {
+            let unit = c.abs() == Rat::ONE;
+            if is_int[j] && !(unit && row_integral && all_int_vars) {
+                continue;
+            }
+            if !is_int[j] && !unit {
+                continue;
+            }
+            let score = (r.coeffs.len() - 1) * (cols[j].len() - 1);
+            if score > FILL_CAP {
+                continue;
+            }
+            if best.is_none_or(|(s, _, _)| score < s) {
+                best = Some((score, ri, j));
+            }
+        }
+    }
+    best.map(|(_, ri, var)| (ri, var))
 }
 
 #[cfg(test)]
@@ -458,8 +610,10 @@ mod tests {
     #[test]
     fn reduce_objective_replays_reduce_exactly() {
         // Chained substitutions (x0 depends on x1, eliminated later):
-        // replaying the elim log must reproduce the objective `reduce`
-        // computed inline, and must map a *different* objective correctly.
+        // replaying the elim log gives `reduce`'s own objective, and maps
+        // a *different* objective correctly. x1 = x2 + 1 and
+        // x0 = x1 + 1 = x2 + 2, so 3*x0 + x2 reduces to 4*x2 + 6 over the
+        // single surviving variable.
         let rows = vec![
             row(&[(0, 1), (1, -1)], Rel::Eq, 1),
             row(&[(1, 1), (2, -1)], Rel::Eq, 1),
@@ -467,23 +621,31 @@ mod tests {
         ];
         let obj = [(0, r(3)), (2, r(1))];
         let p = reduced(reduce(3, &obj, &rows, &[0, 1, 2]));
+        assert_eq!(p.objective, vec![(0, r(4))]);
+        assert_eq!(p.obj_const, r(6));
         let (replayed, constant) = p.reduce_objective(&obj);
         assert_eq!(replayed, p.objective);
         assert_eq!(constant, p.obj_const);
-        // x1 = x2 + 1, x0 = x1 + 1 = x2 + 2: objective x0 + x1 reduces to
-        // 2*x2 + 3 over the single surviving variable.
+        // x0 + x1 reduces to 2*x2 + 3.
         let (other, other_const) = p.reduce_objective(&[(0, r(1)), (1, r(1))]);
         assert_eq!(other, vec![(0, r(2))]);
         assert_eq!(other_const, r(3));
+        // x0 - x1 is the constant 1: x2's coefficient cancels and is
+        // dropped.
+        let (cancelled, one) = p.reduce_objective(&[(0, r(1)), (1, r(-1))]);
+        assert_eq!(cancelled, vec![]);
+        assert_eq!(one, r(1));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Random mixed systems, equality-heavy so eliminations chain,
-        /// substitute into several rows, cancel entries and append
-        /// guard rows: `reduce` asserts after every elimination that its
-        /// maintained occurrence counts equal a recount of the live rows.
+        /// substitute into several rows, cancel entries, tie on scores
+        /// and append guard rows: `reduce` asserts after every
+        /// elimination that its column index (whose lengths are the
+        /// occurrence counts) equals a rebuild from the live rows and that
+        /// its cached pick equals a full rescan's.
         #[test]
         fn maintained_counts_match_a_recount(
             rows in proptest::collection::vec(

@@ -6,7 +6,8 @@
 //! bound plus the worst path's per-node execution counts — the material
 //! from which the benches regenerate Table 1, Table 2 and Fig. 8.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use rt_hw::{cycles_to_us, Addr, CycleAccounts, Cycles};
 use rt_kernel::kernel::{EntryPoint, KernelConfig};
@@ -131,8 +132,29 @@ pub struct Costs {
 /// charged on the loop's entry edges.
 pub fn node_costs(cfg: &Cfg, layout: &Layout, model: &CostModel) -> Costs {
     node_costs_via(cfg, layout, model, |block, persistent| {
-        model.block_cost_split(layout, block, persistent)
+        model.block_cost_split(layout, block, &persistent.lines)
     })
+}
+
+/// The instruction lines guaranteed resident while a node runs: the
+/// union of the lines of every persistent loop holding it. `lines` is the
+/// set the block costing probes; `sorted` holds the same lines sorted,
+/// the canonical form [`crate::AnalysisCache`] keys block costs on.
+pub(crate) struct Persistent {
+    pub(crate) lines: HashSet<Addr>,
+    pub(crate) sorted: Arc<[Addr]>,
+}
+
+impl Persistent {
+    fn union<'a>(sets: impl Iterator<Item = &'a HashSet<Addr>>) -> Persistent {
+        let lines: HashSet<Addr> = sets.flatten().copied().collect();
+        let mut sorted: Vec<Addr> = lines.iter().copied().collect();
+        sorted.sort_unstable();
+        Persistent {
+            lines,
+            sorted: sorted.into(),
+        }
+    }
 }
 
 /// [`node_costs`] with the per-node block costing routed through
@@ -143,20 +165,26 @@ pub fn node_costs(cfg: &Cfg, layout: &Layout, model: &CostModel) -> Costs {
 /// each distinct combination once per sweep. Everything *around* the
 /// block costs (persistence detection, entry-edge charges) is shared here
 /// so the two paths cannot drift.
+///
+/// Each distinct set of persistent loops builds its line set once, and
+/// the nodes it holds share it; nodes in no persistent loop share the
+/// empty set.
 pub(crate) fn node_costs_via(
     cfg: &Cfg,
     layout: &Layout,
     model: &CostModel,
-    mut block_split: impl FnMut(Block, &HashSet<Addr>) -> CycleAccounts,
+    mut block_split: impl FnMut(Block, &Persistent) -> CycleAccounts,
 ) -> Costs {
-    let mut persistent: Vec<HashSet<Addr>> = vec![HashSet::new(); cfg.nodes.len()];
+    // Each node's persistent loops, as indices into `loop_lines`.
+    let mut held_by: Vec<Vec<usize>> = vec![Vec::new(); cfg.nodes.len()];
+    let mut loop_lines: Vec<HashSet<Addr>> = Vec::new();
     let mut edge_split: Vec<CycleAccounts> = vec![CycleAccounts::default(); cfg.edges.len()];
     for l in &cfg.loops {
         let blocks: Vec<Block> = l.nodes.iter().map(|&n| cfg.nodes[n.0].block).collect();
         let lines = i_lines_of(layout, &blocks);
         if loop_lines_persistent(&lines) {
             for &n in &l.nodes {
-                persistent[n.0].extend(lines.iter().copied());
+                held_by[n.0].push(loop_lines.len());
             }
             let entry_cost = model.persistence_entry_cost_split(&lines);
             let members: HashSet<usize> = l.nodes.iter().map(|n| n.0).collect();
@@ -165,13 +193,20 @@ pub(crate) fn node_costs_via(
                     edge_split[i] = edge_split[i].add(entry_cost);
                 }
             }
+            loop_lines.push(lines);
         }
     }
+    let mut shared: BTreeMap<&[usize], Persistent> = BTreeMap::new();
     let node_split: Vec<CycleAccounts> = cfg
         .nodes
         .iter()
-        .enumerate()
-        .map(|(i, n)| block_split(n.block, &persistent[i]))
+        .zip(&held_by)
+        .map(|(n, held)| {
+            let persistent = shared
+                .entry(held)
+                .or_insert_with(|| Persistent::union(held.iter().map(|&i| &loop_lines[i])));
+            block_split(n.block, persistent)
+        })
         .collect();
     Costs {
         node: node_split.iter().map(|c| c.total()).collect(),
@@ -400,7 +435,7 @@ pub fn analyze_batch_bounds_with(
         .filter(|&(p, &i)| p == 0 || rank[order[p - 1]] != rank[i])
         .map(|(p, _)| p)
         .collect();
-    let distinct: Vec<std::sync::Arc<WcetReport>> =
+    let distinct: Vec<Arc<WcetReport>> =
         pool.parallel_map_aligned(ordered, &group_starts, |(entry, cfg, bounds)| {
             cache.analyze_with_bounds(entry, &cfg, &bounds)
         });

@@ -93,7 +93,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -208,9 +208,9 @@ struct CostKey {
 struct BlockCostKey {
     block: Block,
     model: CostModelKey,
-    /// Sorted, deduplicated persistent-line set (a canonical form of the
-    /// per-node `HashSet<Addr>` the costing walks).
-    persistent: Vec<Addr>,
+    /// Sorted persistent-line set (the canonical form of the set the
+    /// costing probes), shared by every node of the same persistent loops.
+    persistent: Arc<[Addr]>,
 }
 
 /// What a complete report depends on: the exact CFG (bounds and
@@ -241,12 +241,78 @@ struct PreparedStructure {
     presolved: rt_ilp::PresolvedModel,
 }
 
+/// Multiply-rotate (FxHash-style) hasher for the memo maps, after the
+/// explorer's state hasher: the keys are internal, so they need no
+/// flooding resistance, and it is far cheaper than `DefaultHasher`'s
+/// SipHash on keys hashed once per CFG node of every analysis.
+#[derive(Default)]
+struct FastHasher {
+    hash: u64,
+}
+
+impl FastHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in chunks.by_ref() {
+            self.add(u64::from_le_bytes(c.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w) ^ (rest.len() as u64) << 56);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // Final avalanche, so the table's low-bit bucket index sees every
+        // input bit.
+        let mut h = self.hash;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h
+    }
+}
+
+/// A map keyed through [`FastHasher`].
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
 /// One memoized artifact class: a keyed map of [`OnceLock`] cells, so
 /// concurrent requests for the same key block on one builder instead of
 /// racing, while different keys build in parallel. The map's lock is held
 /// only to fetch or insert a cell, never across a build.
 struct Memo<K, V> {
-    cells: RwLock<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
+    cells: RwLock<FastMap<K, Arc<OnceLock<Arc<V>>>>>,
     lookups: AtomicU64,
     builds: AtomicU64,
 }
@@ -254,7 +320,7 @@ struct Memo<K, V> {
 impl<K: Eq + Hash, V> Memo<K, V> {
     fn new() -> Memo<K, V> {
         Memo {
-            cells: RwLock::new(HashMap::new()),
+            cells: RwLock::new(FastMap::default()),
             lookups: AtomicU64::new(0),
             builds: AtomicU64::new(0),
         }
@@ -470,15 +536,13 @@ impl AnalysisCache {
         self.costs.get_or_build(key, || {
             let layout = self.layout();
             node_costs_via(graph, &layout, model, |block, persistent| {
-                let mut lines: Vec<Addr> = persistent.iter().copied().collect();
-                lines.sort_unstable();
                 *self.block_costs.get_or_build(
                     BlockCostKey {
                         block,
                         model: key.model,
-                        persistent: lines,
+                        persistent: Arc::clone(&persistent.sorted),
                     },
-                    || model.block_cost_split(&layout, block, persistent),
+                    || model.block_cost_split(&layout, block, &persistent.lines),
                 )
             })
         })
