@@ -16,6 +16,10 @@ cargo test --release -q -p rt-ilp -p rt-wcet -p rt-hw -p rt-kernel
 # warm hits and worst-path digest per analysis) in the same profile, so
 # a release-only change to the pivots cannot pass on the debug run alone.
 cargo test --release -q -p rt-tests --test goldens ilp_work
+# The batch differential (tests/tests/batch_differential.rs: fleet samples
+# at random worker counts, batched reports held to fresh ones) in release
+# too, the profile the fleet runs in; it takes about a second.
+cargo test --release -q -p rt-tests --test batch_differential
 
 # The explorer's deep state-set goldens (the searches perfbench times)
 # take seconds in release and far longer in debug, so tier-1 skips them.
