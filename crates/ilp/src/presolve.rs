@@ -333,9 +333,12 @@ pub(crate) fn reduce(
         cands.rescore(ri, Some(r), &is_int, &cols);
     }
     // Rows whose entries changed, and variables whose counts changed, in
-    // one elimination.
+    // one elimination; `stale` lists the rows to rescore, each once, as
+    // `marked` records.
     let mut changed: Vec<usize> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
+    let mut stale: Vec<usize> = Vec::new();
+    let mut marked: Vec<bool> = Vec::new();
 
     loop {
         let pick = cands.pick();
@@ -401,15 +404,21 @@ pub(crate) fn reduce(
 
         // Rescore the changed rows and every row holding a variable whose
         // count changed; no other row's score can have moved.
-        for &i in &changed {
+        marked.resize(rows.len(), false);
+        for i in changed.drain(..) {
             cands.reflag(i, rows[i].as_ref().expect("changed rows are live"), &is_int);
+            marked[i] = true;
+            stale.push(i);
         }
         for j in touched.drain(..) {
-            changed.extend_from_slice(&cols[j]);
+            for &i in &cols[j] {
+                if !std::mem::replace(&mut marked[i], true) {
+                    stale.push(i);
+                }
+            }
         }
-        changed.sort_unstable();
-        changed.dedup();
-        for i in changed.drain(..) {
+        for i in stale.drain(..) {
+            marked[i] = false;
             cands.rescore(i, rows[i].as_ref(), &is_int, &cols);
         }
 

@@ -14,7 +14,7 @@ use rt_kernel::kernel::{EntryPoint, KernelConfig};
 use rt_kernel::kprog::{Block, Layout};
 use rt_kernel::pinning;
 
-use crate::cfg::{Cfg, UserConstraint};
+use crate::cfg::{Cfg, NodeId, UserConstraint};
 use crate::cost::{i_lines_of, loop_lines_persistent, CostModel};
 use crate::ipet;
 use crate::kmodel;
@@ -183,13 +183,15 @@ pub(crate) fn node_costs_via(
         let blocks: Vec<Block> = l.nodes.iter().map(|&n| cfg.nodes[n.0].block).collect();
         let lines = i_lines_of(layout, &blocks);
         if loop_lines_persistent(&lines) {
+            let id = loop_lines.len();
             for &n in &l.nodes {
-                held_by[n.0].push(loop_lines.len());
+                held_by[n.0].push(id);
             }
+            // A node is in this loop iff this loop is its latest.
+            let inside = |n: NodeId| held_by[n.0].last() == Some(&id);
             let entry_cost = model.persistence_entry_cost_split(&lines);
-            let members: HashSet<usize> = l.nodes.iter().map(|n| n.0).collect();
-            for (i, (a, b)) in cfg.edges.iter().enumerate() {
-                if !members.contains(&a.0) && members.contains(&b.0) {
+            for (i, &(a, b)) in cfg.edges.iter().enumerate() {
+                if !inside(a) && inside(b) {
                     edge_split[i] = edge_split[i].add(entry_cost);
                 }
             }
