@@ -63,9 +63,6 @@ pub(crate) struct Presolved {
     elims: Vec<Elim>,
     /// `keep[r]` is the original index of reduced variable `r`.
     keep: Vec<usize>,
-    /// `reduced_idx[orig]` is the reduced index of surviving original
-    /// variable `orig` (`usize::MAX` for eliminated variables).
-    reduced_idx: Vec<usize>,
 }
 
 pub(crate) enum Outcome {
@@ -107,7 +104,7 @@ impl Presolved {
     /// coefficient receives the same exact updates a sparse merge per
     /// elimination would make; zeros are dropped once, at the end.
     pub fn reduce_objective(&self, objective: &[(usize, Rat)]) -> (Vec<(usize, Rat)>, Rat) {
-        let mut dense = vec![Rat::ZERO; self.reduced_idx.len()];
+        let mut dense = vec![Rat::ZERO; self.keep.len() + self.elims.len()];
         for &(j, c) in objective {
             dense[j] += c;
         }
@@ -469,7 +466,6 @@ pub(crate) fn reduce(
         eliminated: elims.len() as u64,
         elims,
         keep,
-        reduced_idx,
     };
     (p.objective, p.obj_const) = p.reduce_objective(objective);
     Outcome::Reduced(p)
