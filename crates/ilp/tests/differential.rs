@@ -285,8 +285,10 @@ proptest! {
 }
 
 /// A handcrafted instance whose branching repeatedly cuts basic variables:
-/// enough depth that warm starts, snapshot drops and cold fallbacks all
-/// occur in one solve.
+/// its nodes warm-start from their parents' tableaux and must reach the
+/// cold reference's optimum in fewer pivots. (Its frontier stays far
+/// below the snapshot cap, so no node cold-solves; `branch.rs`'s
+/// `wide_frontier_stays_warm` holds a wider frontier warm.)
 #[test]
 fn deep_branching_exercises_warm_and_cold_paths() {
     let mut m = Model::maximize();
