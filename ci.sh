@@ -20,6 +20,12 @@ cargo test --release -q -p rt-tests --test goldens ilp_work
 # at random worker counts, batched reports held to fresh ones) in release
 # too, the profile the fleet runs in; it takes about a second.
 cargo test --release -q -p rt-tests --test batch_differential
+# The implied-bound differential (crates/wcet/src/ipet.rs): all 448 IPET
+# structures of the fleet, each solved plain and re-solved under two cost
+# vectors, must give the bound, counts and branch-and-bound nodes of the
+# formulation that declares every node and edge bound. Tier-1 runs a
+# fixed sample of 41 in debug; this runs them all, in about 4 s.
+cargo test --release -q -p rt-wcet --lib every_fleet_structure -- --ignored
 
 # The explorer's deep state-set goldens (the searches perfbench times)
 # take seconds in release and far longer in debug, so tier-1 skips them.

@@ -4,7 +4,6 @@
 //! bounds), linear constraints and a linear objective, then solves with the
 //! branch-and-bound driver in [`crate::branch`].
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Add;
 use std::sync::OnceLock;
@@ -52,14 +51,19 @@ impl LinExpr {
         LinExpr::new().plus(1i64, v)
     }
 
-    /// Sums coefficients of duplicate variables and drops zeros.
+    /// Sums coefficients of duplicate variables and drops zeros, in
+    /// variable order.
     fn normalised(&self) -> Vec<(usize, Rat)> {
-        let mut acc: HashMap<usize, Rat> = HashMap::new();
-        for &(VarId(i), c) in &self.terms {
-            *acc.entry(i).or_insert(Rat::ZERO) += c;
+        let mut terms: Vec<(usize, Rat)> = self.terms.iter().map(|&(VarId(i), c)| (i, c)).collect();
+        terms.sort_by_key(|&(i, _)| i);
+        let mut v: Vec<(usize, Rat)> = Vec::with_capacity(terms.len());
+        for (i, c) in terms {
+            match v.last_mut() {
+                Some((last, sum)) if *last == i => *sum += c,
+                _ => v.push((i, c)),
+            }
         }
-        let mut v: Vec<(usize, Rat)> = acc.into_iter().filter(|(_, c)| !c.is_zero()).collect();
-        v.sort_by_key(|&(i, _)| i);
+        v.retain(|(_, c)| !c.is_zero());
         v
     }
 }

@@ -8,8 +8,6 @@
 //! three manual constraint forms of §5.2 are added on top, and the exact
 //! solver in `rt-ilp` maximises total cost.
 
-use std::collections::HashMap;
-
 use rt_ilp::{LinExpr, Model, Solution, SolveError, SolveStats, VarId};
 
 use crate::cfg::{Cfg, NodeId, UserConstraint};
@@ -155,32 +153,71 @@ pub fn build_model(
 /// constraint, no objective. Costs enter only through the objective
 /// ([`IpetIlp::objective_for`]), so one structure serves every cost
 /// configuration of its entry point.
+///
+/// **Declared bounds.** A node's count is bounded by its `max_count`
+/// only when the node is on no cycle and its `max_count` is 0; no edge
+/// or sink count is bounded at all. [`Model`] turns each declared bound
+/// into a tableau row, and in the LP relaxation the rows below already
+/// imply every bound left out, so the feasible region, and with it every
+/// optimum, is the one the fully bounded model has:
+///
+/// * The entry row injects one unit of flow and the sink row absorbs
+///   exactly one, so a feasible flow is one unit of entry-to-exit path
+///   flow plus circulations, and a circulation stays inside one strongly
+///   connected component (SCC). Nodes the entry does not reach carry no
+///   flow: taking SCCs in topological order, nothing enters one whose
+///   predecessors carry none, so its in-flow rows (acyclic) or SCC rows
+///   (cyclic) hold its counts at 0.
+/// * A node on no cycle carries path flow only, and each path passes it
+///   at most once: `x_v ≤ 1 ≤ max_count(v)` whenever `max_count(v) ≥ 1`.
+///   A `max_count` of 0 is the one bound nothing else implies.
+/// * A node on a cycle lies in a cyclic SCC, whose row reads `x_n ≤
+///   max_count(n)·(flow entering the SCC) [+ max_count(n) if the entry
+///   is inside]`. Flow between SCCs is path flow, which enters an SCC at
+///   most once, so at most one unit enters any SCC. None enters the SCC
+///   holding the entry, since an edge into it starts at a node the entry
+///   does not reach. Either way `x_n ≤ max_count(n)`.
+/// * An edge `a → b`: `y_e ≤ x_a` by `a`'s out-flow row and `y_e ≤ x_b`
+///   by `b`'s in-flow row.
+/// * A sink: the sinks sum to 1 and are nonnegative.
+///
+/// The region is the same, not the path: on a graph with several optimal
+/// integer points the solver may land on another one of equal value.
 pub fn build_structure(cfg: &Cfg, with_user_constraints: bool) -> IpetIlp {
     let mut m = Model::maximize();
 
-    // Node count variables.
+    // Each node's SCC, and which SCCs hold a cycle.
+    let components = sccs(cfg);
+    let mut component_of = vec![0usize; cfg.nodes.len()];
+    for (c, members) in components.iter().enumerate() {
+        for &n in members {
+            component_of[n] = c;
+        }
+    }
+    let mut cyclic: Vec<bool> = components.iter().map(|c| c.len() > 1).collect();
+    for (a, b) in &cfg.edges {
+        if a == b {
+            cyclic[component_of[a.0]] = true;
+        }
+    }
+
+    // Node count variables, bounded only where nothing else bounds them.
     let x: Vec<VarId> = cfg
         .nodes
         .iter()
-        .enumerate()
-        .map(|(i, n)| m.int_var(&format!("x{i}"), 0, Some(n.max_count as i64)))
-        .collect();
-    // Edge count variables.
-    let y: Vec<VarId> = cfg
-        .edges
-        .iter()
-        .enumerate()
-        .map(|(i, (a, b))| {
-            let ub = cfg.nodes[a.0].max_count.min(cfg.nodes[b.0].max_count);
-            m.int_var(&format!("y{i}_{}_{}", a.0, b.0), 0, Some(ub as i64))
+        .zip(&component_of)
+        .map(|(n, &c)| {
+            let ub = (n.max_count == 0 && !cyclic[c]).then_some(0);
+            m.int_var("x", 0, ub)
         })
         .collect();
+    // Edge count variables.
+    let y: Vec<VarId> = cfg.edges.iter().map(|_| m.int_var("y", 0, None)).collect();
     // Sink variables for exits (the path leaves the graph exactly once).
-    let sink: HashMap<NodeId, VarId> = cfg
-        .exits
-        .iter()
-        .map(|&e| (e, m.int_var(&format!("sink{}", e.0), 0, Some(1))))
-        .collect();
+    let mut sink: Vec<Option<VarId>> = vec![None; cfg.nodes.len()];
+    for e in &cfg.exits {
+        sink[e.0] = Some(m.int_var("sink", 0, None));
+    }
 
     // Flow conservation.
     let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); cfg.nodes.len()];
@@ -189,40 +226,27 @@ pub fn build_structure(cfg: &Cfg, with_user_constraints: bool) -> IpetIlp {
         out_edges[a.0].push(i);
         in_edges[b.0].push(i);
     }
-    for (i, _) in cfg.nodes.iter().enumerate() {
-        let node = NodeId(i);
-        // Inflow (+1 virtual source edge for the entry).
-        let mut inflow = LinExpr::new();
+    for i in 0..cfg.nodes.len() {
+        // Inflow, +1 virtual source edge for the entry: x_entry = 1 +
+        // inflow; the entry of a kernel path runs once.
+        let mut expr = LinExpr::new() + (1, x[i]);
         for &e in &in_edges[i] {
-            inflow = inflow + (1, y[e]);
+            expr = expr + (-1, y[e]);
         }
-        if node == cfg.entry {
-            // x_entry = 1 + inflow; the entry of a kernel path runs once.
-            let mut expr = LinExpr::new() + (1, x[i]);
-            for &e in &in_edges[i] {
-                expr = expr + (-1, y[e]);
-            }
-            m.add_eq(expr, 1);
-        } else {
-            let mut expr = LinExpr::new() + (1, x[i]);
-            for &e in &in_edges[i] {
-                expr = expr + (-1, y[e]);
-            }
-            m.add_eq(expr, 0);
-        }
+        m.add_eq(expr, i64::from(cfg.entry.0 == i));
         // Outflow (+ sink for exits).
         let mut expr = LinExpr::new() + (1, x[i]);
         for &e in &out_edges[i] {
             expr = expr + (-1, y[e]);
         }
-        if let Some(&s) = sink.get(&node) {
+        if let Some(s) = sink[i] {
             expr = expr + (-1, s);
         }
         m.add_eq(expr, 0);
     }
     // Exactly one sink.
     let mut total_sink = LinExpr::new();
-    for &s in sink.values() {
+    for &s in sink.iter().flatten() {
         total_sink = total_sink + (1, s);
     }
     m.add_eq(total_sink, 1);
@@ -231,13 +255,18 @@ pub fn build_structure(cfg: &Cfg, with_user_constraints: bool) -> IpetIlp {
     // circulations around cycles; tie every loop node's count to the flow
     // actually *entering* the loop from outside (the classical IPET loop
     // constraint, §5.2).
-    for l in &cfg.loops {
-        let members: std::collections::HashSet<usize> = l.nodes.iter().map(|n| n.0).collect();
+    let mut latest_loop = vec![usize::MAX; cfg.nodes.len()];
+    for (id, l) in cfg.loops.iter().enumerate() {
+        for n in &l.nodes {
+            latest_loop[n.0] = id;
+        }
+        // A node is in this loop iff this loop is the latest to mark it.
+        let inside = |n: NodeId| latest_loop[n.0] == id;
         let entering: Vec<usize> = cfg
             .edges
             .iter()
             .enumerate()
-            .filter(|(_, (a, b))| !members.contains(&a.0) && members.contains(&b.0))
+            .filter(|(_, &(a, b))| !inside(a) && inside(b))
             .map(|(i, _)| i)
             .collect();
         for &n in &l.nodes {
@@ -254,28 +283,21 @@ pub fn build_structure(cfg: &Cfg, with_user_constraints: bool) -> IpetIlp {
     // itself. For every strongly-connected component, every member's
     // count is additionally tied to the flow entering the *component*
     // from outside, which no mutual feeding can fake.
-    for scc in sccs(cfg) {
-        let members: std::collections::HashSet<usize> = scc.iter().copied().collect();
+    let mut entering: Vec<Vec<usize>> = vec![Vec::new(); components.len()];
+    for (i, (a, b)) in cfg.edges.iter().enumerate() {
+        if component_of[a.0] != component_of[b.0] {
+            entering[component_of[b.0]].push(i);
+        }
+    }
+    for (c, scc) in components.iter().enumerate() {
         // Only components that actually contain a cycle need the rule.
-        let cyclic = scc.len() > 1
-            || cfg
-                .edges
-                .iter()
-                .any(|(a, b)| a.0 == scc[0] && b.0 == scc[0]);
-        if !cyclic {
+        if !cyclic[c] {
             continue;
         }
-        let entering: Vec<usize> = cfg
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, (a, b))| !members.contains(&a.0) && members.contains(&b.0))
-            .map(|(i, _)| i)
-            .collect();
-        let entry_inside = members.contains(&cfg.entry.0);
-        for &n in &scc {
+        let entry_inside = component_of[cfg.entry.0] == c;
+        for &n in scc {
             let mut expr = LinExpr::new() + (1, x[n]);
-            for &e in &entering {
+            for &e in &entering[c] {
                 expr = expr + (-(cfg.nodes[n].max_count as i64), y[e]);
             }
             // The graph entry contributes one virtual entering unit.
@@ -299,7 +321,7 @@ pub fn build_structure(cfg: &Cfg, with_user_constraints: bool) -> IpetIlp {
                     if ba <= 1 && bb <= 1 {
                         m.add_le(LinExpr::new() + (1, x[a.0]) + (1, x[b.0]), 1);
                     } else {
-                        let z = m.int_var(&format!("z_conflict_{}_{}", a.0, b.0), 0, Some(1));
+                        let z = m.int_var("z", 0, Some(1));
                         m.add_le(LinExpr::new() + (1, x[a.0]) + (-(ba as i64), z), 0);
                         m.add_le(LinExpr::new() + (1, x[b.0]) + (bb as i64, z), bb as i64);
                     }
@@ -378,8 +400,28 @@ fn sccs(cfg: &Cfg) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{cost_model_from_flags, node_costs};
     use crate::cfg::CfgBuilder;
-    use rt_kernel::kprog::Block;
+    use crate::kmodel::{self, BoundParams};
+    use proptest::prelude::*;
+    use rt_kernel::kernel::{EntryPoint, KernelConfig, SchedKind, VmKind};
+    use rt_kernel::kprog::{Block, Layout};
+
+    /// The formulation before implied bounds were dropped, kept as the
+    /// reference [`build_structure`] is held to: every node bound `x_v ≤
+    /// max_count(v)` and edge bound `y_e ≤ min(max_count(a),
+    /// max_count(b))` re-added as a row.
+    fn with_explicit_bounds(cfg: &Cfg, with_user_constraints: bool) -> IpetIlp {
+        let mut ilp = build_structure(cfg, with_user_constraints);
+        for (n, &x) in cfg.nodes.iter().zip(&ilp.x) {
+            ilp.model.add_le(LinExpr::var(x), n.max_count as i64);
+        }
+        for (&(a, b), &y) in cfg.edges.iter().zip(&ilp.y) {
+            let ub = cfg.nodes[a.0].max_count.min(cfg.nodes[b.0].max_count);
+            ilp.model.add_le(LinExpr::var(y), ub as i64);
+        }
+        ilp
+    }
 
     /// entry(c=10) -> loop(c=7, bound 5) -> exitA(c=3) | exitB(c=100)
     fn diamond() -> (Cfg, Vec<u64>) {
@@ -475,5 +517,255 @@ mod tests {
         let (g, costs) = diamond();
         let sol = solve(&g, &costs, &vec![0; g.edges.len()], true).expect("solvable");
         assert_eq!(sol.counts[0], 1);
+    }
+
+    #[test]
+    fn zero_bound_node_on_no_cycle_keeps_its_bound() {
+        // entry -> dead(c=100, bound 0) -> exit | entry -> live(c=5) -> exit:
+        // only the dead node's own bound keeps it off the worst path.
+        let mut b = CfgBuilder::new();
+        let e = b.node(Block::SwiEntry, 0);
+        let dead = b.node_bounded(Block::CaseEp, 0, 0);
+        b.edge(e, dead);
+        let live = b.chain(e, Block::CaseUntyped, 0);
+        let x = b.chain(live, Block::ExitRestore, 0);
+        b.edge(dead, x);
+        b.exit(x);
+        let g = b.build(e);
+        let costs = [1, 100, 5, 1];
+        let sol = solve(&g, &costs, &vec![0; g.edges.len()], false).expect("solvable");
+        assert_eq!(sol.wcet, 1 + 5 + 1, "the worst path takes the live node");
+        assert_eq!(sol.counts[dead.0], 0);
+    }
+
+    /// A random graph for the implied-bound proptest.
+    #[derive(Debug)]
+    struct GraphCase {
+        /// `(max_count, cost)` per node.
+        nodes: Vec<(u64, u64)>,
+        /// `(from, to, cost)`, each pair at most once.
+        edges: Vec<(usize, usize, u64)>,
+        entry: usize,
+        /// The last node and one or two more.
+        exits: Vec<usize>,
+        /// Registered loops, as member lists; the entry is left out of
+        /// each, as no kernel loop holds its entry vector.
+        loops: Vec<Vec<usize>>,
+        /// `(form, a, b, n)`: form 0 conflicts, 1 consistent, 2 executes
+        /// at most `n` times.
+        constraints: Vec<(u8, usize, usize, u64)>,
+    }
+
+    impl GraphCase {
+        fn build(&self) -> (Cfg, Vec<u64>, Vec<u64>) {
+            let mut b = CfgBuilder::new();
+            let ids: Vec<NodeId> = self
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &(bound, _))| b.node_bounded(Block::ALL[i], 0, bound))
+                .collect();
+            for &(from, to, _) in &self.edges {
+                b.edge(ids[from], ids[to]);
+            }
+            for &e in &self.exits {
+                b.exit(ids[e]);
+            }
+            for members in &self.loops {
+                let nodes: Vec<NodeId> = members
+                    .iter()
+                    .filter(|&&n| n != self.entry)
+                    .map(|&n| ids[n])
+                    .collect();
+                if !nodes.is_empty() {
+                    b.register_loop(nodes, ids[self.entry], 0, None);
+                }
+            }
+            for &(form, a, c, n) in &self.constraints {
+                b.constraint(match form {
+                    0 => UserConstraint::Conflicts(ids[a], ids[c]),
+                    1 => UserConstraint::Consistent(ids[a], ids[c]),
+                    _ => UserConstraint::ExecutesAtMost(ids[a], n),
+                });
+            }
+            let costs = self.nodes.iter().map(|&(_, c)| c).collect();
+            let edge_costs = self.edges.iter().map(|&(_, _, c)| c).collect();
+            (b.build(ids[self.entry]), costs, edge_costs)
+        }
+    }
+
+    /// Graphs of 2–7 nodes with bounds 0–5. A forward spine to the last
+    /// node, an exit, keeps many graphs feasible when drawn; random pairs
+    /// add forward and back edges, self-loops and multi-node cycles, the
+    /// entry may sit inside a cycle, and cycles behind it are
+    /// unreachable. Registered loops are random member sets, so their
+    /// rows need not match any cycle.
+    fn graph_case() -> impl Strategy<Value = GraphCase> {
+        (2usize..=7).prop_flat_map(|n| {
+            let edges = (
+                any::<bool>(),
+                proptest::collection::vec(0u64..=10, n - 1),
+                proptest::collection::vec((0..n, 0..n, 0u64..=10), 0..=10),
+            )
+                .prop_map(|(spine, spine_costs, extra)| {
+                    let spine = spine_costs
+                        .into_iter()
+                        .enumerate()
+                        .filter(|_| spine)
+                        .map(|(i, c)| (i, i + 1, c));
+                    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+                    for (a, b, c) in spine.chain(extra) {
+                        if !edges.iter().any(|&(x, y, _)| (x, y) == (a, b)) {
+                            edges.push((a, b, c));
+                        }
+                    }
+                    edges
+                });
+            (
+                proptest::collection::vec((0u64..=5, 0u64..=20), n),
+                edges,
+                (0..n, proptest::collection::vec(0..n, 1..=2)),
+                proptest::collection::vec(proptest::collection::vec(0..n, 1..=3), 0..=2),
+                proptest::collection::vec((0u8..3, 0..n, 0..n, 0u64..=3), 0..=2),
+            )
+                .prop_map(move |(nodes, edges, (entry, exits), loops, constraints)| {
+                    GraphCase {
+                        nodes,
+                        edges,
+                        entry,
+                        exits: [n - 1].into_iter().chain(exits).collect(),
+                        loops,
+                        constraints,
+                    }
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Dropping the implied bounds keeps every graph's feasibility and
+        /// optimum value. Counts may differ where several integer points
+        /// tie for the optimum, so they are not compared.
+        #[test]
+        fn implied_bounds_keep_feasibility_and_optimum(case in graph_case()) {
+            let (g, costs, edge_costs) = case.build();
+            let optimum = |mut ilp: IpetIlp| {
+                ilp.model.set_objective(ilp.objective_for(&costs, &edge_costs));
+                ilp.model.solve().map(|s| s.objective)
+            };
+            prop_assert_eq!(
+                optimum(build_structure(&g, true)),
+                optimum(with_explicit_bounds(&g, true)),
+                "{:?}",
+                case
+            );
+        }
+    }
+
+    /// Every IPET structure of the 2,688-config fleet, as
+    /// `rt_bench::sweep::fleet_jobs` draws them: entry × scheduler × VM ×
+    /// preemption points × fastpath × loop bounds (open, closed, and an
+    /// eight-times finer clear chunk for the lazy scheduler), with manual
+    /// constraints off and on; 448 structures over 224 graphs.
+    fn fleet_structures() -> Vec<(EntryPoint, KernelConfig, BoundParams, bool)> {
+        let mut out = Vec::new();
+        for sched in [SchedKind::Lazy, SchedKind::Benno, SchedKind::BennoBitmap] {
+            for vm in [VmKind::Asid, VmKind::ShadowPt] {
+                for preemption_points in [false, true] {
+                    for fastpath in [false, true] {
+                        let kernel = KernelConfig {
+                            sched,
+                            vm,
+                            preemption_points,
+                            fastpath,
+                        };
+                        let mut bounds = vec![BoundParams::open(), BoundParams::closed()];
+                        if sched == SchedKind::Lazy {
+                            let mut chunked = BoundParams::open();
+                            chunked.before_clear_lines /= 8;
+                            bounds.push(chunked);
+                        }
+                        for bounds in bounds {
+                            for entry in EntryPoint::ALL {
+                                for manual in [false, true] {
+                                    out.push((entry, kernel, bounds, manual));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Solves one fleet structure in both formulations the way the
+    /// analysis does, and asserts equal answers: the plain solve under the
+    /// canonical costs, then the structure seeded under the canonical
+    /// costs and re-solved under the canonical and the L2-on,
+    /// kernel-locked costs. Each solve must agree on the bound, every node
+    /// and edge count and the branch-and-bound node count.
+    fn assert_formulations_agree(
+        layout: &Layout,
+        (entry, kernel, bounds, manual): (EntryPoint, KernelConfig, BoundParams, bool),
+    ) {
+        let graph = kmodel::build_cfg_with(entry, kernel, &bounds);
+        let canonical = node_costs(
+            &graph,
+            layout,
+            &cost_model_from_flags(layout, false, false, false),
+        );
+        let locked = node_costs(
+            &graph,
+            layout,
+            &cost_model_from_flags(layout, true, false, true),
+        );
+        let answers = |mut ilp: IpetIlp| {
+            ilp.model
+                .set_objective(ilp.objective_for(&canonical.node, &canonical.edge));
+            let plain = ilp.model.solve().expect("IPET ILP must solve");
+            let presolved = ilp.model.presolved().expect("IPET ILP must presolve");
+            presolved
+                .warm_up()
+                .expect("IPET root LP must have an optimum");
+            let mut out = vec![ilp.interpret(&plain)];
+            for costs in [&canonical, &locked] {
+                let objective = ilp.objective_for(&costs.node, &costs.edge);
+                let sol = presolved
+                    .resolve_with_objective(&objective)
+                    .expect("IPET ILP must re-solve");
+                out.push(ilp.interpret(&sol));
+            }
+            out.into_iter()
+                .map(|s| (s.wcet, s.counts, s.edge_counts, s.stats.nodes))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            answers(build_structure(&graph, manual)),
+            answers(with_explicit_bounds(&graph, manual)),
+            "{entry:?} {kernel:?} {bounds:?} manual={manual}"
+        );
+    }
+
+    #[test]
+    fn fleet_sample_matches_the_explicit_bound_formulation() {
+        // Every 11th structure: 41 of the 448, every entry point, both
+        // constraint settings and every kernel among them.
+        let layout = Layout::new();
+        for job in fleet_structures().into_iter().step_by(11) {
+            assert_formulations_agree(&layout, job);
+        }
+    }
+
+    #[test]
+    #[ignore = "every fleet structure; run in release by ci.sh"]
+    fn every_fleet_structure_matches_the_explicit_bound_formulation() {
+        let layout = Layout::new();
+        let structures = fleet_structures();
+        assert_eq!(structures.len(), 448);
+        for job in structures {
+            assert_formulations_agree(&layout, job);
+        }
     }
 }
