@@ -750,8 +750,8 @@ mod tests {
 
     #[test]
     fn fleet_sample_matches_the_explicit_bound_formulation() {
-        // Every 11th structure: 41 of the 448, every entry point, both
-        // constraint settings and every kernel among them.
+        // Every 11th structure: 41 of the 448, with every entry point,
+        // kernel, bound variant and constraint setting among them.
         let layout = Layout::new();
         for job in fleet_structures().into_iter().step_by(11) {
             assert_formulations_agree(&layout, job);
